@@ -8,12 +8,12 @@ from .estimates import MeanEstimate, ProbEstimate, Z99
 from .hitandrun import (HarSample, expected_log_progress_mc,
                         expected_log_progress_quadrature, har_step,
                         optimal_gamma, sample_angle, wallis_integral)
-from .kernels import BACKEND, LOG_PROGRESS_CAP
+from .kernels import LOG_PROGRESS_CAP
 from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
                         drift_map, estimate_truncated_drift,
                         hitting_time_bounds, minimize_psucc_over_band,
                         potential, truncated_delta)
-from .streams import derive_stream, spawn_streams
+from .streams import derive_stream
 from .success import (SuccessProbQuery, psucc0_inverse, psucc_exact,
                       psucc_limit, psucc_mc, std_normal_cdf)
 from .theorems import (TruncatedSeries, first_hitting_time, lower_bound_thm2,
@@ -23,7 +23,7 @@ from .theorems import (TruncatedSeries, first_hitting_time, lower_bound_thm2,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "LOG_PROGRESS_CAP", "Z99", "__version__",
+    "LOG_PROGRESS_CAP", "Z99", "__version__",
     "ConfigurationError", "ConvergenceError",
     "ESParams", "ESState", "RunTrace", "StepOutcome",
     "es_step", "initial_state", "normalized_step_size", "run_until", "sphere_eval",
@@ -33,7 +33,7 @@ __all__ = [
     "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
     "estimate_truncated_drift", "hitting_time_bounds", "minimize_psucc_over_band",
     "potential", "truncated_delta",
-    "derive_stream", "spawn_streams",
+    "derive_stream",
     "SuccessProbQuery", "psucc0_inverse", "psucc_exact", "psucc_limit",
     "psucc_mc", "std_normal_cdf",
     "TruncatedSeries", "first_hitting_time", "lower_bound_thm2",

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, build_config
+from .config import _PARSERS, ExperimentConfig, build_config
 from .core import ESParams, initial_state, run_until
 from .errors import ConfigurationError
 from .estimates import Z99
@@ -141,7 +141,8 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     predicted = slope * x + intercept
     ss_res = float(((y - predicted) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    # a NaN mean_T (every run censored) makes ss_tot, and so r_squared, NaN
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r_squared
 
 
@@ -364,7 +365,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "d", None) is not None:
         overrides["d_list"] = (args.d,)
     if isinstance(overrides.get("eps_list"), str):
-        overrides["eps_list"] = tuple(float(e) for e in overrides["eps_list"].split(","))
+        try:
+            overrides["eps_list"] = _PARSERS["eps_list"](overrides["eps_list"])
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value for --eps-list: {exc}") from exc
     return build_config(args.config, overrides)
 
 

@@ -182,7 +182,8 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
     ts, norms, sigmas, successes, hit, t_final, n_success = kernels.es_run(
         state0.m, state0.sigma, params.alpha, epsilon, max_iter, record_every, rng)
     ts = ts + state0.t
-    sigma_bars = np.where(norms > 0.0, params.d * sigmas / np.maximum(norms, 1e-300), np.inf)
+    with np.errstate(divide="ignore"):
+        sigma_bars = params.d * sigmas / norms  # inf at the optimum
     if potential_fn is None:
         potentials = np.full(len(ts), np.nan)
     else:

@@ -10,7 +10,7 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A tolerance-controlled numerical routine hit its iteration cap.
+    """A tolerance-controlled numerical routine cannot meet its tolerance.
 
     Carries the best estimate obtained so far and the achieved error
     bound, so callers can decide whether the partial result is usable.

@@ -1,39 +1,29 @@
-"""Hot numeric kernels, with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels: the Monte Carlo samplers and the ES run loop.
 
-The jitted path compiles the plain-Python loop sources below; the numpy
-path uses chunked vectorized twins (or the interpreted loop where the
-recurrence is inherently sequential). Both consume the same
-``numpy.random.Generator`` draw order, so a given seed yields the same
-sample sequence on either backend.
-
-Backend selection: set ``ES_DRIFT_BACKEND=numpy`` or
-``ES_DRIFT_BACKEND=numba`` in the environment before import. Default is
-numba when importable, numpy otherwise. Both backends stay importable
-via ``numba_backend`` / ``numpy_backend`` for benchmarks and
-equivalence tests.
+The samplers draw standard normals in chunks of at most _CHUNK_BUDGET
+values, which bounds peak memory, and reduce each chunk with vectorized
+numpy. The ES run is sequential, one offspring per iteration. Every
+kernel takes an explicit ``numpy.random.Generator``, so a given seed
+yields the same sample sequence on every call.
 """
 
 import math
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
-ENV_VAR = "ES_DRIFT_BACKEND"
-
-# values per numpy chunk in the vectorized twins (bounds peak memory)
+# values per numpy chunk in the samplers (bounds peak memory)
 _CHUNK_BUDGET = 4_000_000
 
 # stand-in for an infinite log-progress on a measure-zero collinear hit
 LOG_PROGRESS_CAP = 700.0
 
+# es_run multiplies m, sigma and epsilon by 2**_RESCALE_EXP once ||m||
+# falls below 2**-_RESCALE_EXP, long before ||m||^2 underflows; a power
+# of two scales every value exactly, so the trajectory is unchanged
+_RESCALE_EXP = 256
 
-# ---------------------------------------------------------------------------
-# loop sources (compiled by numba; the sequential ones also serve as the
-# pure-python reference)
-# ---------------------------------------------------------------------------
 
-def _potential_value(norm_m, sigma, d, alpha, ell, u, v):
+def potential_value(norm_m, sigma, d, alpha, ell, u, v):
     """log-norm plus step-size penalty: the drift potential at (norm, sigma)."""
     pen_small = math.log(alpha * ell * norm_m / (d * sigma))
     pen_large = math.log(alpha ** 0.25 * sigma * d / (u * norm_m))
@@ -43,52 +33,48 @@ def _potential_value(norm_m, sigma, d, alpha, ell, u, v):
     return math.log(norm_m) + v * pen
 
 
-def _success_mc_hits(scale, radius, d, n, rng):
+def _normal_chunks(d, n, rng):
+    """n standard normal d-vectors as row blocks of at most _CHUNK_BUDGET values."""
+    chunk = max(1, _CHUNK_BUDGET // d)
+    for start in range(0, n, chunk):
+        yield rng.standard_normal((min(chunk, n - start), d))
+
+
+def success_mc_hits(scale, radius, d, n, rng):
     """Count samples with ||e1 + scale*N|| < radius, N a d-dim standard normal."""
     r2 = radius * radius
     hits = 0
-    for _ in range(n):
-        z0 = rng.standard_normal()
-        s = (1.0 + scale * z0) ** 2
-        for _i in range(1, d):
-            zi = rng.standard_normal()
-            s += (scale * zi) ** 2
-        if s < r2:
-            hits += 1
+    for z in _normal_chunks(d, n, rng):
+        s = (1.0 + scale * z[:, 0]) ** 2 + (scale * scale) * (z[:, 1:] ** 2).sum(axis=1)
+        hits += int(np.count_nonzero(s < r2))
     return hits
 
 
-def _truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
+def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
     """Sum and sum-of-squares of max(dV, -a_cut) over n one-step transitions.
 
     All transitions restart from the same state (norm_m, sigma); the mean
     is the conditional expected truncated potential change at that state.
     """
-    v_now = _potential_value(norm_m, sigma, d, alpha, ell, u, v)
-    sigma_up = sigma * alpha
-    sigma_down = sigma * alpha ** -0.25
-    cur_sq = norm_m * norm_m
+    v_now = potential_value(norm_m, sigma, d, alpha, ell, u, v)
+    quarter_root = alpha ** 0.25
     total = 0.0
     total_sq = 0.0
-    for _ in range(n):
-        z0 = rng.standard_normal()
-        cand_sq = (norm_m + sigma * z0) ** 2
-        for _i in range(1, d):
-            zi = rng.standard_normal()
-            cand_sq += (sigma * zi) ** 2
-        if cand_sq <= cur_sq:
-            v_next = _potential_value(math.sqrt(cand_sq), sigma_up, d, alpha, ell, u, v)
-        else:
-            v_next = _potential_value(norm_m, sigma_down, d, alpha, ell, u, v)
-        y = v_next - v_now
-        if y < -a_cut:
-            y = -a_cut
-        total += y
-        total_sq += y * y
+    for z in _normal_chunks(d, n, rng):
+        cand_sq = (norm_m + sigma * z[:, 0]) ** 2 + (sigma * sigma) * (z[:, 1:] ** 2).sum(axis=1)
+        succ = cand_sq <= norm_m * norm_m
+        new_norm = np.where(succ, np.sqrt(cand_sq), norm_m)
+        new_sigma = np.where(succ, sigma * alpha, sigma * alpha ** -0.25)
+        pen_small = np.log(alpha * ell * new_norm / (d * new_sigma))
+        pen_large = np.log(quarter_root * new_sigma * d / (u * new_norm))
+        pen = np.maximum(0.0, np.maximum(pen_small, pen_large))
+        y = np.maximum(np.log(new_norm) + v * pen - v_now, -a_cut)
+        total += float(y.sum())
+        total_sq += float((y * y).sum())
     return total, total_sq
 
 
-def _har_log_progress_sums(d, n, rng):
+def har_log_progress_sums(d, n, rng):
     """Sums of -log(sin(theta)) on acute angles, theta = angle(N, e1).
 
     Returns (sum, sum_sq, n_capped); obtuse angles contribute zero,
@@ -97,28 +83,22 @@ def _har_log_progress_sums(d, n, rng):
     total = 0.0
     total_sq = 0.0
     capped = 0
-    for _ in range(n):
-        g1 = rng.standard_normal()
-        s2 = 0.0
-        for _i in range(1, d):
-            gi = rng.standard_normal()
-            s2 += gi * gi
-        if g1 < 0.0:
-            continue
-        if s2 == 0.0:
-            lp = LOG_PROGRESS_CAP
-            capped += 1
-        else:
-            lp = -0.5 * math.log(s2 / (g1 * g1 + s2))
-            if lp > LOG_PROGRESS_CAP:
-                lp = LOG_PROGRESS_CAP
-                capped += 1
-        total += lp
-        total_sq += lp * lp
+    for g in _normal_chunks(d, n, rng):
+        g1 = g[:, 0]
+        s2 = (g[:, 1:] ** 2).sum(axis=1)
+        acute = g1 >= 0.0
+        with np.errstate(divide="ignore"):
+            lp = -0.5 * np.log(s2 / (g1 * g1 + s2))
+        lp = np.where(acute, lp, 0.0)
+        over = lp > LOG_PROGRESS_CAP
+        capped += int(np.count_nonzero(over))
+        lp = np.where(over, LOG_PROGRESS_CAP, lp)
+        total += float(lp.sum())
+        total_sq += float((lp * lp).sum())
     return total, total_sq, capped
 
 
-def _es_run(m0, sigma0, alpha, epsilon, max_iter, every, rng):
+def es_run(m0, sigma0, alpha, epsilon, max_iter, every, rng):
     """Elitist (1+1) run on the sphere until ||m|| <= epsilon or max_iter.
 
     Records the state every ``every`` iterations plus the final state.
@@ -133,197 +113,29 @@ def _es_run(m0, sigma0, alpha, epsilon, max_iter, every, rng):
     sigmas = np.empty(max_rec, np.float64)
     successes = np.zeros(max_rec, np.bool_)
     m = m0.copy()
-    cand = np.empty(d, np.float64)
-    sigma = sigma0
-    sigma_up = alpha
-    sigma_down = alpha ** -0.25
-    t = 0
-    n_rec = 0
-    n_success = 0
-    while True:
-        cur_sq = 0.0
-        for i in range(d):
-            cur_sq += m[i] * m[i]
-        norm = math.sqrt(cur_sq)
-        hit = norm <= epsilon
-        done = hit or t >= max_iter
-        recorded = (t % every == 0) or done
-        if recorded:
-            ts[n_rec] = t
-            norms[n_rec] = norm
-            sigmas[n_rec] = sigma
-            successes[n_rec] = False
-            n_rec += 1
-        if done:
-            return (ts[:n_rec], norms[:n_rec], sigmas[:n_rec],
-                    successes[:n_rec], hit, t, n_success)
-        cand_sq = 0.0
-        for i in range(d):
-            ci = m[i] + sigma * rng.standard_normal()
-            cand[i] = ci
-            cand_sq += ci * ci
-        success = cand_sq <= cur_sq
-        if recorded:
-            successes[n_rec - 1] = success
-        if success:
-            for i in range(d):
-                m[i] = cand[i]
-            sigma *= sigma_up
-            n_success += 1
-        else:
-            sigma *= sigma_down
-        t += 1
-
-
-def _poisson_mixture_chisq_cdf(a, lam2, x2, c0, t0, w0, j0, tol, max_terms):
-    """Noncentral chi-squared CDF as a Poisson(lam2) mixture of gamma CDFs.
-
-    Expands outward from the Poisson mode j0 with seed values
-    c0 = P(a + j0, x2), t0 = x2^(a+j0) e^(-x2) / Gamma(a+j0+1),
-    w0 = Poisson pmf at j0. Each tail stops once its total remaining
-    contribution is provably below tol (geometric mass envelopes; an
-    underflowed tail contributes nothing). Returns
-    (value, error_bound, n_terms, converged).
-    """
-    total = w0 * c0
-    wsum = w0
-    ju, wu, cu, tu = j0, w0, c0, t0
-    jd, wd, cd, td = j0, w0, c0, t0
-    n_terms = 1
-    up_open = True
-    down_open = j0 > 0
-    while True:
-        rem = 1.0 - wsum
-        if rem < 0.0:
-            rem = 0.0
-        err = 0.0
-        if up_open:
-            q = lam2 / (ju + 1)
-            err += cu * (wu * q / (1.0 - q)) if q < 1.0 else rem
-        if down_open:
-            q = jd / lam2
-            err += wd * q / (1.0 - q) if q < 1.0 else rem
-        if err > rem:
-            err = rem
-        if err <= tol or not (up_open or down_open):
-            return total, err, n_terms, True
-        if n_terms >= max_terms:
-            return total, err, n_terms, False
-        if up_open:
-            wu = wu * lam2 / (ju + 1)
-            cu = cu - tu
-            if cu < 0.0:
-                cu = 0.0
-            tu = tu * x2 / (a + ju + 1)
-            ju += 1
-            total += wu * cu
-            wsum += wu
-            n_terms += 1
-            if wu == 0.0 or cu == 0.0:
-                up_open = False
-        if down_open:
-            td = td * (a + jd) / x2
-            cd = cd + td
-            if cd > 1.0:
-                cd = 1.0
-            wd = wd * jd / lam2
-            jd -= 1
-            total += wd * cd
-            wsum += wd
-            n_terms += 1
-            if wd == 0.0 or jd == 0:
-                down_open = False
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy twins
-# ---------------------------------------------------------------------------
-
-def _np_success_mc_hits(scale, radius, d, n, rng):
-    r2 = radius * radius
-    chunk = max(1, _CHUNK_BUDGET // d)
-    hits = 0
-    left = n
-    while left > 0:
-        m = min(left, chunk)
-        z = rng.standard_normal((m, d))
-        s = (1.0 + scale * z[:, 0]) ** 2 + (scale * scale) * (z[:, 1:] ** 2).sum(axis=1)
-        hits += int(np.count_nonzero(s < r2))
-        left -= m
-    return hits
-
-
-def _np_truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
-    v_now = _potential_value(norm_m, sigma, d, alpha, ell, u, v)
-    quarter_root = alpha ** 0.25
-    chunk = max(1, _CHUNK_BUDGET // d)
-    total = 0.0
-    total_sq = 0.0
-    left = n
-    while left > 0:
-        m = min(left, chunk)
-        z = rng.standard_normal((m, d))
-        cand_sq = (norm_m + sigma * z[:, 0]) ** 2 + (sigma * sigma) * (z[:, 1:] ** 2).sum(axis=1)
-        succ = cand_sq <= norm_m * norm_m
-        new_norm = np.where(succ, np.sqrt(cand_sq), norm_m)
-        new_sigma = np.where(succ, sigma * alpha, sigma * alpha ** -0.25)
-        pen_small = np.log(alpha * ell * new_norm / (d * new_sigma))
-        pen_large = np.log(quarter_root * new_sigma * d / (u * new_norm))
-        pen = np.maximum(0.0, np.maximum(pen_small, pen_large))
-        y = np.maximum(np.log(new_norm) + v * pen - v_now, -a_cut)
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
-        left -= m
-    return total, total_sq
-
-
-def _np_har_log_progress_sums(d, n, rng):
-    chunk = max(1, _CHUNK_BUDGET // d)
-    total = 0.0
-    total_sq = 0.0
-    capped = 0
-    left = n
-    while left > 0:
-        m = min(left, chunk)
-        g = rng.standard_normal((m, d))
-        g1 = g[:, 0]
-        s2 = (g[:, 1:] ** 2).sum(axis=1)
-        acute = g1 >= 0.0
-        with np.errstate(divide="ignore"):
-            lp = -0.5 * np.log(s2 / (g1 * g1 + s2))
-        lp = np.where(acute, lp, 0.0)
-        over = lp > LOG_PROGRESS_CAP
-        capped += int(np.count_nonzero(over))
-        lp = np.where(over, LOG_PROGRESS_CAP, lp)
-        total += float(lp.sum())
-        total_sq += float((lp * lp).sum())
-        left -= m
-    return total, total_sq, capped
-
-
-def _np_es_run(m0, sigma0, alpha, epsilon, max_iter, every, rng):
-    d = m0.shape[0]
-    max_rec = max_iter // every + 3
-    ts = np.empty(max_rec, np.int64)
-    norms = np.empty(max_rec, np.float64)
-    sigmas = np.empty(max_rec, np.float64)
-    successes = np.zeros(max_rec, np.bool_)
-    m = m0.copy()
     sigma = sigma0
     sigma_down = alpha ** -0.25
+    rescale_below = math.ldexp(1.0, -2 * _RESCALE_EXP)
+    scale_exp = 0  # true m, sigma and epsilon are the stored ones times 2**scale_exp
     t = 0
     n_rec = 0
     n_success = 0
     while True:
         cur_sq = float(m @ m)
+        if cur_sq < rescale_below and cur_sq > 0.0:
+            m = np.ldexp(m, _RESCALE_EXP)
+            sigma = math.ldexp(sigma, _RESCALE_EXP)
+            epsilon = math.ldexp(epsilon, _RESCALE_EXP)
+            scale_exp -= _RESCALE_EXP
+            cur_sq = float(m @ m)
         norm = math.sqrt(cur_sq)
         hit = norm <= epsilon
         done = hit or t >= max_iter
         recorded = (t % every == 0) or done
         if recorded:
             ts[n_rec] = t
-            norms[n_rec] = norm
-            sigmas[n_rec] = sigma
+            norms[n_rec] = math.ldexp(norm, scale_exp)
+            sigmas[n_rec] = math.ldexp(sigma, scale_exp)
             successes[n_rec] = False
             n_rec += 1
         if done:
@@ -340,58 +152,3 @@ def _np_es_run(m0, sigma0, alpha, epsilon, max_iter, every, rng):
         else:
             sigma *= sigma_down
         t += 1
-
-
-# ---------------------------------------------------------------------------
-# backend assembly
-# ---------------------------------------------------------------------------
-
-numpy_backend = SimpleNamespace(
-    name="numpy",
-    potential_value=_potential_value,
-    success_mc_hits=_np_success_mc_hits,
-    truncated_drift_sums=_np_truncated_drift_sums,
-    har_log_progress_sums=_np_har_log_progress_sums,
-    es_run=_np_es_run,
-    poisson_mixture_chisq_cdf=_poisson_mixture_chisq_cdf,
-)
-
-
-def _build_numba_backend():
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    jit = njit(cache=True)
-    potential_value = jit(_potential_value)
-    # the drift kernel resolves _potential_value at compile time; point the
-    # module global at the jitted version so nopython compilation succeeds
-    globals()["_potential_value"] = potential_value
-    backend = SimpleNamespace(
-        name="numba",
-        potential_value=potential_value,
-        success_mc_hits=jit(_success_mc_hits),
-        truncated_drift_sums=jit(_truncated_drift_sums),
-        har_log_progress_sums=jit(_har_log_progress_sums),
-        es_run=jit(_es_run),
-        poisson_mixture_chisq_cdf=jit(_poisson_mixture_chisq_cdf),
-    )
-    return backend
-
-
-_requested = os.environ.get(ENV_VAR, "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"{ENV_VAR} must be 'numba' or 'numpy', got {_requested!r}")
-
-numba_backend = None if _requested == "numpy" else _build_numba_backend()
-if _requested == "numba" and numba_backend is None:
-    raise ImportError("ES_DRIFT_BACKEND=numba requested but numba is not importable")
-_active = numba_backend if numba_backend is not None else numpy_backend
-
-BACKEND = _active.name
-potential_value = _active.potential_value
-success_mc_hits = _active.success_mc_hits
-truncated_drift_sums = _active.truncated_drift_sums
-har_log_progress_sums = _active.har_log_progress_sums
-es_run = _active.es_run
-poisson_mixture_chisq_cdf = _active.poisson_mixture_chisq_cdf

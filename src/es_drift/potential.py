@@ -26,12 +26,13 @@ from dataclasses import dataclass, asdict
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import kernels
 from .core import ESState
 from .errors import ConfigurationError
 from .estimates import MeanEstimate, mean_estimate
-from .success import SuccessProbQuery, psucc_exact, psucc0_inverse
+from .success import psucc_exact_many, psucc0_inverse
 
 
 class Regime(str, Enum):
@@ -108,35 +109,21 @@ def _minimize_with_argmin(d: int, r: float, ell: float, u: float,
                           tol: float) -> tuple[float, float]:
     """Minimum of sbar -> psucc_exact(d, r, sbar) over [ell, u], with argmin.
 
-    Dense 256-point log grid, then ternary refinement on the bracket
-    around the best grid point (endpoints included in the grid).
+    Dense 256-point log grid (endpoints included), then a bounded scalar
+    minimization on the bracket around the best grid point.
     """
     if not 0.0 < ell < u:
         raise ValueError(f"need 0 < ell < u, got ell={ell}, u={u}")
     inner = min(tol / 10.0, 1e-9)
-
-    def f(sbar: float) -> float:
-        return psucc_exact(SuccessProbQuery(d, r, sbar), inner)
-
     grid = np.exp(np.linspace(math.log(ell), math.log(u), 256))
-    values = [f(s) for s in grid]
+    values = psucc_exact_many(d, r, grid, inner)
     i = int(np.argmin(values))
-    best_val, best_arg = values[i], float(grid[i])
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    for _ in range(100):
-        if hi - lo < 1e-10 * u:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    mid = 0.5 * (lo + hi)
-    refined = f(mid)
-    if refined < best_val:
-        best_val, best_arg = refined, mid
+    best_val, best_arg = float(values[i]), float(grid[i])
+    refined = minimize_scalar(lambda s: psucc_exact_many(d, r, s, inner),
+                              bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+                              method="bounded", options={"xatol": 1e-10 * u})
+    if refined.fun < best_val:
+        best_val, best_arg = float(refined.fun), float(refined.x)
     return best_val, best_arg
 
 

@@ -16,7 +16,3 @@ def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
     entropy = (master_seed,) + tuple(int(k) for k in key)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-
-def spawn_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """n independent child generators, deterministic given the parent state."""
-    return rng.spawn(n)

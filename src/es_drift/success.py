@@ -13,17 +13,18 @@ noncentral chi-squared CDF evaluation:
     lambda = (d/sbar)^2,
 
 so the exact value is the CDF of chi2'_d(lambda) at ((1-r) d / sbar)^2,
-computed by the tolerance-controlled Poisson-mixture series in
-:mod:`es_drift.kernels`. For r = 0 the curve is strictly decreasing in
-sbar with image (0, 1/2), which makes it invertible by bisection. As
-d -> infinity with r*d -> rho the curve converges to
+computed by ``scipy.special.chndtr``. For r = 0 the curve is strictly
+decreasing in sbar with image (0, 1/2), which makes it invertible by
+root finding. As d -> infinity with r*d -> rho the curve converges to
 Phi(-rho/sbar - sbar/2).
 """
 
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc
+import numpy as np
+from scipy.optimize import brentq
+from scipy.special import chndtr
 
 from . import kernels
 from .errors import ConvergenceError
@@ -31,8 +32,13 @@ from .estimates import ProbEstimate, prob_estimate
 
 SQRT2 = math.sqrt(2.0)
 
-# hard cap on series terms before signaling failure
-MAX_SERIES_TERMS = 1_000_000
+# Validity range of chndtr for psucc_exact, both checked against an mpmath
+# quadrature of the success probability by
+# tests/test_success.py::test_psucc_exact_matches_mpmath_oracle: up to
+# MAX_NONCENTRALITY the absolute error stays below MIN_TOL. Above about
+# 3e10 chndtr returns NaN.
+MAX_NONCENTRALITY = 1e10
+MIN_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -65,43 +71,39 @@ def psucc_mc(q: SuccessProbQuery, n: int, rng) -> ProbEstimate:
     return prob_estimate(int(hits), n)
 
 
-def _chisq_mixture_cdf(df: int, lam: float, x: float, tol: float,
-                       max_terms: int) -> float:
-    """Noncentral chi-squared CDF at x, accurate to tol."""
-    if x <= 0.0:
-        return 0.0
-    a = 0.5 * df
-    lam2 = 0.5 * lam
-    x2 = 0.5 * x
-    j0 = int(lam2)
-    log_w0 = -lam2 if j0 == 0 else j0 * math.log(lam2) - lam2 - math.lgamma(j0 + 1)
-    w0 = math.exp(log_w0)
-    c0 = float(gammainc(a + j0, x2))
-    log_t0 = (a + j0) * math.log(x2) - x2 - math.lgamma(a + j0 + 1)
-    t0 = math.exp(log_t0) if log_t0 > -745.0 else 0.0
-    value, err, n_terms, converged = kernels.poisson_mixture_chisq_cdf(
-        a, lam2, x2, c0, t0, w0, j0, tol, max_terms)
-    if not converged:
-        raise ConvergenceError(
-            f"mixture series hit the {max_terms}-term cap with error bound "
-            f"{err:.3e} > tol {tol:.3e} (df={df}, noncentrality={lam:.4g}, x={x:.4g})",
-            estimate=float(value), error_bound=float(err))
-    return min(max(float(value), 0.0), 1.0)
+def psucc_exact_many(d: int, r: float, sigma_bars, tol: float = 1e-9):
+    """psucc_exact at fixed (d, r) for an array of normalized step sizes.
 
-
-def psucc_exact(q: SuccessProbQuery, tol: float = 1e-9,
-                max_terms: int = MAX_SERIES_TERMS) -> float:
-    """Success probability to absolute tolerance tol via the mixture series.
-
-    Raises ConvergenceError (carrying the achieved bound) if the series
-    needs more than ``max_terms`` terms, which happens for extreme
-    normalized step sizes where the noncentrality explodes.
+    Returns an array shaped like ``sigma_bars`` (a float for a scalar).
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must lie in (0, 1e-3], got {tol}")
-    lam = (q.d / q.sigma_bar) ** 2
-    x = ((1.0 - q.r) * q.d / q.sigma_bar) ** 2
-    return _chisq_mixture_cdf(q.d, lam, x, tol, max_terms)
+    sbar = np.asarray(sigma_bars, dtype=float)
+    SuccessProbQuery(d, r, float(sbar.min()))  # validates d, r and every sbar
+    lam = (d / sbar) ** 2
+    values = chndtr(((1.0 - r) * d / sbar) ** 2, d, lam)
+    result = values if values.ndim else float(values)
+    where = f"(d={d}, r={r:.6g}, sigma_bar in [{sbar.min():.6g}, {sbar.max():.6g}])"
+    if lam.max() > MAX_NONCENTRALITY:
+        raise ConvergenceError(f"noncentrality {lam.max():.4g} above the verified "
+                               f"{MAX_NONCENTRALITY:.0e} {where}", result, math.inf)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where}",
+                               result, math.inf)
+    if tol < MIN_TOL:
+        raise ConvergenceError(f"tol {tol:.3e} below the verified accuracy "
+                               f"{MIN_TOL:.0e} {where}", result, MIN_TOL)
+    return result
+
+
+def psucc_exact(q: SuccessProbQuery, tol: float = 1e-9) -> float:
+    """Success probability to absolute tolerance tol.
+
+    Raises ConvergenceError if tol is below MIN_TOL, if the
+    noncentrality (d/sbar)^2 exceeds MAX_NONCENTRALITY (normalized step
+    sizes near zero), or if the CDF comes back non-finite.
+    """
+    return psucc_exact_many(q.d, q.r, q.sigma_bar, tol)
 
 
 def psucc_limit(rho: float, sigma_bar: float) -> float:
@@ -116,32 +118,28 @@ def psucc_limit(rho: float, sigma_bar: float) -> float:
 def psucc0_inverse(d: int, p: float, tol: float = 1e-9) -> float:
     """Normalized step size sbar with psucc_exact(d, 0, sbar) = p, to tol.
 
-    Defined for p in (0, 1/2), the image of the rate-zero success curve.
-    Bisection on a bracket whose upper end doubles from 64 until the
-    value falls below p; the lower end needs no evaluation because the
-    curve tends to 1/2 as sbar -> 0.
+    Defined for p in (0, 1/2), the image of the rate-zero success curve,
+    which decreases from 1/2 to 0 as sbar grows. Brent's method on a
+    bracket found by doubling sbar from 64 and halving it from 1/2.
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"p must lie in (0, 1/2), the image of the rate-0 curve; got {p}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     inner = min(tol / 10.0, 1e-9)
-    lo, hi = 1e-6, 64.0
-    for _ in range(40):
-        if psucc_exact(SuccessProbQuery(d, 0.0, hi), inner) < p:
-            break
+
+    def excess(sbar: float) -> float:
+        return psucc_exact(SuccessProbQuery(d, 0.0, sbar), inner) - p
+
+    hi = 64.0
+    while excess(hi) >= 0.0:
         hi *= 2.0
-    else:
-        raise ConvergenceError("no bracket: success probability stayed above p "
-                               f"up to sigma_bar={hi}", estimate=hi, error_bound=math.inf)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = psucc_exact(SuccessProbQuery(d, 0.0, mid), inner)
-        if abs(value - p) <= 0.5 * tol:
-            return mid
-        if value < p:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError(f"bisection stalled on [{lo}, {hi}]",
-                           estimate=0.5 * (lo + hi), error_bound=math.inf)
+    lo = 0.5
+    while excess(lo) <= 0.0:
+        lo *= 0.5
+    root = brentq(excess, lo, hi)
+    miss = abs(excess(root))
+    if not miss <= 0.5 * tol:
+        raise ConvergenceError(f"root sigma_bar={root!r} misses p={p} by {miss:.3e}",
+                               estimate=root, error_bound=math.inf)
+    return root

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings. Every criterion uses fixed master seeds, so the suite is
-deterministic for a given backend.
+deterministic.
 """
 
 import math
@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from es_drift import (ESParams, SuccessProbQuery, derive_constants, drift_map,
+from es_drift import (ESParams, SuccessProbQuery, drift_map,
                       expected_log_progress_mc, expected_log_progress_quadrature,
                       first_hitting_time, hitting_time_bounds, initial_state,
                       psucc_exact, psucc_limit, psucc_mc, run_until,
@@ -20,15 +20,6 @@ from es_drift.estimates import Z99
 from es_drift.streams import derive_stream
 
 SEED = 20180715
-
-_constants_cache = {}
-
-
-def _constants(d):
-    if d not in _constants_cache:
-        _constants_cache[d] = derive_constants(d)
-    return _constants_cache[d]
-
 
 def _report(number, name, passed, started, detail=""):
     elapsed = time.time() - started
@@ -53,14 +44,14 @@ def _mean_hitting_time(d, epsilon, replicates, scope):
     return mean, halfwidth
 
 
-def test_criterion_01_hitting_time_sandwich():
+def test_criterion_01_hitting_time_sandwich(constants_for):
     started = time.time()
     details = []
     passed = True
     for d in (4, 8, 16):
         mean, halfwidth = _mean_hitting_time(d, 1e-8, 100, scope=1)
         lower, upper = hitting_time_bounds(initial_state(d, 1.0, 2.0),
-                                           _constants(d), 1e-8)
+                                           constants_for(d), 1e-8)
         ok = lower <= mean - halfwidth and mean + halfwidth <= upper
         passed &= ok
         details.append(f"d={d}: {lower:.1f} <= {mean:.1f}+-{halfwidth:.1f} <= {upper:.0f}")
@@ -89,12 +80,12 @@ def test_criterion_03_dimension_rate():
             f"max/min={spread:.3f}")
 
 
-def test_criterion_04_drift_bound_on_grid():
+def test_criterion_04_drift_bound_on_grid(constants_for):
     started = time.time()
     passed = True
     worst = math.inf
     for d_index, d in enumerate((5, 10)):
-        constants = _constants(d)
+        constants = constants_for(d)
         grid = np.exp(np.linspace(math.log(constants.ell / 100.0),
                                   math.log(100.0 * constants.u), 32))
         rng = derive_stream(SEED, 4, d_index)
@@ -106,10 +97,10 @@ def test_criterion_04_drift_bound_on_grid():
             f"worst margin={worst:.2e}")
 
 
-def test_criterion_05_scaling_of_the_bound():
+def test_criterion_05_scaling_of_the_bound(constants_for):
     started = time.time()
     dims = (2, 4, 8, 16, 32, 64, 128)
-    all_constants = [_constants(d) for d in dims]
+    all_constants = [constants_for(d) for d in dims]
     positive = all(c.B > 0.0 for c in all_constants)
     enveloped = all(c.L <= c.B <= c.U for c in all_constants)
     scaled = {c.d: c.d * c.B for c in all_constants if c.d >= 8}
@@ -209,11 +200,11 @@ def test_criterion_10_mc_vs_exact_oracle_equivalence():
         exact = psucc_exact(query, tol=1e-9)
         est = psucc_mc(query, 1_000_000, rng)
         # combine the binomial error (floored by the exact value, in case
-        # the empirical count is zero) with the series tolerance
+        # the empirical count is zero) with the exact value's tolerance
         se = max(est.std_error,
                  math.sqrt(exact * (1.0 - exact) / est.n_samples))
         margin = abs(est.value - exact) / (se + 1e-9)
         worst = max(worst, margin)
         ok &= margin <= 4.0
-    _report(10, "Monte Carlo vs series oracle equivalence", ok, started,
+    _report(10, "Monte Carlo vs exact oracle equivalence", ok, started,
             f"worst deviation={worst:.2f} combined std errors")

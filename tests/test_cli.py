@@ -109,6 +109,26 @@ def test_hitting_scaling_report(tmp_path):
     assert all("r_squared=" in line for line in fit_lines)
 
 
+def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
+    cfg = tmp_path / "censored.cfg"
+    cfg.write_text("max_iter = 5\n")
+    out = tmp_path / "hs.csv"
+    code = main(["hitting-scaling", "--config", str(cfg), "--eps-list",
+                 "1e-2,1e-4,1e-6", "--d", "4", "--replicates", "3", "--out", str(out)])
+    assert code == 0
+    _, _, comments = _read_csv(out)
+    assert "# fit d=4: slope=nan intercept=nan r_squared=nan" in comments
+
+
+def test_run_reaches_targets_below_norm_squared_underflow(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--d", "10", "--epsilon", "1e-300", "--out", str(out)]) == 0
+    _, raw, _ = _read_csv(out)
+    norm_m, sigma, sigma_bar = (float(v) for v in raw[-1][1:4])
+    assert 0.0 < norm_m <= 1e-300
+    assert sigma_bar == pytest.approx(10 * sigma / norm_m, rel=1e-12)
+
+
 def test_bounds_json(tmp_path):
     out = tmp_path / "bounds.json"
     config = ExperimentConfig(output_path=str(out), d_list=(10,),
@@ -186,6 +206,13 @@ def test_main_configuration_error_names_inequality(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "u / ell >= alpha^(5/4)" in captured.err
+    # a bad flag value exits like the same value in a config file
+    cfg = tmp_path / "bad_eps.cfg"
+    cfg.write_text("eps_list = abc\n")
+    out = str(tmp_path / "hs.csv")
+    assert main(["hitting-scaling", "--config", str(cfg), "--out", out]) == 2
+    assert main(["hitting-scaling", "--eps-list", "abc", "--out", out]) == 2
+    assert "--eps-list" in capsys.readouterr().err
 
 
 def test_main_runtime_error(tmp_path, capsys):

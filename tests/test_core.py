@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from es_drift import (ESParams, ESState, es_step, initial_state,
+from es_drift import (ESParams, ESState, derive_stream, es_step, initial_state,
                       normalized_step_size, run_until, sphere_eval)
 
 
@@ -163,6 +163,36 @@ def test_run_until_exhausted_budget_reports_none(rng_for):
                       rng_for(7))
     assert trace.hitting_time is None
     assert trace.iterations == 50
+
+
+def test_run_until_rescaling_is_exact(rng_for):
+    # ||m|| passes the rescaling point (2^-256) but not the underflow of
+    # ||m||^2 on the plain es_step path, which must then agree exactly
+    params = ESParams(1.5, 6)
+    trace = run_until(initial_state(6, 1.0, 2.0), params, 1e-100, 100_000, rng_for(8))
+    assert trace.norms[-1] < 2.0 ** -256
+    state = initial_state(6, 1.0, 2.0)
+    rng = rng_for(8)
+    norms, sigmas = [state.norm], [state.sigma]
+    while state.norm > 1e-100:
+        state, _ = es_step(state, params, rng)
+        norms.append(state.norm)
+        sigmas.append(state.sigma)
+    assert trace.hitting_time == state.t
+    np.testing.assert_array_equal(trace.norms, norms)
+    np.testing.assert_array_equal(trace.sigmas, sigmas)
+
+
+def test_run_until_hits_targets_below_norm_squared_underflow():
+    # ||m||^2 underflows once ||m|| < ~1e-162; every target below must
+    # still take strictly longer to reach than the one above it
+    hits = []
+    for epsilon in (1e-200, 1e-250, 1e-300):
+        trace = run_until(initial_state(10, 1.0, 2.0), ESParams(1.5, 10), epsilon,
+                          10_000_000, derive_stream(5, 0), record_every=10_000_000)
+        assert 0.0 < trace.norms[-1] <= epsilon
+        hits.append(trace.hitting_time)
+    assert hits[0] < hits[1] < hits[2]
 
 
 def test_run_until_records_potential_when_given(rng_for, constants_for):

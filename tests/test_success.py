@@ -1,12 +1,14 @@
 import math
 from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import ncx2
 
 from es_drift import (ConvergenceError, SuccessProbQuery, psucc0_inverse,
                       psucc_exact, psucc_limit, psucc_mc, std_normal_cdf)
+from es_drift.success import MAX_NONCENTRALITY, MIN_TOL, psucc_exact_many
 
 ND = NormalDist()
 
@@ -34,8 +36,66 @@ def test_std_normal_cdf_symmetry(rng_for):
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation via the mixture series
+# exact evaluation via the noncentral chi-squared CDF
 # ---------------------------------------------------------------------------
+
+def _mpmath_psucc(d, r, sigma_bar):
+    """30-digit oracle for Pr(||e1 + s N|| < 1 - r), s = sigma_bar / d.
+
+    Conditions on the first coordinate z of N: the event is then
+    chi2_{d-1} < ((1 - r)^2 - (1 + s z)^2) / s^2, so the probability is
+    the integral of phi(z) * P((d - 1)/2, ((1 - r)^2 - (1 + s z)^2) / (2 s^2)).
+    The CDF factor rises from 0 at both ends of the support over a width
+    that shrinks with s, so the support (clipped to |z| <= 40) is split
+    ever finer toward both ends, down to pieces of width s.
+    """
+    with mpmath.workdps(30):
+        s = mpmath.mpf(sigma_bar) / d
+        a = mpmath.mpf(d - 1) / 2
+        keep = 1 - mpmath.mpf(r)
+
+        def integrand(z):
+            y = (keep ** 2 - (1 + s * z) ** 2) / (2 * s * s)
+            return mpmath.npdf(z) * mpmath.gammainc(a, 0, y, regularized=True) if y > 0 else 0
+
+        lo, hi = max((-1 - keep) / s, -40), min((keep - 1) / s, 40)
+        points = [lo, hi]
+        step = (hi - lo) / 2
+        while step > s:
+            points += [lo + step, hi - step]
+            step /= 2
+        return float(mpmath.quad(integrand, sorted(points)))
+
+
+ORACLE_POINTS = (
+    (2, 0.5, 1.0), (5, 0.5, 4.0),       # small noncentrality
+    (256, 0.0, 0.1335),                 # success-curve corner at r = 0
+    (1024, 1 / 1024, 0.5),
+    # noncentrality (d / sigma_bar)^2 just below MAX_NONCENTRALITY
+    (2, 0.0, 2.00001e-5), (1000, 0.0, 1.00001e-2),
+)
+
+
+def test_psucc_exact_matches_mpmath_oracle():
+    for d, r, sigma_bar in ORACLE_POINTS:
+        value = psucc_exact(SuccessProbQuery(d, r, sigma_bar), tol=MIN_TOL)
+        assert abs(value - _mpmath_psucc(d, r, sigma_bar)) <= MIN_TOL, (d, r, sigma_bar)
+    assert max((d / s) ** 2 for d, _, s in ORACLE_POINTS) > 0.9999 * MAX_NONCENTRALITY
+    with pytest.raises(ConvergenceError):
+        psucc_exact(SuccessProbQuery(1000, 0.0, 0.9999e-2))
+    with pytest.raises(ConvergenceError):
+        psucc_exact(SuccessProbQuery(16, 0.0, 1.0), tol=0.5 * MIN_TOL)
+
+
+def test_psucc_exact_many_matches_pointwise():
+    grid = np.exp(np.linspace(math.log(0.1), math.log(10.0), 17))
+    values = psucc_exact_many(12, 0.05, grid)
+    assert values.shape == grid.shape
+    for s, value in zip(grid, values):
+        assert value == psucc_exact(SuccessProbQuery(12, 0.05, float(s)))
+    with pytest.raises(ValueError):
+        psucc_exact_many(12, 0.05, np.array([1.0, 0.0]))
+
 
 def test_psucc_exact_monotone_in_sigma_bar():
     values = [psucc_exact(SuccessProbQuery(16, 0.0, s)) for s in (1.0, 2.0, 4.0)]
@@ -74,7 +134,7 @@ def test_psucc_exact_image_bounds():
 
 def test_psucc_exact_convergence_failure_reports_bound():
     with pytest.raises(ConvergenceError) as excinfo:
-        psucc_exact(SuccessProbQuery(32, 0.0, 1e-5), tol=1e-10, max_terms=10_000)
+        psucc_exact(SuccessProbQuery(32, 0.0, 1e-5), tol=1e-10)
     assert excinfo.value.error_bound > 1e-10
 
 

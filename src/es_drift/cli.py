@@ -27,7 +27,7 @@ import numpy as np
 from .config import _PARSERS, ExperimentConfig, build_config
 from .core import ESParams, initial_state, run_until
 from .errors import ConfigurationError
-from .estimates import Z99
+from .estimates import mean_estimate
 from .hitandrun import expected_log_progress_mc, expected_log_progress_quadrature
 from .potential import derive_constants, drift_map, hitting_time_bounds, potential
 from .streams import derive_stream
@@ -128,12 +128,12 @@ def cmd_drift_map(config: ExperimentConfig) -> list[tuple]:
 # hitting-scaling
 # ---------------------------------------------------------------------------
 
-def _one_hitting_run(args) -> tuple[int, Optional[int]]:
+def _one_hitting_run(args) -> Optional[int]:
     (task_index, d, alpha, epsilon, m0_norm, sigma_bar0, max_iter, seed) = args
     rng = derive_stream(seed, 2, task_index)
     trace = run_until(initial_state(d, m0_norm, sigma_bar0), ESParams(alpha, d),
                       epsilon, max_iter, rng, record_every=max_iter)
-    return task_index, trace.hitting_time
+    return trace.hitting_time
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -158,15 +158,11 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
                               config.sigma_bar0, config.max_iter,
                               config.master_seed))
                 task_index += 1
-    results: list[Optional[int]] = [None] * len(tasks)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for index, hitting_time in pool.map(_one_hitting_run, tasks, chunksize=8):
-                results[index] = hitting_time
+            results = list(pool.map(_one_hitting_run, tasks, chunksize=8))
     else:
-        for task in tasks:
-            index, hitting_time = _one_hitting_run(task)
-            results[index] = hitting_time
+        results = list(map(_one_hitting_run, tasks))
 
     reports = []
     cursor = 0
@@ -179,9 +175,9 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
             finite = np.array([t for t in times if t is not None], dtype=float)
             censored = sum(1 for t in times if t is None)
             if finite.size:
-                mean = float(finite.mean())
-                spread = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
-                halfwidth = Z99 * spread / math.sqrt(finite.size)
+                est = mean_estimate(float(finite.sum()), float((finite * finite).sum()),
+                                    finite.size)
+                mean, halfwidth = est.mean, est.half_width
             else:
                 mean, halfwidth = math.nan, math.nan
             lower, upper = hitting_time_bounds(state0, constants, eps)

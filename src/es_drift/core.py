@@ -180,7 +180,8 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
     if record_every < 1:
         raise ValueError("record_every must be positive")
     ts, norms, sigmas, successes, hit, t_final, n_success = kernels.es_run(
-        state0.m, state0.sigma, params.alpha, epsilon, max_iter, record_every, rng)
+        state0.norm, state0.sigma, params.d, params.alpha, epsilon, max_iter,
+        record_every, rng)
     ts = ts + state0.t
     with np.errstate(divide="ignore"):
         sigma_bars = params.d * sigmas / norms  # inf at the optimum

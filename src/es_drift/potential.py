@@ -105,9 +105,9 @@ def _require(condition: bool, inequality: str, detail: str = "") -> None:
                                  + (f" ({detail})" if detail else ""))
 
 
-def _minimize_with_argmin(d: int, r: float, ell: float, u: float,
-                          tol: float) -> tuple[float, float]:
-    """Minimum of sbar -> psucc_exact(d, r, sbar) over [ell, u], with argmin.
+def minimize_psucc_over_band(d: int, r: float, ell: float, u: float,
+                             tol: float = 1e-8) -> float:
+    """Minimum of the rate-r success probability over sbar in [ell, u].
 
     Dense 256-point log grid (endpoints included), then a bounded scalar
     minimization on the bracket around the best grid point.
@@ -118,19 +118,10 @@ def _minimize_with_argmin(d: int, r: float, ell: float, u: float,
     grid = np.exp(np.linspace(math.log(ell), math.log(u), 256))
     values = psucc_exact_many(d, r, grid, inner)
     i = int(np.argmin(values))
-    best_val, best_arg = float(values[i]), float(grid[i])
     refined = minimize_scalar(lambda s: psucc_exact_many(d, r, s, inner),
                               bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
                               method="bounded", options={"xatol": 1e-10 * u})
-    if refined.fun < best_val:
-        best_val, best_arg = float(refined.fun), float(refined.x)
-    return best_val, best_arg
-
-
-def minimize_psucc_over_band(d: int, r: float, ell: float, u: float,
-                             tol: float = 1e-8) -> float:
-    """Minimum of the rate-r success probability over sbar in [ell, u]."""
-    return _minimize_with_argmin(d, r, ell, u, tol)[0]
+    return min(float(values[i]), float(refined.fun))
 
 
 def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
@@ -164,13 +155,13 @@ def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
                  f"d={d}, alpha={alpha}")
         r_prime = 1.0 - math.exp(-A / (1.0 - 1.0 / (2.0 * d * log_a)))
 
-    p_prime, _ = _minimize_with_argmin(d, r_prime, ell, u, tol)
+    p_prime = minimize_psucc_over_band(d, r_prime, ell, u, tol)
     v = p_prime / (2.0 * d * log_a)
     _require(0.0 < v < min(1.0, A / log_a), "0 < v < min(1, A / log(alpha))",
              f"v={v:.6g}")
     r = 1.0 - math.exp(-A / (1.0 - v))
     _require(r <= r_prime, "r <= r_prime", f"r={r:.6g}, r_prime={r_prime:.6g}")
-    p_star, _ = _minimize_with_argmin(d, r, ell, u, tol)
+    p_star = minimize_psucc_over_band(d, r, ell, u, tol)
 
     term_mid = A * p_star - 1.25 * v * log_a
     term_small = v * log_a * (5.0 * p_l - 1.0) / 4.0
@@ -222,11 +213,11 @@ def estimate_truncated_drift(state: ESState, c: DriftConstants, n: int,
     return mean_estimate(float(total), float(total_sq), n)
 
 
-def _drift_point(args) -> tuple[int, float, float]:
-    index, sigma_bar, c, n, rng = args
+def _drift_point(args) -> tuple[float, float]:
+    sigma_bar, c, n, rng = args
     state = ESState(m=_unit_vector(c.d), sigma=sigma_bar / c.d)
     est = estimate_truncated_drift(state, c, n, rng)
-    return index, est.mean, est.half_width
+    return est.mean, est.half_width
 
 
 def _unit_vector(d: int) -> np.ndarray:
@@ -249,19 +240,14 @@ def drift_map(d: int, c: DriftConstants, sigma_bar_grid, n: int, rng,
     if d != c.d:
         raise ValueError(f"d={d} does not match constants (d={c.d})")
     streams = rng.spawn(len(grid))
-    tasks = [(i, s, c, n, streams[i]) for i, s in enumerate(grid)]
-    results: list[tuple[float, float] | None] = [None] * len(grid)
+    tasks = [(s, c, n, stream) for s, stream in zip(grid, streams)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, mean, hw in pool.map(_drift_point, tasks):
-                results[index] = (mean, hw)
+            results = list(pool.map(_drift_point, tasks))
     else:
-        for task in tasks:
-            index, mean, hw = _drift_point(task)
-            results[index] = (mean, hw)
+        results = list(map(_drift_point, tasks))
     rows = []
-    for sigma_bar, payload in zip(grid, results):
-        mean, hw = payload
+    for sigma_bar, (mean, hw) in zip(grid, results):
         rows.append(DriftMapRow(
             sigma_bar=sigma_bar, regime=c.classify(sigma_bar).value,
             drift_mean=mean, ci_halfwidth=hw, bound_B=c.B,

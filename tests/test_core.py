@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from es_drift import (ESParams, ESState, derive_stream, es_step, initial_state,
                       normalized_step_size, run_until, sphere_eval)
@@ -130,18 +131,51 @@ def test_run_until_sigma_bookkeeping_identity(rng_for):
 
 
 def test_run_until_matches_manual_stepping(rng_for):
+    # run_until draws (z0, chi2) where es_step draws a d-vector, so the two
+    # paths agree in distribution: hitting times on disjoint streams
     params = ESParams(1.5, 6)
-    trace = run_until(initial_state(6, 1.0, 2.0), params, 1e-3, 10_000, rng_for(5))
-    state = initial_state(6, 1.0, 2.0)
-    rng = rng_for(5)
-    norms, sigmas = [state.norm], [state.sigma]
-    while state.norm > 1e-3 and state.t < 10_000:
-        state, _ = es_step(state, params, rng)
-        norms.append(state.norm)
-        sigmas.append(state.sigma)
-    assert trace.hitting_time == state.t
-    np.testing.assert_allclose(trace.norms, norms, rtol=1e-12)
-    np.testing.assert_allclose(trace.sigmas, sigmas, rtol=1e-12)
+    manual, reduced = [], []
+    for rep in range(400):
+        state = initial_state(6, 1.0, 2.0)
+        rng = rng_for(5, 0, rep)
+        while state.norm > 1e-3:
+            state, _ = es_step(state, params, rng)
+        manual.append(state.t)
+        trace = run_until(initial_state(6, 1.0, 2.0), params, 1e-3, 10_000,
+                          rng_for(5, 1, rep), record_every=10_000)
+        reduced.append(trace.hitting_time)
+    assert ks_2samp(manual, reduced).pvalue > 1e-3
+
+
+class FixedSphereDraw:
+    """Stands in for a Generator, returning preset (z0, chi2) pairs."""
+
+    def __init__(self, d, z0s, chi2s):
+        self._d = d
+        self._z0s = np.asarray(z0s, dtype=float)
+        self._chi2s = np.asarray(chi2s, dtype=float)
+
+    def standard_normal(self, size):
+        assert size == self._z0s.size
+        return self._z0s.copy()
+
+    def standard_gamma(self, shape, size):
+        assert shape == (self._d - 1) / 2 and size == self._chi2s.size
+        return self._chi2s / 2.0
+
+
+def test_run_until_steps_the_norm_sigma_chain_exactly():
+    # alpha = 16 makes every factor a power of two: success, failure, a tie
+    # (||offspring|| = ||m||, a success) and success again
+    draws = FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
+                            [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16])
+    state0 = ESState(m=[1.0, 0.0, 0.0, 0.0], sigma=0.5)
+    trace = run_until(state0, ESParams(16.0, 4), 1e-3, 4, draws)
+    assert trace.norms.tolist() == [1.0, 0.5, 0.5, 0.5, 0.25]
+    assert trace.sigmas.tolist() == [0.5, 8.0, 4.0, 64.0, 1024.0]
+    assert trace.successes.tolist() == [True, False, True, True, False]
+    assert trace.hitting_time is None
+    assert (trace.iterations, trace.n_success) == (4, 3)
 
 
 def test_run_until_thinning_keeps_hit_and_final(rng_for):
@@ -163,24 +197,6 @@ def test_run_until_exhausted_budget_reports_none(rng_for):
                       rng_for(7))
     assert trace.hitting_time is None
     assert trace.iterations == 50
-
-
-def test_run_until_rescaling_is_exact(rng_for):
-    # ||m|| passes the rescaling point (2^-256) but not the underflow of
-    # ||m||^2 on the plain es_step path, which must then agree exactly
-    params = ESParams(1.5, 6)
-    trace = run_until(initial_state(6, 1.0, 2.0), params, 1e-100, 100_000, rng_for(8))
-    assert trace.norms[-1] < 2.0 ** -256
-    state = initial_state(6, 1.0, 2.0)
-    rng = rng_for(8)
-    norms, sigmas = [state.norm], [state.sigma]
-    while state.norm > 1e-100:
-        state, _ = es_step(state, params, rng)
-        norms.append(state.norm)
-        sigmas.append(state.sigma)
-    assert trace.hitting_time == state.t
-    np.testing.assert_array_equal(trace.norms, norms)
-    np.testing.assert_array_equal(trace.sigmas, sigmas)
 
 
 def test_run_until_hits_targets_below_norm_squared_underflow():

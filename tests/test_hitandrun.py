@@ -102,12 +102,15 @@ def test_har_sample_obtuse_angles_carry_no_progress():
 
 
 def test_sample_angle_agrees_with_kernel_statistic(rng_for):
+    # the kernel draws (z0, chi2) where sample_angle draws a d-vector, so
+    # the two means agree within 4 combined standard errors
     n = 20_000
     rng = rng_for(4)
-    samples = [sample_angle(3, rng) for _ in range(n)]
-    manual = float(np.mean([s.log_progress for s in samples]))
-    est = expected_log_progress_mc(3, n, rng_for(4))
-    assert manual == pytest.approx(est.mean, rel=1e-9)
+    manual = np.array([sample_angle(3, rng).log_progress for _ in range(n)])
+    manual_se = float(manual.std(ddof=1)) / math.sqrt(n)
+    est = expected_log_progress_mc(3, n, rng_for(4, 1))
+    gap = abs(float(manual.mean()) - est.mean)
+    assert gap <= 4.0 * math.hypot(manual_se, est.std_error)
 
 
 # ---------------------------------------------------------------------------

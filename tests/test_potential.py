@@ -9,7 +9,8 @@ from es_drift import (ConfigurationError, ESState, SuccessProbQuery,
                       hitting_time_bounds, initial_state,
                       minimize_psucc_over_band, potential, psucc_exact,
                       psucc_limit, psucc_mc, truncated_delta)
-from es_drift.potential import Regime, _minimize_with_argmin
+from es_drift.potential import Regime
+from es_drift.success import psucc_exact_many
 
 ND = NormalDist()
 LOG_ALPHA = math.log(1.5)
@@ -39,8 +40,9 @@ def test_derive_constants_band_ends_invert_the_probabilities(constants_for):
 
 def test_derive_constants_minima_cross_checked_by_mc(constants_for, rng_for):
     c = constants_for(10)
+    grid = np.exp(np.linspace(math.log(c.ell), math.log(c.u), 256))
     for rate, target in ((c.r_prime, c.p_prime), (c.r, c.p_star)):
-        _, argmin = _minimize_with_argmin(10, rate, c.ell, c.u, 1e-8)
+        argmin = float(grid[np.argmin(psucc_exact_many(10, rate, grid))])
         est = psucc_mc(SuccessProbQuery(10, rate, argmin), 300_000, rng_for(0))
         assert abs(est.value - target) <= 4.0 * est.std_error + 1e-6
 

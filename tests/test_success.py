@@ -4,7 +4,8 @@ from statistics import NormalDist
 import mpmath
 import numpy as np
 import pytest
-from scipy.stats import ncx2
+from scipy.integrate import quad
+from scipy.special import gammainc
 
 from es_drift import (ConvergenceError, SuccessProbQuery, psucc0_inverse,
                       psucc_exact, psucc_limit, psucc_mc, std_normal_cdf)
@@ -39,6 +40,19 @@ def test_std_normal_cdf_symmetry(rng_for):
 # exact evaluation via the noncentral chi-squared CDF
 # ---------------------------------------------------------------------------
 
+def _split_points(s, keep):
+    """Ends of the support of the CDF factor (clipped to |z| <= 40) in
+    _mpmath_psucc, split ever finer toward both ends, down to pieces of
+    width s."""
+    lo, hi = max((-1 - keep) / s, -40), min((keep - 1) / s, 40)
+    points = [lo, hi]
+    step = (hi - lo) / 2
+    while step > s:
+        points += [lo + step, hi - step]
+        step /= 2
+    return sorted(points)
+
+
 def _mpmath_psucc(d, r, sigma_bar):
     """30-digit oracle for Pr(||e1 + s N|| < 1 - r), s = sigma_bar / d.
 
@@ -46,8 +60,7 @@ def _mpmath_psucc(d, r, sigma_bar):
     chi2_{d-1} < ((1 - r)^2 - (1 + s z)^2) / s^2, so the probability is
     the integral of phi(z) * P((d - 1)/2, ((1 - r)^2 - (1 + s z)^2) / (2 s^2)).
     The CDF factor rises from 0 at both ends of the support over a width
-    that shrinks with s, so the support (clipped to |z| <= 40) is split
-    ever finer toward both ends, down to pieces of width s.
+    that shrinks with s, hence the split points.
     """
     with mpmath.workdps(30):
         s = mpmath.mpf(sigma_bar) / d
@@ -58,13 +71,21 @@ def _mpmath_psucc(d, r, sigma_bar):
             y = (keep ** 2 - (1 + s * z) ** 2) / (2 * s * s)
             return mpmath.npdf(z) * mpmath.gammainc(a, 0, y, regularized=True) if y > 0 else 0
 
-        lo, hi = max((-1 - keep) / s, -40), min((keep - 1) / s, 40)
-        points = [lo, hi]
-        step = (hi - lo) / 2
-        while step > s:
-            points += [lo + step, hi - step]
-            step /= 2
-        return float(mpmath.quad(integrand, sorted(points)))
+        return float(mpmath.quad(integrand, _split_points(s, keep)))
+
+
+def _quad_psucc(d, r, sigma_bar):
+    """Float64 twin of _mpmath_psucc: scipy quad over the same pieces."""
+    s = sigma_bar / d
+    keep = 1.0 - r
+
+    def integrand(z):
+        y = (keep ** 2 - (1.0 + s * z) ** 2) / (2.0 * s * s)
+        return ND.pdf(z) * gammainc((d - 1) / 2, y) if y > 0.0 else 0.0
+
+    points = _split_points(s, keep)
+    return sum(quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12)[0]
+               for a, b in zip(points, points[1:]))
 
 
 ORACLE_POINTS = (
@@ -111,18 +132,16 @@ def test_psucc_exact_vanishes_as_rate_approaches_one():
     assert psucc_exact(SuccessProbQuery(8, 0.999, 1.0)) < 1e-12
 
 
-def test_psucc_exact_against_scipy_ncx2(rng_for):
-    # extra cross-oracle on top of the Monte Carlo route
+def test_psucc_exact_against_float64_quadrature(rng_for):
+    # quadrature over the first coordinate, independent of chndtr
     rng = rng_for(1)
     for _ in range(40):
         d = int(rng.integers(2, 200))
         r = float(rng.uniform(0.0, 0.8))
         sigma_bar = float(np.exp(rng.uniform(math.log(0.2), math.log(8.0))))
-        lam = (d / sigma_bar) ** 2
-        x = ((1.0 - r) * d / sigma_bar) ** 2
         mine = psucc_exact(SuccessProbQuery(d, r, sigma_bar), tol=1e-10)
-        ref = float(ncx2.cdf(x, d, lam))
-        assert abs(mine - ref) < 5e-9
+        ref = _quad_psucc(d, r, sigma_bar)
+        assert abs(mine - ref) < 5e-9, (d, r, sigma_bar)
 
 
 def test_psucc_exact_image_bounds():

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import _PARSERS, ExperimentConfig, build_config
-from .core import ESParams, initial_state, run_until
+from .core import ESParams, hitting_times, initial_state, run_until
 from .errors import ConfigurationError
 from .estimates import mean_estimate
 from .hitandrun import expected_log_progress_mc, expected_log_progress_quadrature
@@ -128,20 +127,12 @@ def cmd_drift_map(config: ExperimentConfig) -> list[tuple]:
 # hitting-scaling
 # ---------------------------------------------------------------------------
 
-def _one_hitting_run(args) -> Optional[int]:
-    (task_index, d, alpha, epsilon, m0_norm, sigma_bar0, max_iter, seed) = args
-    rng = derive_stream(seed, 2, task_index)
-    trace = run_until(initial_state(d, m0_norm, sigma_bar0), ESParams(alpha, d),
-                      epsilon, max_iter, rng, record_every=max_iter)
-    return trace.hitting_time
-
-
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(((y - predicted) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    # a NaN mean_T (every run censored) makes ss_tot, and so r_squared, NaN
+    # a NaN mean_T (a censored cell) makes ss_tot, and so r_squared, NaN
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r_squared
 
@@ -149,20 +140,13 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
     """Replicated hitting times per (d, epsilon) against the sandwich bounds."""
     eps_values = config.epsilons
-    tasks = []
-    task_index = 0
-    for d in config.d_list:
-        for eps in eps_values:
-            for _ in range(config.replicates):
-                tasks.append((task_index, d, config.alpha, eps, config.m0_norm,
-                              config.sigma_bar0, config.max_iter,
-                              config.master_seed))
-                task_index += 1
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_one_hitting_run, tasks, chunksize=8))
-    else:
-        results = list(map(_one_hitting_run, tasks))
+    # task i = (d, epsilon, replicate) in loop order, on stream (seed, 2, i)
+    tasks = [(d, eps) for d in config.d_list for eps in eps_values
+             for _ in range(config.replicates)]
+    results = hitting_times(
+        [initial_state(d, config.m0_norm, config.sigma_bar0) for d, _ in tasks],
+        config.alpha, [eps for _, eps in tasks], config.max_iter,
+        [derive_stream(config.master_seed, 2, i) for i in range(len(tasks))])
 
     reports = []
     cursor = 0
@@ -172,18 +156,17 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
         for eps in eps_values:
             times = results[cursor:cursor + config.replicates]
             cursor += config.replicates
-            finite = np.array([t for t in times if t is not None], dtype=float)
-            censored = sum(1 for t in times if t is None)
-            if finite.size:
+            censored = times.count(None)
+            if censored:
+                # a mean of the finished runs alone would be biased low
+                mean, halfwidth = math.nan, math.nan
+            else:
+                finite = np.array(times, dtype=float)
                 est = mean_estimate(float(finite.sum()), float((finite * finite).sum()),
                                     finite.size)
                 mean, halfwidth = est.mean, est.half_width
-            else:
-                mean, halfwidth = math.nan, math.nan
             lower, upper = hitting_time_bounds(state0, constants, eps)
-            within = bool(censored == 0 and finite.size
-                          and lower <= mean - halfwidth
-                          and mean + halfwidth <= upper)
+            within = bool(lower <= mean - halfwidth and mean + halfwidth <= upper)
             reports.append(HittingTimeReport(
                 d=d, epsilon=eps, mean_T=mean, ci_halfwidth=halfwidth,
                 lower_bound=lower, upper_bound=upper, within_bounds=within,
@@ -199,9 +182,9 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
                             f" r_squared={r_squared!r}")
     if len(config.d_list) >= 2:
         for eps in eps_values:
-            per_d = [r.mean_T / r.d for r in reports if r.epsilon == eps]
+            per_d = np.array([r.mean_T / r.d for r in reports if r.epsilon == eps])
             comments.append(f"# rate_band epsilon={eps!r}:"
-                            f" max_over_min_T_per_d={max(per_d) / min(per_d)!r}")
+                            f" max_over_min_T_per_d={float(per_d.max() / per_d.min())!r}")
     _write_csv(_out_path(config, "hitting_scaling.csv"),
                ["d", "epsilon", "replicates", "mean_T", "ci_halfwidth",
                 "lower_bound", "upper_bound", "within_bounds", "censored_runs"],
@@ -324,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--replicates", type=int, help="runs per configuration")
     common.add_argument("--mc-samples", type=int, dest="mc_samples",
                         help="Monte Carlo samples per estimate")
-    common.add_argument("--workers", type=int, help="worker processes (default 1)")
+    common.add_argument("--workers", type=int,
+                        help="worker processes for drift-map (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="es-drift",

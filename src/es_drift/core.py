@@ -194,3 +194,28 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
                     successes=successes, potentials=potentials,
                     hitting_time=(state0.t + t_final) if hit else None,
                     iterations=state0.t + t_final, n_success=int(n_success))
+
+
+def hitting_times(states: Sequence[ESState], alpha: float,
+                  epsilons: Sequence[float], max_iter: int,
+                  rngs: Sequence) -> list[Optional[int]]:
+    """Hitting times of independent runs, all stepped together.
+
+    Run i starts from states[i], targets ||m|| <= epsilons[i] and draws
+    from rngs[i]; its hitting time equals
+    ``run_until(states[i], ESParams(alpha, states[i].d), epsilons[i],
+    max_iter, rngs[i]).hitting_time``, None where the budget ran out.
+    """
+    if not len(states) == len(epsilons) == len(rngs):
+        raise ValueError(f"got {len(states)} states, {len(epsilons)} epsilons"
+                         f" and {len(rngs)} streams")
+    for state in states:
+        ESParams(alpha, state.d)
+    if not all(epsilon > 0.0 for epsilon in epsilons):
+        raise ValueError("epsilon must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    times = kernels.es_hitting_times(
+        [state.norm for state in states], [state.sigma for state in states],
+        [state.d for state in states], alpha, epsilons, max_iter, rngs)
+    return [None if t < 0 else state.t + t for state, t in zip(states, times.tolist())]

@@ -10,9 +10,11 @@ So every kernel draws these two numbers per sample, whatever d, and the
 ES run is the Markov chain in (||m||, sigma) alone, the scale-invariance
 argument of Auger & Hansen (SIAM J. Optim. 2016). The samplers reduce
 fixed-size chunks of draws with vectorized numpy, which bounds peak
-memory; the ES run is sequential, one offspring per iteration. Every
-kernel takes an explicit ``numpy.random.Generator``, so a given seed
-yields the same sample sequence on every call.
+memory. The ES run is sequential, one offspring per iteration;
+es_hitting_times steps many independent runs together, one array
+operation per iteration for all of them. Every kernel takes explicit
+``numpy.random.Generator`` streams, so a given seed yields the same
+sample sequence on every call.
 """
 
 import math
@@ -21,9 +23,11 @@ import numpy as np
 
 # samples per chunk in the Monte Carlo samplers (bounds peak memory)
 _CHUNK = 1 << 20
-# offspring drawn at a time by es_run; most runs stop after a few
-# thousand iterations, so a large block would be mostly discarded
-_ES_CHUNK = 1024
+# offspring drawn at a time per run by es_run and es_hitting_times, which
+# must agree so both consume a stream identically. es_hitting_times holds
+# one block per live run, 2 * 8 * _ES_CHUNK bytes each: 1 MB for 1,000
+# runs at 64 steps, where 1024 steps would take 16 MB
+_ES_CHUNK = 64
 
 # stand-in for an infinite log-progress on a measure-zero collinear hit
 LOG_PROGRESS_CAP = 700.0
@@ -146,3 +150,54 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
         else:
             sigma *= sigma_down
         t += 1
+
+
+def es_hitting_times(norm0, sigma0, d, alpha, epsilon, max_iter, rngs):
+    """Hitting times of many independent es_run chains, stepped in lockstep.
+
+    Run i starts at (norm0[i], sigma0[i]) in dimension d[i], targets
+    ||m|| <= epsilon[i] and draws from its own generator rngs[i] exactly
+    as es_run does, so its hitting time equals es_run's; ``norm0``,
+    ``sigma0``, ``d`` and ``epsilon`` broadcast to ``len(rngs)``.
+    Returns an int64 array, -1 where a run used up max_iter.
+    """
+    n = len(rngs)
+    norm, sigma, epsilon = (np.broadcast_to(np.asarray(x, np.float64), (n,))
+                            for x in (norm0, sigma0, epsilon))
+    draws = [_sphere_draws(di, max_iter, rng, _ES_CHUNK)
+             for di, rng in zip(np.broadcast_to(d, (n,)).tolist(), rngs)]
+    # one block of draws per live run, refilled at every chunk boundary
+    z0s = np.empty((n, _ES_CHUNK))
+    chi2s = np.empty((n, _ES_CHUNK))
+    times = np.full(n, -1, np.int64)
+    live = np.arange(n)       # run index of each live entry
+    row = live                # its row in the draw block
+    sigma_down = alpha ** -0.25
+    t = 0
+    while live.size:
+        hit = norm <= epsilon
+        if hit.any():
+            # finished runs leave the small state vectors; the block stays
+            times[live[hit]] = t
+            keep = ~hit
+            live, row, norm, sigma, epsilon = (
+                x[keep] for x in (live, row, norm, sigma, epsilon))
+        if t >= max_iter or not live.size:
+            break
+        step = t % _ES_CHUNK
+        if step == 0:
+            k = min(_ES_CHUNK, max_iter - t)
+            for r, i in enumerate(live.tolist()):
+                z0s[r, :k], chi2s[r, :k] = next(draws[i])
+            row = np.arange(live.size)
+        q = sigma / norm
+        x = 1.0 + q * z0s[row, step]
+        # x * x is the correctly rounded square; es_run's float ** 2 calls
+        # the C library's pow, one ulp off on about 0.1% of squares with
+        # glibc 2.36. A hitting time moves only if that last bit decides a
+        # comparison with epsilon or 1; the tests find none
+        ratio_sq = x * x + q * q * chi2s[row, step]
+        norm = norm * np.sqrt(np.minimum(ratio_sq, 1.0))
+        sigma = sigma * np.where(ratio_sq <= 1.0, alpha, sigma_down)
+        t += 1
+    return times

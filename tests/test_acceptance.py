@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from es_drift import (ESParams, SuccessProbQuery, drift_map,
-                      expected_log_progress_mc, expected_log_progress_quadrature,
-                      first_hitting_time, hitting_time_bounds, initial_state,
-                      psucc_exact, psucc_limit, psucc_mc, run_until,
-                      simulate_jump_process, truncate_series, upper_bound_thm1)
-from es_drift.estimates import Z99
+from es_drift import (SuccessProbQuery, drift_map, expected_log_progress_mc,
+                      expected_log_progress_quadrature, first_hitting_time,
+                      hitting_time_bounds, hitting_times, initial_state,
+                      psucc_exact, psucc_limit, psucc_mc, simulate_jump_process,
+                      truncate_series, upper_bound_thm1)
+from es_drift.estimates import mean_estimate
 from es_drift.streams import derive_stream
 
 SEED = 20180715
@@ -30,18 +30,13 @@ def _report(number, name, passed, started, detail=""):
 
 
 def _mean_hitting_time(d, epsilon, replicates, scope):
-    times = np.empty(replicates)
-    params = ESParams(1.5, d)
-    state0 = initial_state(d, 1.0, 2.0)
-    for rep in range(replicates):
-        rng = derive_stream(SEED, scope, d, rep)
-        trace = run_until(state0, params, epsilon, 10_000_000, rng,
-                          record_every=10_000_000)
-        assert trace.hitting_time is not None
-        times[rep] = trace.hitting_time
-    mean = float(times.mean())
-    halfwidth = Z99 * float(times.std(ddof=1)) / math.sqrt(replicates)
-    return mean, halfwidth
+    rngs = [derive_stream(SEED, scope, d, rep) for rep in range(replicates)]
+    times = hitting_times([initial_state(d, 1.0, 2.0)] * replicates, 1.5,
+                          [epsilon] * replicates, 10_000_000, rngs)
+    assert None not in times
+    times = np.array(times, dtype=float)
+    est = mean_estimate(float(times.sum()), float((times * times).sum()), replicates)
+    return est.mean, est.half_width
 
 
 def test_criterion_01_hitting_time_sandwich(constants_for):

@@ -120,6 +120,25 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
     assert "# fit d=4: slope=nan intercept=nan r_squared=nan" in comments
 
 
+def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
+    # at this seed 4 of the 10 runs at epsilon = 1e-4 need more than 260
+    # iterations; the finished six alone would give a mean biased low
+    cfg = tmp_path / "partly.cfg"
+    cfg.write_text("max_iter = 260\n")
+    out = tmp_path / "hs.csv"
+    code = main(["hitting-scaling", "--config", str(cfg), "--eps-list", "1e-2,1e-4",
+                 "--d", "4", "--replicates", "10", "--out", str(out)])
+    assert code == 0
+    header, raw, _ = _read_csv(out)
+    finished, partly = (dict(zip(header, row)) for row in raw)
+    assert finished["censored_runs"] == "0"
+    assert math.isfinite(float(finished["mean_T"]))
+    assert partly["censored_runs"] == "4"
+    assert math.isnan(float(partly["mean_T"]))
+    assert math.isnan(float(partly["ci_halfwidth"]))
+    assert partly["within_bounds"] == "false"
+
+
 def test_run_reaches_targets_below_norm_squared_underflow(tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["run", "--d", "10", "--epsilon", "1e-300", "--out", str(out)]) == 0
@@ -182,11 +201,12 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_byte_identical_across_worker_counts(tmp_path):
-    out_a, out_b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    base = dict(d_list=(4,), eps_list=(1e-2,), replicates=6)
-    cmd_hitting_scaling(ExperimentConfig(output_path=str(out_a), workers=1, **base))
-    cmd_hitting_scaling(ExperimentConfig(output_path=str(out_b), workers=2, **base))
-    assert out_a.read_bytes() == out_b.read_bytes()
+    # drift-map is the subcommand that fans out to --workers processes
+    outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+    for workers, out in zip(("1", "2"), outs):
+        assert main(["drift-map", "--d", "5", "--mc-samples", "2000",
+                     "--workers", workers, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------

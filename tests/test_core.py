@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from es_drift import (ESParams, ESState, derive_stream, es_step, initial_state,
-                      normalized_step_size, run_until, sphere_eval)
+from es_drift import (ESParams, ESState, derive_stream, es_step, hitting_times,
+                      initial_state, normalized_step_size, run_until, sphere_eval)
+from es_drift.kernels import _ES_CHUNK, es_hitting_times
 
 
 class FixedDraw:
@@ -176,6 +180,67 @@ def test_run_until_steps_the_norm_sigma_chain_exactly():
     assert trace.successes.tolist() == [True, False, True, True, False]
     assert trace.hitting_time is None
     assert (trace.iterations, trace.n_success) == (4, 3)
+
+
+def test_hitting_times_steps_each_run_exactly():
+    # run 1 (d = 3, from t = 10) fails then succeeds to ||m|| = 0.75 at
+    # t = 2; run 2 is the chain above, at ||m|| = 0.25 on the budget's last
+    # step, which counts as a hit within the budget, and 0.2 is never reached
+    alpha = 16.0
+    runs = [(ESState(m=[1.0, 0.0, 0.0], sigma=0.5, t=10),
+             FixedSphereDraw(3, [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])),
+            (ESState(m=[1.0, 0.0, 0.0, 0.0], sigma=0.5),
+             FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
+                             [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16]))]
+    states, draws = zip(*runs)
+    assert hitting_times(states, alpha, [0.75, 0.3], 4, draws) == [12, 4]
+    assert hitting_times(states, alpha, [0.75, 0.2], 4, draws) == [12, None]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(runs=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 300),
+                               st.integers(0, 2 ** 32 - 1)),
+                     min_size=1, max_size=6),
+       max_iter=st.integers(1, 3000).filter(lambda n: n % _ES_CHUNK != 0))
+@example(runs=[(2 + i % 9, 1 + i % 8, i) for i in range(40)], max_iter=4999)
+def test_hitting_times_equal_run_until_run_for_run(runs, max_iter):
+    # same streams, same draws: equal hitting times, with immediate hits
+    # (epsilon = 1), censored runs and a partial last chunk; the explicit
+    # example finishes runs in many different chunks
+    states = [initial_state(d, 1.0, 2.0) for d, _, _ in runs]
+    epsilons = [10.0 ** -k for _, k, _ in runs]
+    lockstep = hitting_times(states, 1.5, epsilons, max_iter,
+                             [derive_stream(seed) for _, _, seed in runs])
+    single = [run_until(state, ESParams(1.5, state.d), epsilon, max_iter,
+                        derive_stream(seed), record_every=max_iter).hitting_time
+              for state, epsilon, (_, _, seed) in zip(states, epsilons, runs)]
+    assert lockstep == single
+
+
+def test_hitting_times_memory_does_not_grow_with_max_iter():
+    # one draw block of _ES_CHUNK steps per live run, whatever the budget
+    n, d = 1000, 8
+    rngs = [derive_stream(11, i) for i in range(n)]
+    tracemalloc.start()
+    try:
+        times = es_hitting_times(1.0, 2.0 / d, d, 1.5, 1e-4, 10 ** 9, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(times > 0)
+    assert peak < 4 * 2 ** 20
+
+
+def test_hitting_times_validates_inputs():
+    state = initial_state(4, 1.0, 2.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        hitting_times([state], 1.5, [0.0], 10, [derive_stream(0)])
+    with pytest.raises(ValueError, match="max_iter"):
+        hitting_times([state], 1.5, [1e-2], 0, [derive_stream(0)])
+    with pytest.raises(ValueError, match="alpha"):
+        hitting_times([state], 1.0, [1e-2], 10, [derive_stream(0)])
+    with pytest.raises(ValueError, match="streams"):
+        hitting_times([state, state], 1.5, [1e-2, 1e-2], 10, [derive_stream(0)])
 
 
 def test_run_until_thinning_keeps_hit_and_final(rng_for):

@@ -6,9 +6,9 @@ from .core import (ESParams, ESState, RunTrace, StepOutcome, es_step,
                    sphere_eval)
 from .errors import ConfigurationError, ConvergenceError
 from .estimates import MeanEstimate, ProbEstimate, Z99
-from .hitandrun import (HarSample, expected_log_progress_mc,
-                        expected_log_progress_quadrature, har_step,
-                        optimal_gamma, sample_angle, wallis_integral)
+from .hitandrun import (HarSample, expected_log_progress_exact,
+                        expected_log_progress_mc, har_step, optimal_gamma,
+                        sample_angle)
 from .kernels import LOG_PROGRESS_CAP
 from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
                         drift_map, estimate_truncated_drift,
@@ -30,8 +30,8 @@ __all__ = [
     "es_step", "hitting_times", "initial_state", "normalized_step_size", "run_until",
     "sphere_eval",
     "MeanEstimate", "ProbEstimate",
-    "HarSample", "expected_log_progress_mc", "expected_log_progress_quadrature",
-    "har_step", "optimal_gamma", "sample_angle", "wallis_integral",
+    "HarSample", "expected_log_progress_exact", "expected_log_progress_mc",
+    "har_step", "optimal_gamma", "sample_angle",
     "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
     "estimate_truncated_drift", "hitting_time_bounds", "minimize_psucc_over_band",
     "potential", "truncated_delta",

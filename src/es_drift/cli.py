@@ -27,10 +27,10 @@ from .config import _PARSERS, ExperimentConfig, build_config
 from .core import ESParams, hitting_times, initial_state, run_until
 from .errors import ConfigurationError
 from .estimates import mean_estimate
-from .hitandrun import expected_log_progress_mc, expected_log_progress_quadrature
+from .hitandrun import expected_log_progress_exact, expected_log_progress_mc
 from .potential import derive_constants, drift_map, hitting_time_bounds, potential
 from .streams import derive_stream
-from .success import SuccessProbQuery, psucc_exact, psucc_limit
+from .success import psucc_exact_many, psucc_limit
 
 SCHEMA_VERSION = 1
 
@@ -88,13 +88,11 @@ def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
     rows = []
     for rho in CURVE_RHO_VALUES:
         for d in CURVE_D_VALUES:
-            r = rho / d
-            for sigma_bar in grid:
-                exact = psucc_exact(SuccessProbQuery(d, r, float(sigma_bar)),
-                                    config.tol)
-                limit = psucc_limit(rho, float(sigma_bar))
-                rows.append((rho, d, float(sigma_bar), exact, limit,
-                             abs(exact - limit)))
+            exact = psucc_exact_many(d, rho / d, grid, config.tol).tolist()
+            for sigma_bar, p_exact in zip(grid.tolist(), exact):
+                limit = psucc_limit(rho, sigma_bar)
+                rows.append((rho, d, sigma_bar, p_exact, limit,
+                             abs(p_exact - limit)))
     _write_csv(_out_path(config, "success_curve.csv"),
                ["rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"], rows)
     return rows
@@ -233,18 +231,22 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_har_check(config: ExperimentConfig) -> list[tuple]:
-    """Line-search progress ceiling 1/d: Monte Carlo and quadrature per d."""
+    """Line-search progress ceiling 1/d: Monte Carlo and closed form per d.
+
+    The closed form goes in the column named ``quadrature``, the name the
+    file has always used.
+    """
     rows = []
     for d_index, d in enumerate(HAR_D_VALUES):
         rng = derive_stream(config.master_seed, 3, d_index)
         mc = expected_log_progress_mc(d, config.mc_samples, rng)
-        quad_value = expected_log_progress_quadrature(d, config.tol)
+        exact = expected_log_progress_exact(d)
         bound = 1.0 / d
         sigma = mc.std_error
-        gap_sigmas = abs(mc.mean - quad_value) / sigma if sigma > 0.0 else 0.0
+        gap_sigmas = abs(mc.mean - exact) / sigma if sigma > 0.0 else 0.0
         passed = bool(mc.mean - mc.half_width <= bound
-                      and quad_value <= bound and gap_sigmas < 4.0)
-        rows.append((d, mc.mean, mc.half_width, quad_value, bound,
+                      and exact <= bound and gap_sigmas < 4.0)
+        rows.append((d, mc.mean, mc.half_width, exact, bound,
                      gap_sigmas, passed))
     _write_csv(_out_path(config, "har_check.csv"),
                ["d", "mc_mean", "mc_ci_halfwidth", "quadrature", "bound",

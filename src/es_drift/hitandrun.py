@@ -11,12 +11,12 @@ on: the acute-angle expression
 
     E[ -log(sin(theta)) * 1{theta <= pi/2} ],   theta = angle(N, e1),
 
-is at most 1/d in dimension d >= 2 (the angle density is
-sin^(d-2)(theta) / (2 W_{d-2}) with W the Wallis integral). Obtuse
-angles also shrink the norm under the unconstrained line minimizer;
-the acute-angle indicator deliberately drops that extra progress, so
-the expression is a conservative accounting of the oracle's progress,
-and ``har_step`` reports the unrestricted value.
+is at most 1/d in dimension d >= 2; ``expected_log_progress_exact``
+gives it in closed form and shows the ceiling. Obtuse angles also
+shrink the norm under the unconstrained line minimizer; the acute-angle
+indicator deliberately drops that extra progress, so the expression is
+a conservative accounting of the oracle's progress, and ``har_step``
+reports the unrestricted value.
 """
 
 import math
@@ -24,10 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import digamma
 
 from . import kernels
-from .errors import ConvergenceError
 from .estimates import MeanEstimate, mean_estimate
 from .kernels import LOG_PROGRESS_CAP
 
@@ -105,47 +104,19 @@ def expected_log_progress_mc(d: int, n: int, rng) -> MeanEstimate:
     return mean_estimate(float(total), float(total_sq), n)
 
 
-def wallis_integral(n: int) -> float:
-    """W_n = integral of sin^n over [0, pi/2], by the standard recurrence."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    w_even, w_odd = math.pi / 2.0, 1.0
-    for k in range(2, n + 1):
-        if k % 2 == 0:
-            w_even *= (k - 1) / k
-        else:
-            w_odd *= (k - 1) / k
-    return w_even if n % 2 == 0 else w_odd
+def expected_log_progress_exact(d: int) -> float:
+    """Expected acute-angle log progress, (psi(d/2) - psi((d-1)/2)) / 4.
 
+    t = sin^2(theta) ~ Beta((d-1)/2, 1/2) does not depend on whether theta
+    is acute, which has probability 1/2, so the expectation is -E[log t]/4
+    with E[log t] = psi((d-1)/2) - psi(d/2) for the digamma function psi.
+    The 1/d ceiling follows because psi is increasing with
+    psi(x + 1) - psi(x) = 1/x. At x = (d-1)/2,
 
-def expected_log_progress_quadrature(d: int, tol: float = 1e-9) -> float:
-    """Expected acute-angle log progress by adaptive quadrature.
+        psi(x + 1/2) - psi(x) <= psi(x + 1) - psi(x) = 1/x,
 
-    Evaluates (2 W_{d-2})^(-1) * integral of -log(sin) * sin^(d-2) over
-    [0, pi/2]; the integrable log singularity at zero is isolated on its
-    own subinterval.
+    so the value is at most 1/(2(d-1)) <= 1/d for every d >= 2.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    norm_const = 2.0 * wallis_integral(d - 2)
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        return -math.log(s) * s ** (d - 2)
-
-    abs_budget = tol * norm_const
-    split = 0.1
-    total = 0.0
-    total_err = 0.0
-    for a, b in ((0.0, split), (split, math.pi / 2.0)):
-        value, err = quad(integrand, a, b, epsabs=abs_budget / 2.0,
-                          epsrel=1e-12, limit=400)
-        total += value
-        total_err += err
-    if total_err > abs_budget:
-        raise ConvergenceError(
-            f"quadrature error {total_err:.3e} exceeds budget {abs_budget:.3e} at d={d}",
-            estimate=total / norm_const, error_bound=total_err / norm_const)
-    return total / norm_const
+    return float(digamma(d / 2.0) - digamma((d - 1) / 2.0)) / 4.0

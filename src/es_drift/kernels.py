@@ -23,10 +23,11 @@ import numpy as np
 
 # samples per chunk in the Monte Carlo samplers (bounds peak memory)
 _CHUNK = 1 << 20
-# offspring drawn at a time per run by es_run and es_hitting_times, which
-# must agree so both consume a stream identically. es_hitting_times holds
-# one block per live run, 2 * 8 * _ES_CHUNK bytes each: 1 MB for 1,000
-# runs at 64 steps, where 1024 steps would take 16 MB
+# offspring drawn at a time per run by es_run and es_hitting_times, always
+# a full block whatever the budget, so both consume a stream identically
+# and a run's draws do not depend on max_iter. es_hitting_times holds one
+# block per live run, 2 * 8 * _ES_CHUNK bytes each: 1 MB for 1,000 runs
+# at 64 steps, where 1024 steps would take 16 MB
 _ES_CHUNK = 64
 
 # stand-in for an infinite log-progress on a measure-zero collinear hit
@@ -43,15 +44,27 @@ def potential_value(norm_m, sigma, d, alpha, ell, u, v):
     return np.log(norm_m) + v * np.maximum(0.0, np.maximum(pen_small, pen_large))
 
 
-def _sphere_draws(d, n, rng, chunk=_CHUNK):
-    """n draws of (z0, chi2_{d-1}) as pairs of arrays of at most chunk samples.
+def _draw(d, k, rng):
+    """k draws of (z0, chi2_{d-1}) as a pair of arrays.
 
     chi2 is 2 * Gamma((d - 1)/2), which is 0 at d = 1, where
     ``Generator.chisquare`` would reject df = 0.
     """
-    for start in range(0, n, chunk):
-        k = min(chunk, n - start)
-        yield rng.standard_normal(k), 2.0 * rng.standard_gamma(0.5 * (d - 1), k)
+    return rng.standard_normal(k), 2.0 * rng.standard_gamma(0.5 * (d - 1), k)
+
+
+def _sphere_draws(d, n, rng):
+    """n draws of (z0, chi2_{d-1}) as pairs of arrays of at most _CHUNK samples."""
+    for start in range(0, n, _CHUNK):
+        yield _draw(d, min(_CHUNK, n - start), rng)
+
+
+def _ratio_sq(q, z0, chi2):
+    """||e1 + q N||^2 for the draw (z0, chi2): the squared offspring-to-parent
+    norm ratio of a step with q = sigma/||m||. Elementwise on arrays; every
+    kernel that steps the ES computes it here, so all agree to the bit."""
+    x = 1.0 + q * z0
+    return x * x + q * q * chi2
 
 
 def success_mc_hits(scale, radius, d, n, rng):
@@ -59,7 +72,7 @@ def success_mc_hits(scale, radius, d, n, rng):
     r2 = radius * radius
     hits = 0
     for z0, chi2 in _sphere_draws(d, n, rng):
-        hits += int(np.count_nonzero((1.0 + scale * z0) ** 2 + (scale * scale) * chi2 < r2))
+        hits += int(np.count_nonzero(_ratio_sq(scale, z0, chi2) < r2))
     return hits
 
 
@@ -105,6 +118,13 @@ def har_log_progress_sums(d, n, rng):
     return total, total_sq, capped
 
 
+def _es_draws(d, rng):
+    """Endless (z0, chi2) pairs for one run, drawn _ES_CHUNK at a time."""
+    while True:
+        z0, chi2 = _draw(d, _ES_CHUNK, rng)
+        yield from zip(z0.tolist(), chi2.tolist())
+
+
 def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
     """Elitist (1+1) run on the sphere until ||m|| <= epsilon or max_iter.
 
@@ -120,8 +140,7 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
     norm = norm0
     sigma = sigma0
     sigma_down = alpha ** -0.25
-    draws = (pair for z0, chi2 in _sphere_draws(d, max_iter, rng, _ES_CHUNK)
-             for pair in zip(z0.tolist(), chi2.tolist()))
+    draws = _es_draws(d, rng)
     t = 0
     n_success = 0
     while True:
@@ -138,8 +157,7 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
                     np.array(sigmas, np.float64), np.array(successes, np.bool_),
                     hit, t, n_success)
         z0, chi2 = next(draws)
-        q = sigma / norm
-        ratio_sq = (1.0 + q * z0) ** 2 + q * q * chi2
+        ratio_sq = _ratio_sq(sigma / norm, z0, chi2)
         success = ratio_sq <= 1.0
         if recorded:
             successes.append(success)
@@ -164,8 +182,7 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilon, max_iter, rngs):
     n = len(rngs)
     norm, sigma, epsilon = (np.broadcast_to(np.asarray(x, np.float64), (n,))
                             for x in (norm0, sigma0, epsilon))
-    draws = [_sphere_draws(di, max_iter, rng, _ES_CHUNK)
-             for di, rng in zip(np.broadcast_to(d, (n,)).tolist(), rngs)]
+    ds = np.broadcast_to(d, (n,)).tolist()
     # one block of draws per live run, refilled at every chunk boundary
     z0s = np.empty((n, _ES_CHUNK))
     chi2s = np.empty((n, _ES_CHUNK))
@@ -186,17 +203,10 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilon, max_iter, rngs):
             break
         step = t % _ES_CHUNK
         if step == 0:
-            k = min(_ES_CHUNK, max_iter - t)
             for r, i in enumerate(live.tolist()):
-                z0s[r, :k], chi2s[r, :k] = next(draws[i])
+                z0s[r], chi2s[r] = _draw(ds[i], _ES_CHUNK, rngs[i])
             row = np.arange(live.size)
-        q = sigma / norm
-        x = 1.0 + q * z0s[row, step]
-        # x * x is the correctly rounded square; es_run's float ** 2 calls
-        # the C library's pow, one ulp off on about 0.1% of squares with
-        # glibc 2.36. A hitting time moves only if that last bit decides a
-        # comparison with epsilon or 1; the tests find none
-        ratio_sq = x * x + q * q * chi2s[row, step]
+        ratio_sq = _ratio_sq(sigma / norm, z0s[row, step], chi2s[row, step])
         norm = norm * np.sqrt(np.minimum(ratio_sq, 1.0))
         sigma = sigma * np.where(ratio_sq <= 1.0, alpha, sigma_down)
         t += 1

@@ -82,20 +82,24 @@ def simulate_jump_process(p: float, x0: float, beta: float, rng,
                           max_horizon: int = 10_000_000) -> Optional[int]:
     """Hitting time of the rare-jump process: stay put, or drop 1/p w.p. p.
 
-    The untruncated drift is exactly -1 per step, yet the hitting time
-    is geometric with mean 1/p, which is why drift alone cannot bound
-    hitting times on unbounded domains. Returns None when the horizon
-    is exhausted (censored).
+    The untruncated drift is exactly -1 per step, yet each jump waits a
+    geometric time with mean 1/p, which is why drift alone cannot bound
+    hitting times on unbounded domains. The k jumps needed to reach beta
+    take k geometric waits, whose sum is k plus one negative-binomial
+    draw of the failures before the k-th success. Returns None when that
+    sum exceeds the horizon (censored).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"jump probability must lie in (0, 1], got {p}")
     jump = 1.0 / p
     x = float(x0)
-    if x <= beta:
+    k = 0
+    while x > beta:
+        if k == max_horizon:  # each jump takes at least one step
+            return None
+        x -= jump
+        k += 1
+    if k == 0:
         return 0
-    for t in range(1, max_horizon + 1):
-        if rng.random() < p:
-            x -= jump
-            if x <= beta:
-                return t
-    return None
+    t = k + int(rng.negative_binomial(k, p))
+    return t if t <= max_horizon else None

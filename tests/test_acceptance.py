@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from es_drift import (SuccessProbQuery, drift_map, expected_log_progress_mc,
-                      expected_log_progress_quadrature, first_hitting_time,
+from es_drift import (SuccessProbQuery, drift_map, expected_log_progress_exact,
+                      expected_log_progress_mc, first_hitting_time,
                       hitting_time_bounds, hitting_times, initial_state,
                       psucc_exact, psucc_limit, psucc_mc, simulate_jump_process,
                       truncate_series, upper_bound_thm1)
@@ -126,18 +126,18 @@ def test_criterion_06_success_curves():
 
 def test_criterion_07_line_search_ceiling():
     started = time.time()
-    quad_ok = all(expected_log_progress_quadrature(d) <= 1.0 / d
-                  for d in range(2, 257))
-    planar = expected_log_progress_quadrature(2)
+    exact_ok = all(expected_log_progress_exact(d) <= 1.0 / d
+                   for d in range(2, 257))
+    planar = expected_log_progress_exact(2)
     planar_ok = abs(planar - math.log(2.0) / 2.0) <= 1e-6
     mc_ok = True
     gaps = []
     for i, d in enumerate((2, 8, 64)):
         est = expected_log_progress_mc(d, 1_000_000, derive_stream(SEED, 7, i))
-        gap = abs(est.mean - expected_log_progress_quadrature(d)) / est.std_error
+        gap = abs(est.mean - expected_log_progress_exact(d)) / est.std_error
         gaps.append(gap)
         mc_ok &= gap < 4.0
-    _report(7, "log-progress ceiling 1/d", quad_ok and planar_ok and mc_ok,
+    _report(7, "log-progress ceiling 1/d", exact_ok and planar_ok and mc_ok,
             started, f"d=2 value={planar:.8f}, mc gaps sigma={max(gaps):.2f}")
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from es_drift import derive_stream, hitting_times, initial_state
 from es_drift.cli import (cmd_bounds, cmd_drift_map, cmd_har_check,
                           cmd_hitting_scaling, cmd_run, cmd_success_curve,
                           main)
@@ -121,8 +122,14 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
 
 
 def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
-    # at this seed 4 of the 10 runs at epsilon = 1e-4 need more than 260
-    # iterations; the finished six alone would give a mean biased low
+    # the runs at epsilon = 1e-4 are tasks 10..19 on streams (seed, 2, i);
+    # a budget of 260 censors exactly those whose uncensored time exceeds
+    # it, and a mean of the finished runs alone would be biased low
+    uncensored = hitting_times([initial_state(4, 1.0, 2.0)] * 10, 1.5, [1e-4] * 10,
+                               10 ** 7, [derive_stream(20180715, 2, 10 + j)
+                                         for j in range(10)])
+    over_budget = sum(t > 260 for t in uncensored)
+    assert 0 < over_budget < 10
     cfg = tmp_path / "partly.cfg"
     cfg.write_text("max_iter = 260\n")
     out = tmp_path / "hs.csv"
@@ -133,7 +140,7 @@ def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
     finished, partly = (dict(zip(header, row)) for row in raw)
     assert finished["censored_runs"] == "0"
     assert math.isfinite(float(finished["mean_T"]))
-    assert partly["censored_runs"] == "4"
+    assert partly["censored_runs"] == str(over_budget)
     assert math.isnan(float(partly["mean_T"]))
     assert math.isnan(float(partly["ci_halfwidth"]))
     assert partly["within_bounds"] == "false"

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 from es_drift import (ESParams, ESState, derive_stream, es_step, hitting_times,
                       initial_state, normalized_step_size, run_until, sphere_eval)
-from es_drift.kernels import _ES_CHUNK, es_hitting_times
+from es_drift.kernels import es_hitting_times
 
 
 class FixedDraw:
@@ -159,13 +159,19 @@ class FixedSphereDraw:
         self._z0s = np.asarray(z0s, dtype=float)
         self._chi2s = np.asarray(chi2s, dtype=float)
 
+    @staticmethod
+    def _block(values, size):
+        # kernels draw full blocks whatever the budget; no test steps past
+        # the preset draws, so the rest of the block is NaN
+        assert size >= values.size
+        return np.concatenate([values, np.full(size - values.size, np.nan)])
+
     def standard_normal(self, size):
-        assert size == self._z0s.size
-        return self._z0s.copy()
+        return self._block(self._z0s, size)
 
     def standard_gamma(self, shape, size):
-        assert shape == (self._d - 1) / 2 and size == self._chi2s.size
-        return self._chi2s / 2.0
+        assert shape == (self._d - 1) / 2
+        return self._block(self._chi2s / 2.0, size)
 
 
 def test_run_until_steps_the_norm_sigma_chain_exactly():
@@ -201,12 +207,12 @@ def test_hitting_times_steps_each_run_exactly():
 @given(runs=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 300),
                                st.integers(0, 2 ** 32 - 1)),
                      min_size=1, max_size=6),
-       max_iter=st.integers(1, 3000).filter(lambda n: n % _ES_CHUNK != 0))
+       max_iter=st.integers(1, 3000))
 @example(runs=[(2 + i % 9, 1 + i % 8, i) for i in range(40)], max_iter=4999)
 def test_hitting_times_equal_run_until_run_for_run(runs, max_iter):
     # same streams, same draws: equal hitting times, with immediate hits
-    # (epsilon = 1), censored runs and a partial last chunk; the explicit
-    # example finishes runs in many different chunks
+    # (epsilon = 1), censored runs and budgets that end inside a block;
+    # the explicit example finishes runs in many different blocks
     states = [initial_state(d, 1.0, 2.0) for d, _, _ in runs]
     epsilons = [10.0 ** -k for _, k, _ in runs]
     lockstep = hitting_times(states, 1.5, epsilons, max_iter,
@@ -217,8 +223,21 @@ def test_hitting_times_equal_run_until_run_for_run(runs, max_iter):
     assert lockstep == single
 
 
+@pytest.mark.parametrize("max_iter", [260, 300, 10 ** 7])
+def test_hitting_time_does_not_depend_on_the_budget(max_iter):
+    # every run draws full blocks, so a smaller budget only cuts the run
+    # short; this stream hits in between the budgets
+    def hit(budget):
+        return run_until(initial_state(4, 1.0, 2.0), ESParams(1.5, 4), 1e-4, budget,
+                         derive_stream(20180715, 2, 19), record_every=budget).hitting_time
+
+    uncensored = hit(10 ** 7)
+    assert 260 < uncensored <= 300
+    assert hit(max_iter) == (uncensored if uncensored <= max_iter else None)
+
+
 def test_hitting_times_memory_does_not_grow_with_max_iter():
-    # one draw block of _ES_CHUNK steps per live run, whatever the budget
+    # one draw block of kernels._ES_CHUNK steps per live run, whatever the budget
     n, d = 1000, 8
     rngs = [derive_stream(11, i) for i in range(n)]
     tracemalloc.start()

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from es_drift import (LOG_PROGRESS_CAP, HarSample, expected_log_progress_mc,
-                      expected_log_progress_quadrature, har_step,
-                      optimal_gamma, sample_angle, wallis_integral)
+import es_drift
+from es_drift import (LOG_PROGRESS_CAP, HarSample, expected_log_progress_exact,
+                      expected_log_progress_mc, har_step, optimal_gamma,
+                      sample_angle)
 
 HALF_LOG_TWO = math.log(2.0) / 2.0
 
@@ -114,7 +120,7 @@ def test_sample_angle_agrees_with_kernel_statistic(rng_for):
 
 
 # ---------------------------------------------------------------------------
-# expectation: Monte Carlo and quadrature
+# expectation: Monte Carlo and closed form
 # ---------------------------------------------------------------------------
 
 def test_mc_matches_planar_closed_form(rng_for):
@@ -136,30 +142,57 @@ def test_mc_rejects_bad_inputs(rng_for):
         expected_log_progress_mc(4, 10, rng_for(7))
 
 
-def test_wallis_recurrence():
-    assert wallis_integral(0) == pytest.approx(math.pi / 2)
-    assert wallis_integral(1) == pytest.approx(1.0)
-    assert wallis_integral(2) == pytest.approx(math.pi / 4)
-    assert wallis_integral(5) == pytest.approx(8.0 / 15.0)
-
-
 def test_quadrature_planar_closed_form():
-    assert expected_log_progress_quadrature(2) == pytest.approx(HALF_LOG_TWO,
-                                                                abs=1e-10)
+    assert expected_log_progress_exact(2) == pytest.approx(HALF_LOG_TWO, abs=1e-15)
 
 
 def test_quadrature_three_dimensional_closed_form():
     # integral of -log(sin)*sin over [0, pi/2] equals 1 - log(2)
-    assert expected_log_progress_quadrature(3) == pytest.approx(
-        (1.0 - math.log(2.0)) / 2.0, abs=1e-10)
+    assert expected_log_progress_exact(3) == pytest.approx(
+        (1.0 - math.log(2.0)) / 2.0, abs=1e-15)
+
+
+def _log_progress_mpmath(d):
+    """The acute-angle expectation as a 40-digit quadrature over the angle
+    density sin^(d-2) / (2 W_{d-2}), W the Wallis integral."""
+    with mpmath.workdps(40):
+        # the density concentrates within a few 1/sqrt(d) of pi/2
+        half_pi = mpmath.pi / 2
+        width = 1 / mpmath.sqrt(d)
+        points = [0] + [half_pi - k * width for k in (16, 4, 1) if k * width < half_pi]
+        points.append(half_pi)
+        wallis = mpmath.quad(lambda t: mpmath.sin(t) ** (d - 2), points)
+        value = mpmath.quad(lambda t: -mpmath.log(mpmath.sin(t)) * mpmath.sin(t) ** (d - 2),
+                            points)
+        return float(value / (2 * wallis))
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 128, 4096])
+def test_exact_log_progress_matches_mpmath_quadrature(d):
+    assert abs(expected_log_progress_exact(d) - _log_progress_mpmath(d)) <= 1e-14
+
+
+def test_exact_log_progress_rejects_dimension_one():
+    with pytest.raises(ValueError):
+        expected_log_progress_exact(1)
+
+
+def test_import_leaves_out_scipy_integrate():
+    # a fresh interpreter, since other test modules import scipy.integrate
+    src = str(Path(es_drift.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, es_drift; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_quadrature_agrees_with_mc(rng_for):
     for i, d in enumerate((2, 8, 32)):
         est = expected_log_progress_mc(d, 200_000, rng_for(8, i))
-        quad_value = expected_log_progress_quadrature(d)
-        sigma = est.std_error
-        assert abs(est.mean - quad_value) <= 4.0 * sigma
+        exact = expected_log_progress_exact(d)
+        assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
 def test_es_step_log_progress_bounded_by_inverse_dimension(rng_for):
@@ -177,9 +210,9 @@ def test_es_step_log_progress_bounded_by_inverse_dimension(rng_for):
 
 
 def test_quadrature_bound_and_scaling_trend():
-    values = {d: expected_log_progress_quadrature(d) for d in (2, 4, 16, 64, 256)}
+    values = {d: expected_log_progress_exact(d) for d in (2, 4, 16, 64, 256)}
     for d, value in values.items():
-        assert value <= 1.0 / d
+        assert value <= 1.0 / (2 * (d - 1)) <= 1.0 / d
     scaled = [d * values[d] for d in (2, 4, 16, 64, 256)]
     assert all(a >= b for a, b in zip(scaled, scaled[1:]))
     assert scaled[-1] <= 1.0

@@ -4,6 +4,8 @@ from statistics import NormalDist
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
@@ -121,6 +123,20 @@ def test_psucc_exact_many_matches_pointwise():
 def test_psucc_exact_monotone_in_sigma_bar():
     values = [psucc_exact(SuccessProbQuery(16, 0.0, s)) for s in (1.0, 2.0, 4.0)]
     assert values[0] > values[1] > values[2]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(d=st.integers(1, 512),
+       sigma_bars=st.lists(st.floats(0.05, 50.0), min_size=2, max_size=20),
+       rates=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=8))
+def test_psucc_exact_many_monotone_in_sigma_bar_and_rate(d, sigma_bars, rates):
+    # up to the verified accuracy: non-increasing in sigma_bar at r = 0,
+    # where the curve is strictly decreasing, and in r at every sigma_bar
+    slack = 2.0 * MIN_TOL
+    grid = np.sort(sigma_bars)
+    assert np.all(np.diff(psucc_exact_many(d, 0.0, grid)) <= slack)
+    by_rate = np.array([psucc_exact_many(d, r, grid) for r in sorted(rates)])
+    assert np.all(np.diff(by_rate, axis=0) <= slack)
 
 
 def test_psucc_exact_matches_limit_at_high_dimension():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import nbinom
 
 from es_drift import (first_hitting_time, lower_bound_thm2,
                       simulate_jump_process, truncate_series,
@@ -47,6 +50,24 @@ def test_truncated_series_invariants_on_random_walks(rng_for):
                                    np.maximum(np.diff(xs), -a_cut), atol=1e-12)
         assert np.all(xs <= ts.ys + 1e-12)
         assert np.all(np.diff(ts.ys) >= -a_cut - 1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
+       depths=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2))
+def test_truncate_series_invariants(xs, depths):
+    a1, a2 = sorted(depths)
+    ts = truncate_series(xs, a1)
+    atol = 1e-8  # cumulative-sum rounding on values up to 50 * 2e3
+    assert ts.ys.shape == ts.xs.shape and ts.A == a1
+    assert ts.ys[0] == xs[0]
+    # each step is the original one cut at -A, so never below -A ...
+    np.testing.assert_allclose(np.diff(ts.ys), np.maximum(np.diff(ts.xs), -a1),
+                               rtol=0.0, atol=atol)
+    # ... the truncated series dominates the original ...
+    assert np.all(ts.xs <= ts.ys + atol)
+    # ... and a deeper cut allows smaller values
+    assert np.all(truncate_series(xs, a2).ys <= ts.ys + atol)
 
 
 def test_truncation_monotone_in_depth(rng_for):
@@ -136,6 +157,24 @@ def test_jump_process_mean_is_geometric_not_drift(rng_for):
     assert mean > 5.0 * 10.0
 
 
+def test_jump_process_sums_geometric_waits(rng_for):
+    # jumps of 1/p = 4 take x0 = 10 to 0 in k = 3 jumps, each after a
+    # geometric wait: T = k + NegBin(k, p), mean k/p, variance k(1-p)/p^2
+    p, k, n = 0.25, 3, 20_000
+    rng = rng_for(9)
+    times = np.array([simulate_jump_process(p, 10.0, 0.0, rng) for _ in range(n)],
+                     dtype=float)
+    assert times.min() >= k
+    se = math.sqrt(k * (1.0 - p) / p ** 2 / n)
+    assert abs(times.mean() - k / p) <= 4.0 * se
+    # at a horizon of 8 steps the censored share is Pr(T > 8)
+    horizon = 8
+    censored = [simulate_jump_process(p, 10.0, 0.0, rng, max_horizon=horizon) is None
+                for _ in range(n)]
+    expected = float(nbinom.sf(horizon - k, k, p))
+    assert abs(np.mean(censored) - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / n)
+
+
 def test_jump_process_deterministic_when_certain(rng_for):
     assert simulate_jump_process(1.0, 0.5, -0.5, rng_for(5)) == 1
     assert simulate_jump_process(1.0, -1.0, 0.0, rng_for(5)) == 0
@@ -152,6 +191,9 @@ def test_jump_process_truncated_drift_bound_consistent(rng_for):
 
 def test_jump_process_censoring(rng_for):
     assert simulate_jump_process(0.01, 10.0, 0.0, rng_for(7), max_horizon=1) is None
+    # more jumps needed than the horizon has steps: censored without drawing
+    assert simulate_jump_process(0.5, 1e30, 0.0, rng_for(7), max_horizon=100) is None
+    assert simulate_jump_process(0.5, 10.0, -math.inf, rng_for(7), max_horizon=100) is None
 
 
 def test_jump_process_validation(rng_for):

@@ -6,9 +6,16 @@ chi2 ~ chi-squared(d - 1) of the other coordinates:
 
     ||e1 + s N||^2 = (1 + s z0)^2 + s^2 chi2.
 
-So every kernel draws these two numbers per sample, whatever d, and the
-ES run is the Markov chain in (||m||, sigma) alone, the scale-invariance
-argument of Auger & Hansen (SIAM J. Optim. 2016). The samplers reduce
+So no kernel needs more than these two numbers per sample, whatever d,
+and the ES run is the Markov chain in (||m||, sigma) alone, the
+scale-invariance argument of Auger & Hansen (SIAM J. Optim. 2016). The
+ES run needs both numbers on every step. The Monte Carlo samplers draw
+chi2 only for the samples z0 leaves undecided: chi2 >= 0 only adds to
+(1 + s z0)^2, so once z0 alone rules out a success (or an acute angle)
+no chi2 can change the outcome, and each sampler decides from z0 with
+the same floating-point expression its outcome uses. Every failure
+moves the drift potential by the same amount, so the drift sampler
+scores successes one by one and failures by count. The samplers reduce
 fixed-size chunks of draws with vectorized numpy, which bounds peak
 memory. The ES run is sequential, one offspring per iteration;
 es_hitting_times steps many independent runs together, one array
@@ -53,10 +60,19 @@ def _draw(d, k, rng):
     return rng.standard_normal(k), 2.0 * rng.standard_gamma(0.5 * (d - 1), k)
 
 
-def _sphere_draws(d, n, rng):
-    """n draws of (z0, chi2_{d-1}) as pairs of arrays of at most _CHUNK samples."""
+def _deciding_draws(d, n, rng, undecided):
+    """n samples in chunks of at most _CHUNK, chi2 drawn only where it counts.
+
+    Yields (k, z0, chi2) per chunk of k samples: z0 holds the first
+    coordinates that ``undecided(z0)`` marks, and chi2 one chi-squared(d - 1)
+    draw for each of them. A sample left out is one whose outcome z0
+    already settles whatever chi2 >= 0 adds.
+    """
     for start in range(0, n, _CHUNK):
-        yield _draw(d, min(_CHUNK, n - start), rng)
+        k = min(_CHUNK, n - start)
+        z0 = rng.standard_normal(k)
+        z0 = z0[undecided(z0)]
+        yield k, z0, 2.0 * rng.standard_gamma(0.5 * (d - 1), z0.size)
 
 
 def _ratio_sq(q, z0, chi2):
@@ -70,8 +86,13 @@ def _ratio_sq(q, z0, chi2):
 def success_mc_hits(scale, radius, d, n, rng):
     """Count samples with ||e1 + scale*N|| < radius, N a d-dim standard normal."""
     r2 = radius * radius
+
+    def undecided(z0):
+        x = 1.0 + scale * z0
+        return x * x < r2
+
     hits = 0
-    for z0, chi2 in _sphere_draws(d, n, rng):
+    for _, z0, chi2 in _deciding_draws(d, n, rng, undecided):
         hits += int(np.count_nonzero(_ratio_sq(scale, z0, chi2) < r2))
     return hits
 
@@ -81,20 +102,26 @@ def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
 
     All transitions restart from the same state (norm_m, sigma); the mean
     is the conditional expected truncated potential change at that state.
+    Every failure moves the potential by the same y_fail, so only the
+    successes are scored one by one.
     """
     v_now = potential_value(norm_m, sigma, d, alpha, ell, u, v)
+    y_fail = max(float(potential_value(norm_m, sigma * alpha ** -0.25,
+                                       d, alpha, ell, u, v) - v_now), -a_cut)
+    norm_sq = norm_m * norm_m
     total = 0.0
     total_sq = 0.0
-    for z0, chi2 in _sphere_draws(d, n, rng):
+    n_fail = 0
+    for k, z0, chi2 in _deciding_draws(
+            d, n, rng, lambda z0: (norm_m + sigma * z0) ** 2 <= norm_sq):
         cand_sq = (norm_m + sigma * z0) ** 2 + (sigma * sigma) * chi2
-        succ = cand_sq <= norm_m * norm_m
-        new_norm = np.where(succ, np.sqrt(cand_sq), norm_m)
-        new_sigma = np.where(succ, sigma * alpha, sigma * alpha ** -0.25)
-        y = np.maximum(potential_value(new_norm, new_sigma, d, alpha, ell, u, v) - v_now,
-                       -a_cut)
+        cand_sq = cand_sq[cand_sq <= norm_sq]
+        n_fail += k - cand_sq.size
+        y = np.maximum(potential_value(np.sqrt(cand_sq), sigma * alpha,
+                                       d, alpha, ell, u, v) - v_now, -a_cut)
         total += float(y.sum())
         total_sq += float((y * y).sum())
-    return total, total_sq
+    return total + n_fail * y_fail, total_sq + n_fail * y_fail * y_fail
 
 
 def har_log_progress_sums(d, n, rng):
@@ -106,10 +133,9 @@ def har_log_progress_sums(d, n, rng):
     total = 0.0
     total_sq = 0.0
     capped = 0
-    for z0, chi2 in _sphere_draws(d, n, rng):
+    for _, z0, chi2 in _deciding_draws(d, n, rng, lambda z0: z0 >= 0.0):
         with np.errstate(divide="ignore"):
             lp = -0.5 * np.log(chi2 / (z0 * z0 + chi2))
-        lp = np.where(z0 >= 0.0, lp, 0.0)
         over = lp > LOG_PROGRESS_CAP
         capped += int(np.count_nonzero(over))
         lp = np.where(over, LOG_PROGRESS_CAP, lp)

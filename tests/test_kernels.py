@@ -1,0 +1,157 @@
+"""The Monte Carlo samplers draw chi2 only for samples z0 leaves undecided.
+
+Each test feeds a sampler preset draws through a stub generator, in chunks
+of 4: a mixed chunk, a chunk z0 settles entirely, a chunk z0 settles
+nowhere and a short last chunk. It checks the chi-squared sizes asked for
+and compares the sums with a per-sample reference on the full formula, in
+which a sample the sampler decided from z0 gets chi2 = 0, the value most
+favourable to success.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from es_drift import kernels
+
+CHUNK = 4
+
+
+class PresetDraws:
+    """Stands in for a Generator: preset z0 values in order, and preset chi2
+    values handed out in order to the standard_gamma calls, each recorded
+    as (shape, size)."""
+
+    def __init__(self, z0s, chi2s):
+        self._z0s = list(z0s)
+        self._chi2s = list(chi2s)
+        self.gamma_calls = []
+
+    def standard_normal(self, size):
+        assert size <= len(self._z0s)
+        out, self._z0s = self._z0s[:size], self._z0s[size:]
+        return np.array(out, dtype=float)
+
+    def standard_gamma(self, shape, size):
+        assert size <= len(self._chi2s)
+        self.gamma_calls.append((shape, size))
+        out, self._chi2s = self._chi2s[:size], self._chi2s[size:]
+        return np.array(out, dtype=float) / 2.0
+
+    def used_up(self):
+        return not self._z0s and not self._chi2s
+
+
+def _chunk_counts(flags):
+    return [sum(flags[i:i + CHUNK]) for i in range(0, len(flags), CHUNK)]
+
+
+def _full_chi2(flags, chi2s):
+    """chi2 per sample: the preset values in order where undecided, else 0."""
+    it = iter(chi2s)
+    return [next(it) if flag else 0.0 for flag in flags]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK", CHUNK)
+
+
+# fractions t of the success interval -2 ||m|| / sigma <= z0 <= 0; z0 is
+# undecided exactly for t in [-1, 0]
+DRIFT_T = [0.3, -0.5, -1.2, -0.25,     # mixed
+           0.1, 2.0, -1.1, 0.0001,     # no success possible
+           -0.5, -0.9, 0.0, -0.05,     # all undecided
+           -0.6, 0.7, -0.3]            # short last chunk
+# chi2 * sigma^2 for the undecided samples, in order
+DRIFT_W = [0.5, 2.0, 0.3, 0.01, 1.5, 0.0, 0.5, 0.2]
+
+
+@pytest.mark.parametrize("d", [2, 10])
+@pytest.mark.parametrize("sigma_bar_of", [lambda c: c.ell / 10.0,
+                                          lambda c: math.sqrt(c.ell * c.u),
+                                          lambda c: 10.0 * c.u],
+                         ids=["small", "reasonable", "large"])
+def test_truncated_drift_sums_draw_chi2_for_undecided_only(
+        small_chunks, constants_for, d, sigma_bar_of):
+    c = constants_for(d)
+    norm = 1.7
+    sigma = sigma_bar_of(c) * norm / d
+    z0s = [t * 2.0 * norm / sigma for t in DRIFT_T]
+    flags = [-1.0 <= t <= 0.0 for t in DRIFT_T]
+    chi2s = [w / (sigma * sigma) for w in DRIFT_W]
+    draws = PresetDraws(z0s, chi2s)
+    total, total_sq = kernels.truncated_drift_sums(
+        norm, sigma, d, c.alpha, c.ell, c.u, c.v, c.A, len(z0s), draws)
+    assert draws.used_up()
+    assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
+    assert _chunk_counts(flags) == [2, 0, 4, 2]
+
+    ys = []
+    successes = 0
+    for z0, chi2 in zip(z0s, _full_chi2(flags, chi2s)):
+        cand_sq = (norm + sigma * z0) ** 2 + sigma * sigma * chi2
+        if cand_sq <= norm * norm:
+            new = (math.sqrt(cand_sq), sigma * c.alpha)
+            successes += 1
+        else:
+            new = (norm, sigma * c.alpha ** -0.25)
+        ys.append(max(c.potential_of(*new) - c.potential_of(norm, sigma), -c.A))
+    # undecided samples both succeed and fail, and some changes are cut at -A
+    assert 0 < successes < sum(flags)
+    assert min(ys) == -c.A
+    assert total == pytest.approx(sum(ys), rel=1e-12, abs=1e-15)
+    assert total_sq == pytest.approx(sum(y * y for y in ys), rel=1e-12, abs=1e-15)
+
+
+# success_mc_hits(0.5, 0.9, ...): a hit needs |1 + z0/2| < 0.9, which only
+# -3.8 < z0 < -0.2 leaves open
+HIT_Z0 = [-1.0, 0.5, -4.0, -3.0,       # mixed
+          0.0, 3.0, -5.0, -0.1,        # no hit possible
+          -0.5, -2.0, -3.7, -1.9,      # all undecided
+          -0.3, -10.0, -2.5]           # short last chunk
+HIT_CHI2 = [0.1, 0.5, 2.0, 0.2, 0.0, 0.05, 0.4, 3.0]
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_success_mc_hits_draws_chi2_for_undecided_only(small_chunks, d):
+    scale, radius = 0.5, 0.9
+    flags = [-3.8 < z0 < -0.2 for z0 in HIT_Z0]
+    draws = PresetDraws(HIT_Z0, HIT_CHI2)
+    hits = kernels.success_mc_hits(scale, radius, d, len(HIT_Z0), draws)
+    assert draws.used_up()
+    assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
+    assert _chunk_counts(flags) == [2, 0, 4, 2]
+    expected = sum((1.0 + scale * z0) ** 2 + scale * scale * chi2 < radius * radius
+                   for z0, chi2 in zip(HIT_Z0, _full_chi2(flags, HIT_CHI2)))
+    assert 0 < hits == expected < sum(flags)
+
+
+# har_log_progress_sums: only acute angles, z0 >= 0, contribute
+HAR_Z0 = [1.0, -0.5, -2.0, 0.0,        # mixed
+          -0.1, -3.0, -1.0, -0.7,      # all obtuse
+          0.2, 2.5, 0.7, 1.5,          # all acute
+          -1.2, 0.9, -0.4]             # short last chunk
+HAR_CHI2 = [3.0, 2.0, 1.0, 8.0, 0.0, 0.5, 0.3]
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_har_log_progress_sums_draw_chi2_for_acute_only(small_chunks, d):
+    flags = [z0 >= 0.0 for z0 in HAR_Z0]
+    draws = PresetDraws(HAR_Z0, HAR_CHI2)
+    total, total_sq, capped = kernels.har_log_progress_sums(d, len(HAR_Z0), draws)
+    assert draws.used_up()
+    assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
+    assert _chunk_counts(flags) == [2, 0, 4, 1]
+    lps = []
+    for z0, chi2 in zip(HAR_Z0, _full_chi2(flags, HAR_CHI2)):
+        if z0 < 0.0:
+            lps.append(0.0)
+        elif chi2 == 0.0:
+            lps.append(kernels.LOG_PROGRESS_CAP)
+        else:
+            lps.append(-0.5 * math.log(chi2 / (z0 * z0 + chi2)))
+    assert capped == 1
+    assert total == pytest.approx(sum(lps), rel=1e-12)
+    assert total_sq == pytest.approx(sum(lp * lp for lp in lps), rel=1e-12)

@@ -3,8 +3,12 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.stats import ncx2
 
-from es_drift import (ConfigurationError, ESState, SuccessProbQuery,
+from es_drift import (ConfigurationError, kernels, ESState, SuccessProbQuery,
                       derive_constants, drift_map, estimate_truncated_drift,
                       hitting_time_bounds, initial_state,
                       minimize_psucc_over_band, potential, psucc_exact,
@@ -150,6 +154,67 @@ def test_potential_pole_at_optimum(constants_for):
         c.potential_of(0.0, 1.0)
 
 
+def _potential_args(c):
+    return c.d, c.alpha, c.ell, c.u, c.v
+
+
+_DIMS = st.sampled_from([2, 10, 64])
+_LOG_NORMS = st.floats(-30.0, 30.0)
+_LOG_SIGMA_BARS = st.floats(math.log(1e-4), math.log(1e4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(d=_DIMS, log_norm=_LOG_NORMS, log_sigma_bar=_LOG_SIGMA_BARS)
+def test_potential_value_at_least_log_norm(constants_for, d, log_norm, log_sigma_bar):
+    c = constants_for(d)
+    norm = math.exp(log_norm)
+    sigma = math.exp(log_sigma_bar) * norm / d
+    value = kernels.potential_value(norm, sigma, *_potential_args(c))
+    assert value >= log_norm - 1e-13 * max(1.0, abs(log_norm))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(d=_DIMS, log_norm=_LOG_NORMS, fraction=st.floats(0.0, 1.0))
+def test_potential_value_is_log_norm_on_the_neutral_band(constants_for, d, log_norm,
+                                                        fraction):
+    c = constants_for(d)
+    lo, hi = math.log(c.alpha * c.ell), math.log(c.alpha ** -0.25 * c.u)
+    norm = math.exp(log_norm)
+    sigma = math.exp(lo + fraction * (hi - lo)) * norm / d
+    value = kernels.potential_value(norm, sigma, *_potential_args(c))
+    assert value == pytest.approx(log_norm, abs=1e-12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(d=_DIMS, log_norm=_LOG_NORMS, log_sigma_bar=_LOG_SIGMA_BARS,
+       log_scale=st.floats(-20.0, 20.0))
+def test_potential_value_shifts_by_log_scale(constants_for, d, log_norm,
+                                             log_sigma_bar, log_scale):
+    c = constants_for(d)
+    norm = math.exp(log_norm)
+    sigma = math.exp(log_sigma_bar) * norm / d
+    scale = math.exp(log_scale)
+    base = kernels.potential_value(norm, sigma, *_potential_args(c))
+    scaled = kernels.potential_value(scale * norm, scale * sigma, *_potential_args(c))
+    assert scaled == pytest.approx(base + log_scale, abs=1e-10)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(d=_DIMS, points=st.lists(st.tuples(_LOG_NORMS, _LOG_SIGMA_BARS),
+                                min_size=1, max_size=50))
+def test_potential_value_array_matches_scalar(constants_for, d, points):
+    # the drift sampler scores failures with one scalar call and successes
+    # with one array call, so both must give the same potential
+    c = constants_for(d)
+    norms = [math.exp(ln) for ln, _ in points]
+    sigmas = [math.exp(ls) * n / d for n, (_, ls) in zip(norms, points)]
+    array = kernels.potential_value(np.array(norms), np.array(sigmas),
+                                    *_potential_args(c))
+    scalar = [kernels.potential_value(n, s, *_potential_args(c))
+              for n, s in zip(norms, sigmas)]
+    np.testing.assert_allclose(array, scalar, rtol=1e-15, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # truncated increments
 # ---------------------------------------------------------------------------
@@ -202,6 +267,54 @@ def test_drift_large_regime_closed_form(constants_for, rng_for):
                                    200_000, rng_for(6))
     case_bound = -c.v * LOG_ALPHA * (1.0 - 5.0 * c.p_u) / 4.0
     assert est.mean <= case_bound + est.half_width
+
+
+def _drift_by_quadrature(c, sigma_bar):
+    """E[max(dV, -A)] at ||m|| = 1 and sigma = sigma_bar / d, by quadrature.
+
+    X = ||offspring||^2 d^2 / sigma_bar^2 is noncentral chi-squared with d
+    degrees of freedom and noncentrality lam = d^2 / sigma_bar^2, and a
+    success is X <= lam. A failure keeps the norm, so it adds y_fail with
+    probability 1 - P(X <= lam); a success is integrated against the
+    density of X.
+    """
+    d = c.d
+    sigma = sigma_bar / d
+    lam = (d / sigma_bar) ** 2
+
+    def pot(norm, s):
+        return math.log(norm) + c.v * max(
+            0.0, math.log(c.alpha * c.ell * norm / (d * s)),
+            math.log(c.alpha ** 0.25 * s * d / (c.u * norm)))
+
+    v_now = pot(1.0, sigma)
+    y_fail = max(pot(1.0, sigma * c.alpha ** -0.25) - v_now, -c.A)
+
+    def success(x):
+        y = max(pot(sigma * math.sqrt(x), sigma * c.alpha) - v_now, -c.A)
+        return y * ncx2.pdf(x, d, lam)
+
+    # the density is negligible more than 12 standard deviations below its mean
+    lo = max(0.0, lam + d - 12.0 * math.sqrt(2.0 * (d + 2.0 * lam)))
+    p_success = ncx2.cdf(lam, d, lam)
+    mass, _ = quad(lambda x: ncx2.pdf(x, d, lam), lo, lam, limit=200)
+    assert mass == pytest.approx(p_success, abs=1e-9)
+    integral, _ = quad(success, lo, lam, limit=200)
+    return y_fail * (1.0 - p_success) + integral
+
+
+@pytest.mark.parametrize("d", [10, 64])
+def test_drift_estimate_matches_quadrature_oracle(constants_for, rng_for, d):
+    c = constants_for(d)
+    band_mid = math.sqrt(c.ell * c.u)
+    for i, sigma_bar in enumerate((c.ell / 10.0, c.ell / 2.0,  # small
+                                   1.35 * c.ell, band_mid,  # reasonable
+                                   1.5 * c.u, 3.0 * c.u)):  # large
+        exact = _drift_by_quadrature(c, sigma_bar)
+        est = estimate_truncated_drift(initial_state(d, 1.0, sigma_bar), c,
+                                       400_000, rng_for(11, d, i))
+        assert est.std_error > 0.0
+        assert abs(est.mean - exact) <= 5.0 * est.std_error
 
 
 def test_drift_requires_enough_samples(constants_for, rng_for):

@@ -232,6 +232,19 @@ def test_psucc_mc_agrees_with_exact(rng_for):
     assert abs(est.value - exact) <= 4.0 * est.std_error
 
 
+@pytest.mark.parametrize("key, d, r, sigma_bar", [(0, 10, 0.02, 1.5), (1, 64, 0.005, 2.0),
+                                                   (2, 2, 0.0, 8.0), (3, 10, 0.0, 8.0),
+                                                   (4, 10, 0.02, 8.0)])
+def test_psucc_mc_agrees_with_exact_at_positive_rate_and_large_step(rng_for, key, d,
+                                                                    r, sigma_bar):
+    query = SuccessProbQuery(d, r, sigma_bar)
+    est = psucc_mc(query, 1_000_000, rng_for(5, key))
+    exact = psucc_exact(query)
+    se = math.sqrt(exact * (1.0 - exact) / est.n_samples)
+    assert est.value > 0.0
+    assert abs(est.value - exact) <= 5.0 * se
+
+
 # ---------------------------------------------------------------------------
 # inverse of the rate-zero curve
 # ---------------------------------------------------------------------------

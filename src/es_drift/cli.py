@@ -267,8 +267,9 @@ def cmd_run(config: ExperimentConfig) -> dict:
     trace = run_until(state0, ESParams(config.alpha, d), config.epsilon,
                       config.max_iter, rng, record_every=config.record_every,
                       potential_fn=constants.potential_of)
-    rows = [(r.t, r.norm_m, r.sigma, r.sigma_bar, r.success, r.potential)
-            for r in trace.records]
+    rows = list(zip(trace.ts.tolist(), trace.norms.tolist(), trace.sigmas.tolist(),
+                    trace.sigma_bars.tolist(), trace.successes.tolist(),
+                    trace.potentials.tolist()))
     summary = {
         "hitting_time": trace.hitting_time,
         "iterations": trace.iterations,

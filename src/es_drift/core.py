@@ -14,7 +14,7 @@ see :mod:`es_drift.streams` for replicate stream derivation.
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -73,15 +73,6 @@ class StepOutcome:
     log_progress: float
 
 
-class TraceRecord(NamedTuple):
-    t: int
-    norm_m: float
-    sigma: float
-    sigma_bar: float
-    success: bool
-    potential: float
-
-
 @dataclass
 class RunTrace:
     """Per-iteration history of a run, possibly thinned.
@@ -103,13 +94,6 @@ class RunTrace:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        return [TraceRecord(int(t), float(n), float(s), float(sb), bool(su), float(p))
-                for t, n, s, sb, su, p in zip(
-                    self.ts, self.norms, self.sigmas, self.sigma_bars,
-                    self.successes, self.potentials)]
 
 
 def sphere_eval(x: Sequence[float] | np.ndarray) -> float:

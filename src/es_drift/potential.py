@@ -26,13 +26,13 @@ from dataclasses import dataclass, asdict
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import kernels
 from .core import ESState
 from .errors import ConfigurationError
 from .estimates import MeanEstimate, mean_estimate
 from .success import psucc_exact_many, psucc0_inverse
+from .theorems import lower_bound_thm2, upper_bound_thm1
 
 
 class Regime(str, Enum):
@@ -105,27 +105,31 @@ def _require(condition: bool, inequality: str, detail: str = "") -> None:
                                  + (f" ({detail})" if detail else ""))
 
 
-def minimize_psucc_over_band(d: int, r: float, ell: float, u: float,
-                             tol: float = 1e-8) -> float:
+def minimize_psucc_over_band(d: int, r: float, ell: float, u: float) -> float:
     """Minimum of the rate-r success probability over sbar in [ell, u].
 
-    Dense 256-point log grid (endpoints included), then a bounded scalar
-    minimization on the bracket around the best grid point.
+    The minimum is the smaller band-end value, because p(d, r, sbar) is
+    log-concave in log sbar. Write N = R U with R = ||N|| and U uniform
+    on the sphere, and rho = 1 - r. Given R, success is the cap
+    U_0 < c(log R - log(d / sbar)) with c(x) = -((1 - rho^2) e^-x + e^x) / 2,
+    which is concave and <= 0. The CDF of U_0 is log-concave on u <= 0:
+    for d >= 3 its density, proportional to (1 - u^2)^((d-3)/2), is
+    log-concave; for the d = 2 arcsine law the CDF is phi / pi at
+    u = -cos(phi), and d/du log(phi / pi) = 1 / (phi sin(phi)) decreases
+    because -phi cos(phi) - sin(phi) < 0 on (0, pi/2]. A nondecreasing
+    log-concave function of a concave one is log-concave, and log R has
+    the log-concave density proportional to exp(d y - e^(2y) / 2). So the
+    integrand is jointly log-concave in (log R, log sbar), and Prekopa's
+    marginal theorem (Acta Sci. Math. 1973) makes p log-concave in
+    log sbar: it has no interior minimum.
     """
     if not 0.0 < ell < u:
         raise ValueError(f"need 0 < ell < u, got ell={ell}, u={u}")
-    inner = min(tol / 10.0, 1e-9)
-    grid = np.exp(np.linspace(math.log(ell), math.log(u), 256))
-    values = psucc_exact_many(d, r, grid, inner)
-    i = int(np.argmin(values))
-    refined = minimize_scalar(lambda s: psucc_exact_many(d, r, s, inner),
-                              bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
-                              method="bounded", options={"xatol": 1e-10 * u})
-    return min(float(values[i]), float(refined.fun))
+    return float(psucc_exact_many(d, r, [ell, u]).min())
 
 
 def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
-                     p_l: float = 0.3, tol: float = 1e-8) -> DriftConstants:
+                     p_l: float = 0.3) -> DriftConstants:
     """Derive the full constant set and verify every required inequality.
 
     A = 1/d and v = p'/(2 d log alpha). The pre-estimate rate r' is the
@@ -141,9 +145,8 @@ def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
              f"p_u={p_u}, p_l={p_l}")
 
     log_a = math.log(alpha)
-    inv_tol = min(tol, 1e-9)
-    ell = psucc0_inverse(d, p_l, inv_tol)
-    u = psucc0_inverse(d, p_u, inv_tol)
+    ell = psucc0_inverse(d, p_l)
+    u = psucc0_inverse(d, p_u)
     _require(u / ell >= alpha ** 1.25, "u / ell >= alpha^(5/4)",
              f"u/ell={u / ell:.6g}, alpha^(5/4)={alpha ** 1.25:.6g}")
 
@@ -155,13 +158,13 @@ def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
                  f"d={d}, alpha={alpha}")
         r_prime = 1.0 - math.exp(-A / (1.0 - 1.0 / (2.0 * d * log_a)))
 
-    p_prime = minimize_psucc_over_band(d, r_prime, ell, u, tol)
+    p_prime = minimize_psucc_over_band(d, r_prime, ell, u)
     v = p_prime / (2.0 * d * log_a)
     _require(0.0 < v < min(1.0, A / log_a), "0 < v < min(1, A / log(alpha))",
              f"v={v:.6g}")
     r = 1.0 - math.exp(-A / (1.0 - v))
     _require(r <= r_prime, "r <= r_prime", f"r={r:.6g}, r_prime={r_prime:.6g}")
-    p_star = minimize_psucc_over_band(d, r, ell, u, tol)
+    p_star = minimize_psucc_over_band(d, r, ell, u)
 
     term_mid = A * p_star - 1.25 * v * log_a
     term_small = v * log_a * (5.0 * p_l - 1.0) / 4.0
@@ -259,8 +262,8 @@ def hitting_time_bounds(state0: ESState, c: DriftConstants,
                         epsilon: float) -> tuple[float, float]:
     """Expected-hitting-time bounds for reaching ||m|| <= epsilon.
 
-    lower = (log||m0|| - log eps) * d / 4 - 1/2,
-    upper = (V(state0) - log eps + 1/d) / B.
+    lower = ``lower_bound_thm2(log||m0||, log eps, C=1/d)``,
+    upper = ``upper_bound_thm1(V(state0), log eps, A, B)``.
     A start already inside the target yields vacuous values and a warning.
     """
     if not epsilon > 0.0:
@@ -269,6 +272,7 @@ def hitting_time_bounds(state0: ESState, c: DriftConstants,
     if epsilon >= norm0:
         warnings.warn("trivial instance: epsilon >= ||m0||, bounds are vacuous",
                       stacklevel=2)
-    lower = (math.log(norm0) - math.log(epsilon)) * c.d / 4.0 - 0.5
-    upper = (potential(state0, c) - math.log(epsilon) + 1.0 / c.d) / c.B
+    log_eps = math.log(epsilon)
+    lower = lower_bound_thm2(math.log(norm0), log_eps, 1.0 / c.d)
+    upper = upper_bound_thm1(potential(state0, c), log_eps, c.A, c.B)
     return lower, upper

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import chndtr
+from scipy.special import chndtr, ndtri
 
 from . import kernels
 from .errors import ConvergenceError
@@ -119,8 +119,11 @@ def psucc0_inverse(d: int, p: float, tol: float = 1e-9) -> float:
     """Normalized step size sbar with psucc_exact(d, 0, sbar) = p, to tol.
 
     Defined for p in (0, 1/2), the image of the rate-zero success curve,
-    which decreases from 1/2 to 0 as sbar grows. Brent's method on a
-    bracket found by doubling sbar from 64 and halving it from 1/2.
+    which decreases from 1/2 to 0 as sbar grows. Brent's method on the
+    bracket [s0, 2 s0] from the large-d root s0 = -2 Phi^-1(p), where the
+    finite-d curve lies above p, so the lower end stays inside the
+    verified noncentrality range at large d. The upper end doubles and
+    the lower end halves until the bracket holds.
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"p must lie in (0, 1/2), the image of the rate-0 curve; got {p}")
@@ -131,10 +134,10 @@ def psucc0_inverse(d: int, p: float, tol: float = 1e-9) -> float:
     def excess(sbar: float) -> float:
         return psucc_exact(SuccessProbQuery(d, 0.0, sbar), inner) - p
 
-    hi = 64.0
+    lo = -2.0 * float(ndtri(p))
+    hi = 2.0 * lo
     while excess(hi) >= 0.0:
         hi *= 2.0
-    lo = 0.5
     while excess(lo) <= 0.0:
         lo *= 0.5
     root = brentq(excess, lo, hi)

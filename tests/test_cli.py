@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from es_drift import derive_stream, hitting_times, initial_state
 from es_drift.cli import (cmd_bounds, cmd_drift_map, cmd_har_check,
@@ -58,6 +61,45 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(d_list=(1,)).validate()
     ExperimentConfig().validate()
+
+
+_POSITIVE = st.floats(1e-300, 1e300)
+_COUNT = st.integers(1, 2 ** 31)
+_ORDERED = st.tuples(_POSITIVE, _POSITIVE).filter(lambda t: t[0] < t[1])
+
+
+@st.composite
+def _configs(draw):
+    curve_lo, curve_hi = draw(_ORDERED)
+    span_lo, span_hi = draw(_ORDERED)
+    return ExperimentConfig(
+        d_list=tuple(draw(st.lists(st.integers(2, 2 ** 20), min_size=1, max_size=5))),
+        eps_list=draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple)),
+        alpha=draw(_POSITIVE), p_u=draw(_POSITIVE), p_l=draw(_POSITIVE),
+        epsilon=draw(_POSITIVE), m0_norm=draw(_POSITIVE), sigma_bar0=draw(_POSITIVE),
+        replicates=draw(_COUNT), master_seed=draw(st.integers(0, 2 ** 64)),
+        mc_samples=draw(_COUNT),
+        output_path=draw(st.none() | st.text("abc019._-/", min_size=1, max_size=20)),
+        max_iter=draw(_COUNT), record_every=draw(_COUNT),
+        drift_grid_points=draw(_COUNT), drift_span_lo=span_lo, drift_span_hi=span_hi,
+        curve_grid_points=draw(_COUNT), curve_sigma_lo=curve_lo, curve_sigma_hi=curve_hi,
+        tol=draw(_POSITIVE), workers=draw(_COUNT))
+
+
+def _config_line(name, value):
+    if isinstance(value, tuple):
+        return f"{name} = {', '.join(repr(v) for v in value)}"
+    return f"{name} = {value if isinstance(value, str) else repr(value)}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=_configs())
+def test_config_round_trips_through_key_value_file(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("config") / "exp.cfg"
+    lines = [_config_line(f.name, getattr(config, f.name))
+             for f in fields(ExperimentConfig) if getattr(config, f.name) is not None]
+    path.write_text("\n".join(lines) + "\n")
+    assert build_config(str(path)) == config
 
 
 # ---------------------------------------------------------------------------

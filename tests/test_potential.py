@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import chndtr
 from scipy.stats import ncx2
 
 from es_drift import (ConfigurationError, kernels, ESState, SuccessProbQuery,
@@ -51,6 +52,16 @@ def test_derive_constants_minima_cross_checked_by_mc(constants_for, rng_for):
         assert abs(est.value - target) <= 4.0 * est.std_error + 1e-6
 
 
+def test_derive_constants_at_large_dimension():
+    # the band ends' noncentralities (3.9e9 and 6.5e8) are inside chndtr's
+    # verified range, so the root bracket's first probes must be too
+    d = 65536
+    c = derive_constants(d)
+    for sigma_bar, p in ((c.ell, c.p_l), (c.u, c.p_u)):
+        assert abs(chndtr((d / sigma_bar) ** 2, d, (d / sigma_bar) ** 2) - p) <= 1e-8
+    assert 0.0 < c.L <= c.B <= c.U
+
+
 def test_derive_constants_rejects_oversized_alpha():
     with pytest.raises(ConfigurationError, match="u / ell"):
         derive_constants(64, alpha=3.0)
@@ -81,6 +92,42 @@ def test_scaled_bound_stays_within_a_constant_band(constants_for):
 # ---------------------------------------------------------------------------
 # band minimization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 10, 64, 1024])
+def test_psucc_is_log_concave_in_log_sigma_bar(d):
+    # the reason band minima are band-end values; checked inside chndtr's
+    # verified noncentrality range (d/sbar)^2 <= 1e10, wherever p is a
+    # normal float
+    grid = np.exp(np.linspace(math.log(2e-5 * d), math.log(100.0 * d), 1001))
+    tiny = np.finfo(float).tiny
+    for r in (0.0, 1.0 / d, 0.3, 0.7):
+        p = psucc_exact_many(d, r, grid)
+        if (d, r) == (1024, 0.7):
+            assert p.max() < tiny  # an offspring that close is out of float range
+            continue
+        kept = np.flatnonzero(p >= tiny)
+        assert kept.size >= 50
+        # superlevel sets of a log-concave function are intervals
+        assert np.all(np.diff(kept) == 1)
+        assert np.diff(np.log(p[kept]), 2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_band_minima_match_dense_grid_oracle(alpha):
+    accepted = 0
+    for d in [2, 3] + [2 ** k for k in range(2, 13)]:
+        try:
+            c = derive_constants(d, alpha=alpha)
+        except ConfigurationError:
+            continue
+        accepted += 1
+        grid = np.exp(np.linspace(math.log(c.ell), math.log(c.u), 4097))
+        grid[[0, -1]] = c.ell, c.u
+        for r, minimum in ((c.r_prime, c.p_prime), (c.r, c.p_star)):
+            oracle = chndtr(((1.0 - r) * d / grid) ** 2, d, (d / grid) ** 2).min()
+            assert abs(minimum - oracle) <= 1e-12, (d, r)
+    assert accepted >= 10
+
 
 def test_minimize_rate_zero_attained_at_upper_end(constants_for):
     c = constants_for(16)
@@ -366,6 +413,11 @@ def test_hitting_time_bounds_ordering(constants_for):
 
 def test_hitting_time_bounds_trivial_instance_warns(constants_for):
     c = constants_for(4)
+    state = initial_state(4, 1.0, 2.0)
     with pytest.warns(UserWarning, match="trivial"):
-        lower, _ = hitting_time_bounds(initial_state(4, 1.0, 2.0), c, 1.0)
+        lower, _ = hitting_time_bounds(state, c, 1.0)
     assert lower == pytest.approx(-0.5)
+    # a target at or above the start's potential gets Theorem 1's bound 0
+    with pytest.warns(UserWarning, match="trivial"):
+        _, upper = hitting_time_bounds(state, c, math.exp(potential(state, c) + 1.0))
+    assert upper == 0.0

@@ -182,24 +182,31 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
 
 def hitting_times(states: Sequence[ESState], alpha: float,
                   epsilons: Sequence[float], max_iter: int,
-                  rngs: Sequence) -> list[Optional[int]]:
-    """Hitting times of independent runs, all stepped together.
+                  rngs: Sequence) -> list[list[Optional[int]]]:
+    """First passages of independent runs below shared thresholds, all
+    stepped together.
 
-    Run i starts from states[i], targets ||m|| <= epsilons[i] and draws
-    from rngs[i]; its hitting time equals
-    ``run_until(states[i], ESParams(alpha, states[i].d), epsilons[i],
+    Run i starts from states[i] and draws from rngs[i]. It gets a list with
+    one entry per threshold, in the order of ``epsilons`` (any order,
+    duplicates allowed): entry j equals
+    ``run_until(states[i], ESParams(alpha, states[i].d), epsilons[j],
     max_iter, rngs[i]).hitting_time``, None where the budget ran out.
     """
-    if not len(states) == len(epsilons) == len(rngs):
-        raise ValueError(f"got {len(states)} states, {len(epsilons)} epsilons"
-                         f" and {len(rngs)} streams")
+    if len(states) != len(rngs):
+        raise ValueError(f"got {len(states)} states and {len(rngs)} streams")
     for state in states:
         ESParams(alpha, state.d)
+    if not len(epsilons):
+        raise ValueError("need at least one epsilon")
     if not all(epsilon > 0.0 for epsilon in epsilons):
         raise ValueError("epsilon must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    eps = np.asarray(epsilons, np.float64)
+    order = np.argsort(-eps, kind="stable")
     times = kernels.es_hitting_times(
         [state.norm for state in states], [state.sigma for state in states],
-        [state.d for state in states], alpha, epsilons, max_iter, rngs)
-    return [None if t < 0 else state.t + t for state, t in zip(states, times.tolist())]
+        [state.d for state in states], alpha, eps[order], max_iter, rngs)
+    times = times[:, np.argsort(order)].tolist()
+    return [[None if t < 0 else state.t + t for t in row]
+            for state, row in zip(states, times)]

@@ -15,13 +15,14 @@ chi2 only for the samples z0 leaves undecided: chi2 >= 0 only adds to
 no chi2 can change the outcome, and each sampler decides from z0 with
 the same floating-point expression its outcome uses. Every failure
 moves the drift potential by the same amount, so the drift sampler
-scores successes one by one and failures by count. The samplers reduce
-fixed-size chunks of draws with vectorized numpy, which bounds peak
-memory. The ES run is sequential, one offspring per iteration;
-es_hitting_times steps many independent runs together, one array
-operation per iteration for all of them. Every kernel takes explicit
-``numpy.random.Generator`` streams, so a given seed yields the same
-sample sequence on every call.
+scores only the successes, each as its change less the failures'. The
+samplers reduce fixed-size chunks of draws with vectorized numpy, which
+bounds peak memory. The ES run is sequential, one offspring per
+iteration; es_hitting_times steps many independent runs together, one
+array operation per iteration for all of them, and records each run's
+first passage below every threshold of a shared list. Every kernel
+takes explicit ``numpy.random.Generator`` streams, so a given seed
+yields the same sample sequence on every call.
 """
 
 import math
@@ -32,9 +33,11 @@ import numpy as np
 _CHUNK = 1 << 20
 # offspring drawn at a time per run by es_run and es_hitting_times, always
 # a full block whatever the budget, so both consume a stream identically
-# and a run's draws do not depend on max_iter. es_hitting_times holds one
-# block per live run, 2 * 8 * _ES_CHUNK bytes each: 1 MB for 1,000 runs
-# at 64 steps, where 1024 steps would take 16 MB
+# and a run's draws do not depend on max_iter. es_hitting_times keeps the
+# blocks of all runs in two (_ES_CHUNK, n) arrays, one column per run,
+# refilled at each block boundary, so a step reads one contiguous row:
+# 2 * 8 * _ES_CHUNK bytes per run, 1 MB for 1,000 runs at 64 steps, where
+# 1024 steps would take 16 MB
 _ES_CHUNK = 64
 
 # stand-in for an infinite log-progress on a measure-zero collinear hit
@@ -98,12 +101,15 @@ def success_mc_hits(scale, radius, d, n, rng):
 
 
 def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
-    """Sum and sum-of-squares of max(dV, -a_cut) over n one-step transitions.
+    """Sums of max(dV, -a_cut) over n one-step transitions, about y_fail.
 
     All transitions restart from the same state (norm_m, sigma); the mean
     is the conditional expected truncated potential change at that state.
     Every failure moves the potential by the same y_fail, so only the
-    successes are scored one by one.
+    successes are scored one by one. Returns (y_fail, sum, sum_sq), the
+    sums of y - y_fail over the successes, to which each failure adds 0:
+    the mean is y_fail + sum / n, and a point where every sample fails
+    has sum = sum_sq = 0 exactly.
     """
     v_now = potential_value(norm_m, sigma, d, alpha, ell, u, v)
     y_fail = max(float(potential_value(norm_m, sigma * alpha ** -0.25,
@@ -111,17 +117,15 @@ def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
     norm_sq = norm_m * norm_m
     total = 0.0
     total_sq = 0.0
-    n_fail = 0
-    for k, z0, chi2 in _deciding_draws(
+    for _, z0, chi2 in _deciding_draws(
             d, n, rng, lambda z0: (norm_m + sigma * z0) ** 2 <= norm_sq):
         cand_sq = (norm_m + sigma * z0) ** 2 + (sigma * sigma) * chi2
         cand_sq = cand_sq[cand_sq <= norm_sq]
-        n_fail += k - cand_sq.size
         y = np.maximum(potential_value(np.sqrt(cand_sq), sigma * alpha,
-                                       d, alpha, ell, u, v) - v_now, -a_cut)
+                                       d, alpha, ell, u, v) - v_now, -a_cut) - y_fail
         total += float(y.sum())
         total_sq += float((y * y).sum())
-    return total + n_fail * y_fail, total_sq + n_fail * y_fail * y_fail
+    return y_fail, total, total_sq
 
 
 def har_log_progress_sums(d, n, rng):
@@ -196,44 +200,63 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
         t += 1
 
 
-def es_hitting_times(norm0, sigma0, d, alpha, epsilon, max_iter, rngs):
-    """Hitting times of many independent es_run chains, stepped in lockstep.
+def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
+    """First passages of many independent es_run chains below shared
+    thresholds, stepped in lockstep.
 
-    Run i starts at (norm0[i], sigma0[i]) in dimension d[i], targets
-    ||m|| <= epsilon[i] and draws from its own generator rngs[i] exactly
-    as es_run does, so its hitting time equals es_run's; ``norm0``,
-    ``sigma0``, ``d`` and ``epsilon`` broadcast to ``len(rngs)``.
-    Returns an int64 array, -1 where a run used up max_iter.
+    Run i starts at (norm0[i], sigma0[i]) in dimension d[i] and draws from
+    its own generator rngs[i] exactly as es_run does; ``norm0``, ``sigma0``
+    and ``d`` broadcast to ``len(rngs)``. ``epsilons`` is one non-increasing
+    vector of k thresholds shared by every run. Returns an (n, k) int64
+    array: entry (i, j) is the first t with ||m|| <= epsilons[j] on run i,
+    which is es_run's hitting time for that target, or -1 where run i used
+    up max_iter first.
+
+    Each run keeps the index of its next threshold, and one step may pass
+    several. A run that has passed its last threshold is frozen: sigma = 0
+    makes its ratio exactly 1, so it stays put. Frozen runs leave the state
+    arrays at the next block boundary, where the draw block is refilled
+    anyway, and every step reads one contiguous row of the block.
     """
     n = len(rngs)
-    norm, sigma, epsilon = (np.broadcast_to(np.asarray(x, np.float64), (n,))
-                            for x in (norm0, sigma0, epsilon))
+    norm, sigma = (np.array(np.broadcast_to(np.asarray(x, np.float64), (n,)))
+                   for x in (norm0, sigma0))
     ds = np.broadcast_to(d, (n,)).tolist()
-    # one block of draws per live run, refilled at every chunk boundary
-    z0s = np.empty((n, _ES_CHUNK))
-    chi2s = np.empty((n, _ES_CHUNK))
-    times = np.full(n, -1, np.int64)
-    live = np.arange(n)       # run index of each live entry
-    row = live                # its row in the draw block
+    # -inf past the last threshold, which no norm reaches
+    thresholds = np.append(np.asarray(epsilons, np.float64), -np.inf)
+    k = thresholds.size - 1
+    times = np.full((n, k), -1, np.int64)
+    nxt = np.zeros(n, np.intp)        # index of each run's next threshold
+    # one column of draws per run in the block, refilled at every boundary
+    z0s = np.empty((_ES_CHUNK, n))
+    chi2s = np.empty((_ES_CHUNK, n))
+    live = np.arange(n)       # run index of each entry in the state arrays
+    active = n                # entries not yet frozen
     sigma_down = alpha ** -0.25
     t = 0
-    while live.size:
-        hit = norm <= epsilon
+    while True:
+        hit = norm <= thresholds[nxt]
         if hit.any():
-            # finished runs leave the small state vectors; the block stays
-            times[live[hit]] = t
-            keep = ~hit
-            live, row, norm, sigma, epsilon = (
-                x[keep] for x in (live, row, norm, sigma, epsilon))
-        if t >= max_iter or not live.size:
+            for r in np.flatnonzero(hit).tolist():
+                j = nxt[r]
+                while norm[r] <= thresholds[j]:
+                    j += 1
+                times[live[r], nxt[r]:j] = t
+                nxt[r] = j
+                if j == k:
+                    sigma[r] = 0.0
+                    active -= 1
+        if t >= max_iter or not active:
             break
         step = t % _ES_CHUNK
         if step == 0:
+            keep = nxt < k
+            live, norm, sigma, nxt = (x[keep] for x in (live, norm, sigma, nxt))
             for r, i in enumerate(live.tolist()):
-                z0s[r], chi2s[r] = _draw(ds[i], _ES_CHUNK, rngs[i])
-            row = np.arange(live.size)
-        ratio_sq = _ratio_sq(sigma / norm, z0s[row, step], chi2s[row, step])
-        norm = norm * np.sqrt(np.minimum(ratio_sq, 1.0))
-        sigma = sigma * np.where(ratio_sq <= 1.0, alpha, sigma_down)
+                z0s[:, r], chi2s[:, r] = _draw(ds[i], _ES_CHUNK, rngs[i])
+        m = live.size
+        ratio_sq = _ratio_sq(sigma / norm, z0s[step, :m], chi2s[step, :m])
+        norm *= np.sqrt(np.minimum(ratio_sq, 1.0))
+        sigma *= np.where(ratio_sq <= 1.0, alpha, sigma_down)
         t += 1
     return times

@@ -22,7 +22,7 @@ transitions from fixed states.
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -211,9 +211,11 @@ def estimate_truncated_drift(state: ESState, c: DriftConstants, n: int,
     norm = state.norm
     if norm == 0.0:
         raise ValueError("drift undefined at the optimum (||m|| = 0)")
-    total, total_sq = kernels.truncated_drift_sums(
+    y_fail, total, total_sq = kernels.truncated_drift_sums(
         norm, state.sigma, c.d, c.alpha, c.ell, c.u, c.v, c.A, n, rng)
-    return mean_estimate(float(total), float(total_sq), n)
+    # the sums are of y - y_fail, so a constant increment has no spread
+    shifted = mean_estimate(total, total_sq, n)
+    return replace(shifted, mean=y_fail + shifted.mean)
 
 
 def _drift_point(args) -> tuple[float, float]:

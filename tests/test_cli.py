@@ -145,6 +145,7 @@ def test_hitting_scaling_report(tmp_path):
     assert len(reports) == 6
     for report in reports:
         assert report.censored_runs == 0
+        assert report.mean_T_lower == report.mean_T
         assert report.within_bounds
     _, _, comments = _read_csv(out)
     fit_lines = [c for c in comments if c.startswith("# fit")]
@@ -164,12 +165,13 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
 
 
 def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
-    # the runs at epsilon = 1e-4 are tasks 10..19 on streams (seed, 2, i);
-    # a budget of 260 censors exactly those whose uncensored time exceeds
-    # it, and a mean of the finished runs alone would be biased low
-    uncensored = hitting_times([initial_state(4, 1.0, 2.0)] * 10, 1.5, [1e-4] * 10,
-                               10 ** 7, [derive_stream(20180715, 2, 10 + j)
-                                         for j in range(10)])
+    # the d = 4 runs are replicates 0..9 on streams (seed, 2, 0, rep), one
+    # chain each for both epsilons; a budget of 260 censors exactly those
+    # whose uncensored time to 1e-4 exceeds it, and a mean of the finished
+    # runs alone would be biased low
+    uncensored = [times[1] for times in hitting_times(
+        [initial_state(4, 1.0, 2.0)] * 10, 1.5, [1e-2, 1e-4], 10 ** 7,
+        [derive_stream(20180715, 2, 0, rep) for rep in range(10)])]
     over_budget = sum(t > 260 for t in uncensored)
     assert 0 < over_budget < 10
     cfg = tmp_path / "partly.cfg"
@@ -182,9 +184,11 @@ def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
     finished, partly = (dict(zip(header, row)) for row in raw)
     assert finished["censored_runs"] == "0"
     assert math.isfinite(float(finished["mean_T"]))
+    assert finished["mean_T_lower"] == finished["mean_T"]
     assert partly["censored_runs"] == str(over_budget)
     assert math.isnan(float(partly["mean_T"]))
     assert math.isnan(float(partly["ci_halfwidth"]))
+    assert float(partly["mean_T_lower"]) == sum(min(t, 260) for t in uncensored) / 10
     assert partly["within_bounds"] == "false"
 
 

@@ -190,8 +190,11 @@ def test_run_until_steps_the_norm_sigma_chain_exactly():
 
 def test_hitting_times_steps_each_run_exactly():
     # run 1 (d = 3, from t = 10) fails then succeeds to ||m|| = 0.75 at
-    # t = 2; run 2 is the chain above, at ||m|| = 0.25 on the budget's last
-    # step, which counts as a hit within the budget, and 0.2 is never reached
+    # t = 2 and stays there; run 2 is the chain above, ||m|| = 1, 0.5, 0.5,
+    # 0.5, 0.25: a hit on the budget's last step counts, 0.2 is never
+    # reached, and one step may pass two thresholds (0.75 and 0.6 at t = 1,
+    # 0.3 and 0.26 at t = 4); entries follow the caller's threshold order,
+    # duplicates too
     alpha = 16.0
     runs = [(ESState(m=[1.0, 0.0, 0.0], sigma=0.5, t=10),
              FixedSphereDraw(3, [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])),
@@ -199,27 +202,34 @@ def test_hitting_times_steps_each_run_exactly():
              FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
                              [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16]))]
     states, draws = zip(*runs)
-    assert hitting_times(states, alpha, [0.75, 0.3], 4, draws) == [12, 4]
-    assert hitting_times(states, alpha, [0.75, 0.2], 4, draws) == [12, None]
+    assert hitting_times(states, alpha, [0.75, 0.3, 0.2], 4, draws) == [
+        [12, None, None], [1, 4, None]]
+    assert hitting_times(states, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4,
+                         draws) == [[None, 12, None, None, 12, None],
+                                    [4, 1, 1, 4, 1, None]]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(runs=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 300),
-                               st.integers(0, 2 ** 32 - 1)),
+@given(runs=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 2 ** 32 - 1)),
                      min_size=1, max_size=6),
+       powers=st.lists(st.integers(0, 300), min_size=1, max_size=5),
        max_iter=st.integers(1, 3000))
-@example(runs=[(2 + i % 9, 1 + i % 8, i) for i in range(40)], max_iter=4999)
-def test_hitting_times_equal_run_until_run_for_run(runs, max_iter):
-    # same streams, same draws: equal hitting times, with immediate hits
-    # (epsilon = 1), censored runs and budgets that end inside a block;
-    # the explicit example finishes runs in many different blocks
-    states = [initial_state(d, 1.0, 2.0) for d, _, _ in runs]
-    epsilons = [10.0 ** -k for _, k, _ in runs]
+@example(runs=[(2 + i % 9, i) for i in range(40)],
+         powers=[3, 0, 8, 3, 5, 1, 300], max_iter=4999)
+def test_hitting_times_equal_run_until_run_for_run(runs, powers, max_iter):
+    # same streams, same draws: every first passage equals run_until's
+    # hitting time for that threshold, with thresholds unsorted and
+    # repeated, immediate hits (epsilon = 1), censored runs and budgets
+    # that end inside a block; the explicit example finishes runs in many
+    # different blocks
+    states = [initial_state(d, 1.0, 2.0) for d, _ in runs]
+    epsilons = [10.0 ** -k for k in powers]
     lockstep = hitting_times(states, 1.5, epsilons, max_iter,
-                             [derive_stream(seed) for _, _, seed in runs])
-    single = [run_until(state, ESParams(1.5, state.d), epsilon, max_iter,
-                        derive_stream(seed), record_every=max_iter).hitting_time
-              for state, epsilon, (_, _, seed) in zip(states, epsilons, runs)]
+                             [derive_stream(seed) for _, seed in runs])
+    single = [[run_until(state, ESParams(1.5, state.d), epsilon, max_iter,
+                         derive_stream(seed), record_every=max_iter).hitting_time
+               for epsilon in epsilons]
+              for state, (_, seed) in zip(states, runs)]
     assert lockstep == single
 
 
@@ -237,16 +247,20 @@ def test_hitting_time_does_not_depend_on_the_budget(max_iter):
 
 
 def test_hitting_times_memory_does_not_grow_with_max_iter():
-    # one draw block of kernels._ES_CHUNK steps per live run, whatever the budget
+    # one draw block of kernels._ES_CHUNK steps per live run, whatever the
+    # budget, and one first-passage slot per threshold
     n, d = 1000, 8
     rngs = [derive_stream(11, i) for i in range(n)]
     tracemalloc.start()
     try:
-        times = es_hitting_times(1.0, 2.0 / d, d, 1.5, 1e-4, 10 ** 9, rngs)
+        times = es_hitting_times(1.0, 2.0 / d, d, 1.5, [1e-2, 1e-3, 1e-4], 10 ** 9,
+                                 rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert times.shape == (n, 3)
     assert np.all(times > 0)
+    assert np.all(np.diff(times, axis=1) >= 0)
     assert peak < 4 * 2 ** 20
 
 
@@ -259,7 +273,9 @@ def test_hitting_times_validates_inputs():
     with pytest.raises(ValueError, match="alpha"):
         hitting_times([state], 1.0, [1e-2], 10, [derive_stream(0)])
     with pytest.raises(ValueError, match="streams"):
-        hitting_times([state, state], 1.5, [1e-2, 1e-2], 10, [derive_stream(0)])
+        hitting_times([state, state], 1.5, [1e-2], 10, [derive_stream(0)])
+    with pytest.raises(ValueError, match="epsilon"):
+        hitting_times([state], 1.5, [], 10, [derive_stream(0)])
 
 
 def test_run_until_thinning_keeps_hit_and_final(rng_for):

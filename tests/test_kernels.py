@@ -82,7 +82,7 @@ def test_truncated_drift_sums_draw_chi2_for_undecided_only(
     flags = [-1.0 <= t <= 0.0 for t in DRIFT_T]
     chi2s = [w / (sigma * sigma) for w in DRIFT_W]
     draws = PresetDraws(z0s, chi2s)
-    total, total_sq = kernels.truncated_drift_sums(
+    y_fail, total, total_sq = kernels.truncated_drift_sums(
         norm, sigma, d, c.alpha, c.ell, c.u, c.v, c.A, len(z0s), draws)
     assert draws.used_up()
     assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
@@ -90,6 +90,8 @@ def test_truncated_drift_sums_draw_chi2_for_undecided_only(
 
     ys = []
     successes = 0
+    expected_fail = max(c.potential_of(norm, sigma * c.alpha ** -0.25)
+                        - c.potential_of(norm, sigma), -c.A)
     for z0, chi2 in zip(z0s, _full_chi2(flags, chi2s)):
         cand_sq = (norm + sigma * z0) ** 2 + sigma * sigma * chi2
         if cand_sq <= norm * norm:
@@ -101,8 +103,11 @@ def test_truncated_drift_sums_draw_chi2_for_undecided_only(
     # undecided samples both succeed and fail, and some changes are cut at -A
     assert 0 < successes < sum(flags)
     assert min(ys) == -c.A
-    assert total == pytest.approx(sum(ys), rel=1e-12, abs=1e-15)
-    assert total_sq == pytest.approx(sum(y * y for y in ys), rel=1e-12, abs=1e-15)
+    # the sums are taken about y_fail, so the failures add nothing
+    assert y_fail == expected_fail
+    shifted = [y - y_fail for y in ys]
+    assert total == pytest.approx(sum(shifted), rel=1e-12, abs=1e-15)
+    assert total_sq == pytest.approx(sum(y * y for y in shifted), rel=1e-12, abs=1e-15)
 
 
 # success_mc_hits(0.5, 0.9, ...): a hit needs |1 + z0/2| < 0.9, which only

@@ -384,6 +384,19 @@ def test_drift_map_rows_and_regime_boundaries(constants_for, rng_for):
         assert row.ci_halfwidth > 0.0
 
 
+def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
+    # at 10 u the success probability is 7e-9, so all 10^4 samples fail and
+    # every increment is the failure's y_fail: no spread, exactly
+    c = constants_for(10)
+    sigma_bar = 10.0 * c.u
+    sigma = sigma_bar / 10
+    y_fail = max(c.potential_of(1.0, sigma * c.alpha ** -0.25)
+                 - c.potential_of(1.0, sigma), -c.A)
+    (row,) = drift_map(10, c, [sigma_bar], 10_000, rng_for(10))
+    assert row.ci_halfwidth == 0.0
+    assert row.drift_mean == y_fail
+
+
 def test_drift_map_parallel_matches_serial(constants_for, rng_for):
     c = constants_for(5)
     grid = [0.5, 1.5, 5.0]

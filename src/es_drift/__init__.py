@@ -15,8 +15,8 @@ from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
                         hitting_time_bounds, minimize_psucc_over_band,
                         potential, truncated_delta)
 from .streams import derive_stream
-from .success import (SuccessProbQuery, psucc0_inverse, psucc_exact,
-                      psucc_limit, psucc_mc, std_normal_cdf)
+from .success import (psucc0_inverse, psucc_exact, psucc_limit, psucc_mc,
+                      std_normal_cdf)
 from .theorems import (TruncatedSeries, first_hitting_time, lower_bound_thm2,
                        simulate_jump_process, truncate_series,
                        upper_bound_thm1)
@@ -36,8 +36,7 @@ __all__ = [
     "estimate_truncated_drift", "hitting_time_bounds", "minimize_psucc_over_band",
     "potential", "truncated_delta",
     "derive_stream",
-    "SuccessProbQuery", "psucc0_inverse", "psucc_exact", "psucc_limit",
-    "psucc_mc", "std_normal_cdf",
+    "psucc0_inverse", "psucc_exact", "psucc_limit", "psucc_mc", "std_normal_cdf",
     "TruncatedSeries", "first_hitting_time", "lower_bound_thm2",
     "simulate_jump_process", "truncate_series", "upper_bound_thm1",
 ]

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .config import _PARSERS, ExperimentConfig, build_config
 from .core import ESParams, hitting_times, initial_state, run_until
 from .errors import ConfigurationError
@@ -30,7 +31,7 @@ from .estimates import mean_estimate
 from .hitandrun import expected_log_progress_exact, expected_log_progress_mc
 from .potential import derive_constants, drift_map, hitting_time_bounds, potential
 from .streams import derive_stream
-from .success import psucc_exact_many, psucc_limit
+from .success import psucc_exact, psucc_limit
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +95,7 @@ def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
     rows = []
     for rho in CURVE_RHO_VALUES:
         for d in CURVE_D_VALUES:
-            exact = psucc_exact_many(d, rho / d, grid, config.tol).tolist()
+            exact = psucc_exact(d, rho / d, grid).tolist()
             for sigma_bar, p_exact in zip(grid.tolist(), exact):
                 limit = psucc_limit(rho, sigma_bar)
                 rows.append((rho, d, sigma_bar, p_exact, limit,
@@ -145,6 +146,9 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
     """Replicated hitting times per (d, epsilon) against the sandwich bounds."""
     eps_values = config.epsilons
     reps = config.replicates
+    # a configuration the bounds reject fails before any chain runs
+    constants = [derive_constants(d, config.alpha, config.p_u, config.p_l)
+                 for d in config.d_list]
     # one chain per (d_index, replicate), on stream (seed, 2, d_index, rep),
     # gives the first passages below every epsilon
     results = hitting_times(
@@ -155,8 +159,7 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
          for d_index in range(len(config.d_list)) for rep in range(reps)])
 
     reports = []
-    for d_index, d in enumerate(config.d_list):
-        constants = derive_constants(d, config.alpha, config.p_u, config.p_l)
+    for d_index, (d, c) in enumerate(zip(config.d_list, constants)):
         state0 = initial_state(d, config.m0_norm, config.sigma_bar0)
         runs = results[d_index * reps:(d_index + 1) * reps]
         for j, eps in enumerate(eps_values):
@@ -171,7 +174,7 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
             else:
                 est = mean_estimate(total, float((capped * capped).sum()), reps)
                 mean, halfwidth = est.mean, est.half_width
-            lower, upper = hitting_time_bounds(state0, constants, eps)
+            lower, upper = hitting_time_bounds(state0, c, eps)
             within = bool(lower <= mean - halfwidth and mean + halfwidth <= upper)
             reports.append(HittingTimeReport(
                 d=d, epsilon=eps, mean_T=mean, ci_halfwidth=halfwidth,
@@ -270,15 +273,16 @@ def cmd_har_check(config: ExperimentConfig) -> list[tuple]:
 def cmd_run(config: ExperimentConfig) -> dict:
     """One traced run of the strategy at the first configured dimension."""
     d = config.d_list[0]
-    constants = derive_constants(d, config.alpha, config.p_u, config.p_l)
+    c = derive_constants(d, config.alpha, config.p_u, config.p_l)
     state0 = initial_state(d, config.m0_norm, config.sigma_bar0)
     rng = derive_stream(config.master_seed, 4, 0)
     trace = run_until(state0, ESParams(config.alpha, d), config.epsilon,
-                      config.max_iter, rng, record_every=config.record_every,
-                      potential_fn=constants.potential_of)
+                      config.max_iter, rng, record_every=config.record_every)
+    potentials = kernels.potential_value(trace.norms, trace.sigmas, d, c.alpha,
+                                         c.ell, c.u, c.v)
     rows = list(zip(trace.ts.tolist(), trace.norms.tolist(), trace.sigmas.tolist(),
                     trace.sigma_bars.tolist(), trace.successes.tolist(),
-                    trace.potentials.tolist()))
+                    potentials.tolist()))
     summary = {
         "hitting_time": trace.hitting_time,
         "iterations": trace.iterations,

@@ -42,7 +42,6 @@ _PARSERS = {
     "curve_grid_points": int,
     "curve_sigma_lo": float,
     "curve_sigma_hi": float,
-    "tol": float,
     "workers": int,
 }
 
@@ -69,7 +68,6 @@ class ExperimentConfig:
     curve_grid_points: int = 64
     curve_sigma_lo: float = 0.125
     curve_sigma_hi: float = 8.0
-    tol: float = 1e-9
     workers: int = 1
 
     def validate(self) -> None:
@@ -82,7 +80,7 @@ class ExperimentConfig:
         positives = ("alpha", "p_u", "p_l", "epsilon", "m0_norm", "sigma_bar0",
                      "mc_samples", "max_iter", "record_every", "drift_grid_points",
                      "drift_span_lo", "drift_span_hi", "curve_grid_points",
-                     "curve_sigma_lo", "curve_sigma_hi", "tol", "workers")
+                     "curve_sigma_lo", "curve_sigma_hi", "workers")
         for name in positives:
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")

@@ -12,7 +12,7 @@ see :mod:`es_drift.streams` for replicate stream derivation.
 """
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,8 +78,7 @@ class RunTrace:
     """Per-iteration history of a run, possibly thinned.
 
     The success flag stored with a record refers to the step taken from
-    the recorded state; the final record carries False. ``potentials``
-    is NaN unless a potential function was supplied to ``run_until``.
+    the recorded state; the final record carries False.
     """
 
     ts: np.ndarray
@@ -87,7 +86,6 @@ class RunTrace:
     sigmas: np.ndarray
     sigma_bars: np.ndarray
     successes: np.ndarray
-    potentials: np.ndarray
     hitting_time: Optional[int]
     iterations: int
     n_success: int
@@ -146,14 +144,12 @@ def es_step(state: ESState, params: ESParams, rng) -> tuple[ESState, StepOutcome
 
 
 def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
-              rng, record_every: int = 1,
-              potential_fn: Optional[Callable[[float, float], float]] = None) -> RunTrace:
+              rng, record_every: int = 1) -> RunTrace:
     """Run until ||m_t|| <= epsilon or max_iter steps, tracing the state.
 
     hitting_time is the first t with ||m_t|| <= epsilon, or None if the
     iteration budget ran out (reported in the trace, not an error).
     ``record_every`` thins the trace; the final state is always kept.
-    ``potential_fn(norm_m, sigma)`` fills the potential column when given.
     """
     if state0.d != params.d:
         raise ValueError(f"state dimension {state0.d} != params dimension {params.d}")
@@ -169,13 +165,8 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
     ts = ts + state0.t
     with np.errstate(divide="ignore"):
         sigma_bars = params.d * sigmas / norms  # inf at the optimum
-    if potential_fn is None:
-        potentials = np.full(len(ts), np.nan)
-    else:
-        potentials = np.array([potential_fn(float(n), float(s))
-                               for n, s in zip(norms, sigmas)])
     return RunTrace(ts=ts, norms=norms, sigmas=sigmas, sigma_bars=sigma_bars,
-                    successes=successes, potentials=potentials,
+                    successes=successes,
                     hitting_time=(state0.t + t_final) if hit else None,
                     iterations=state0.t + t_final, n_success=int(n_success))
 

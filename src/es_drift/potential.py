@@ -31,7 +31,7 @@ from . import kernels
 from .core import ESState
 from .errors import ConfigurationError
 from .estimates import MeanEstimate, mean_estimate
-from .success import psucc_exact_many, psucc0_inverse
+from .success import psucc_exact, psucc0_inverse
 from .theorems import lower_bound_thm2, upper_bound_thm1
 
 
@@ -125,7 +125,7 @@ def minimize_psucc_over_band(d: int, r: float, ell: float, u: float) -> float:
     """
     if not 0.0 < ell < u:
         raise ValueError(f"need 0 < ell < u, got ell={ell}, u={u}")
-    return float(psucc_exact_many(d, r, [ell, u]).min())
+    return float(psucc_exact(d, r, [ell, u]).min())
 
 
 def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,

@@ -20,7 +20,6 @@ Phi(-rho/sbar - sbar/2).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,30 +31,24 @@ from .estimates import ProbEstimate, prob_estimate
 
 SQRT2 = math.sqrt(2.0)
 
-# Validity range of chndtr for psucc_exact, both checked against an mpmath
-# quadrature of the success probability by
+# The stated accuracy of psucc_exact, checked against an mpmath quadrature
+# of the success probability by
 # tests/test_success.py::test_psucc_exact_matches_mpmath_oracle: up to
-# MAX_NONCENTRALITY the absolute error stays below MIN_TOL. Above about
-# 3e10 chndtr returns NaN.
+# noncentrality MAX_NONCENTRALITY the absolute error stays below
+# MAX_ABS_ERROR. Above about 3e10 chndtr returns NaN.
 MAX_NONCENTRALITY = 1e10
-MIN_TOL = 1e-11
+MAX_ABS_ERROR = 1e-11
+# largest |p(d, 0, root) - p| that psucc0_inverse accepts
+MAX_ROOT_MISS = 5e-10
 
 
-@dataclass(frozen=True)
-class SuccessProbQuery:
-    """One success-probability evaluation point."""
-
-    d: int
-    r: float
-    sigma_bar: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"improvement rate must lie in [0, 1), got {self.r}")
-        if not self.sigma_bar > 0.0:
-            raise ValueError(f"normalized step size must be positive, got {self.sigma_bar}")
+def _check(d: int, r: float, sigma_bar: float) -> None:
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"improvement rate must lie in [0, 1), got {r}")
+    if not sigma_bar > 0.0:
+        raise ValueError(f"normalized step size must be positive, got {sigma_bar}")
 
 
 def std_normal_cdf(x: float) -> float:
@@ -63,23 +56,25 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / SQRT2)
 
 
-def psucc_mc(q: SuccessProbQuery, n: int, rng) -> ProbEstimate:
-    """Monte Carlo estimate of the success probability with rate q.r."""
+def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> ProbEstimate:
+    """Monte Carlo estimate of the success probability with rate r."""
+    _check(d, r, sigma_bar)
     if n < 1:
         raise ValueError("sample count must be positive")
-    hits = kernels.success_mc_hits(q.sigma_bar / q.d, 1.0 - q.r, q.d, n, rng)
+    hits = kernels.success_mc_hits(sigma_bar / d, 1.0 - r, d, n, rng)
     return prob_estimate(int(hits), n)
 
 
-def psucc_exact_many(d: int, r: float, sigma_bars, tol: float = 1e-9):
-    """psucc_exact at fixed (d, r) for an array of normalized step sizes.
+def psucc_exact(d: int, r: float, sigma_bars):
+    """Success probability p(d, r, sbar), to absolute error MAX_ABS_ERROR.
 
     Returns an array shaped like ``sigma_bars`` (a float for a scalar).
+    Raises ConvergenceError if the noncentrality (d/sbar)^2 exceeds
+    MAX_NONCENTRALITY (normalized step sizes near zero) or if the CDF
+    comes back non-finite or outside [0, 1].
     """
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError(f"tol must lie in (0, 1e-3], got {tol}")
     sbar = np.asarray(sigma_bars, dtype=float)
-    SuccessProbQuery(d, r, float(sbar.min()))  # validates d, r and every sbar
+    _check(d, r, float(sbar.min()))  # validates every sbar
     lam = (d / sbar) ** 2
     values = chndtr(((1.0 - r) * d / sbar) ** 2, d, lam)
     result = values if values.ndim else float(values)
@@ -90,20 +85,7 @@ def psucc_exact_many(d: int, r: float, sigma_bars, tol: float = 1e-9):
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where}",
                                result, math.inf)
-    if tol < MIN_TOL:
-        raise ConvergenceError(f"tol {tol:.3e} below the verified accuracy "
-                               f"{MIN_TOL:.0e} {where}", result, MIN_TOL)
     return result
-
-
-def psucc_exact(q: SuccessProbQuery, tol: float = 1e-9) -> float:
-    """Success probability to absolute tolerance tol.
-
-    Raises ConvergenceError if tol is below MIN_TOL, if the
-    noncentrality (d/sbar)^2 exceeds MAX_NONCENTRALITY (normalized step
-    sizes near zero), or if the CDF comes back non-finite.
-    """
-    return psucc_exact_many(q.d, q.r, q.sigma_bar, tol)
 
 
 def psucc_limit(rho: float, sigma_bar: float) -> float:
@@ -115,8 +97,9 @@ def psucc_limit(rho: float, sigma_bar: float) -> float:
     return std_normal_cdf(-rho / sigma_bar - sigma_bar / 2.0)
 
 
-def psucc0_inverse(d: int, p: float, tol: float = 1e-9) -> float:
-    """Normalized step size sbar with psucc_exact(d, 0, sbar) = p, to tol.
+def psucc0_inverse(d: int, p: float) -> float:
+    """Normalized step size sbar with psucc_exact(d, 0, sbar) = p, to within
+    MAX_ROOT_MISS.
 
     Defined for p in (0, 1/2), the image of the rate-zero success curve,
     which decreases from 1/2 to 0 as sbar grows. Brent's method on the
@@ -127,12 +110,9 @@ def psucc0_inverse(d: int, p: float, tol: float = 1e-9) -> float:
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"p must lie in (0, 1/2), the image of the rate-0 curve; got {p}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    inner = min(tol / 10.0, 1e-9)
 
     def excess(sbar: float) -> float:
-        return psucc_exact(SuccessProbQuery(d, 0.0, sbar), inner) - p
+        return psucc_exact(d, 0.0, sbar) - p
 
     lo = -2.0 * float(ndtri(p))
     hi = 2.0 * lo
@@ -142,7 +122,7 @@ def psucc0_inverse(d: int, p: float, tol: float = 1e-9) -> float:
         lo *= 0.5
     root = brentq(excess, lo, hi)
     miss = abs(excess(root))
-    if not miss <= 0.5 * tol:
+    if not miss <= MAX_ROOT_MISS:
         raise ConvergenceError(f"root sigma_bar={root!r} misses p={p} by {miss:.3e}",
                                estimate=root, error_bound=math.inf)
     return root

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from es_drift import (SuccessProbQuery, drift_map, expected_log_progress_exact,
+from es_drift import (drift_map, expected_log_progress_exact,
                       expected_log_progress_mc, first_hitting_time,
                       hitting_time_bounds, hitting_times, initial_state,
                       psucc_exact, psucc_limit, psucc_mc, simulate_jump_process,
@@ -116,12 +116,12 @@ def test_criterion_06_success_curves():
     monotone = True
     in_image = True
     for d in (2, 16, 256):
-        values = [psucc_exact(SuccessProbQuery(d, 0.0, float(s))) for s in grid]
+        values = [psucc_exact(d, 0.0, float(s)) for s in grid]
         monotone &= all(a > b for a, b in zip(values, values[1:]))
         in_image &= all(0.0 < v < 0.5 for v in values)
     worst_gap = 0.0
     for rho in (0.0, 1.0):
-        gap = max(abs(psucc_exact(SuccessProbQuery(256, rho / 256, float(s)))
+        gap = max(abs(psucc_exact(256, rho / 256, float(s))
                       - psucc_limit(rho, float(s))) for s in grid)
         worst_gap = max(worst_gap, gap)
     _report(6, "success curve monotone and near its limit",
@@ -196,9 +196,8 @@ def test_criterion_10_mc_vs_exact_oracle_equivalence():
         d = int(rng.integers(2, 65))
         rho = float(rng.uniform(0.0, 2.0))
         sigma_bar = float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
-        query = SuccessProbQuery(d, rho / d, sigma_bar)
-        exact = psucc_exact(query, tol=1e-9)
-        est = psucc_mc(query, 1_000_000, rng)
+        exact = psucc_exact(d, rho / d, sigma_bar)
+        est = psucc_mc(d, rho / d, sigma_bar, 1_000_000, rng)
         # combine the binomial error (floored by the exact value, in case
         # the empirical count is zero) with the exact value's tolerance
         se = max(est.std_error,

@@ -48,11 +48,16 @@ eps_list = 1e-2, 1e-4
     assert config.alpha == 1.6 and config.d_list == (5, 10)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 3\n")
     with pytest.raises(ConfigurationError, match="unknown config key"):
         parse_config_file(cfg)
+    # psucc_exact has one stated accuracy, so no config key selects one
+    cfg.write_text("tol = 1e-9\n")
+    assert main(["success-curve", "--config", str(cfg),
+                 "--out", str(tmp_path / "curve.csv")]) == 2
+    assert "unknown config key 'tol'" in capsys.readouterr().err
 
 
 def test_config_validation():
@@ -83,7 +88,7 @@ def _configs(draw):
         max_iter=draw(_COUNT), record_every=draw(_COUNT),
         drift_grid_points=draw(_COUNT), drift_span_lo=span_lo, drift_span_hi=span_hi,
         curve_grid_points=draw(_COUNT), curve_sigma_lo=curve_lo, curve_sigma_hi=curve_hi,
-        tol=draw(_POSITIVE), workers=draw(_COUNT))
+        workers=draw(_COUNT))
 
 
 def _config_line(name, value):
@@ -279,6 +284,9 @@ def test_main_configuration_error_names_inequality(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "u / ell >= alpha^(5/4)" in captured.err
+    assert main(["hitting-scaling", "--alpha", "1.0",
+                 "--out", str(tmp_path / "hs_alpha.csv")]) == 2
+    assert "alpha > 1" in capsys.readouterr().err
     # a bad flag value exits like the same value in a config file
     cfg = tmp_path / "bad_eps.cfg"
     cfg.write_text("eps_list = abc\n")
@@ -286,6 +294,23 @@ def test_main_configuration_error_names_inequality(tmp_path, capsys):
     assert main(["hitting-scaling", "--config", str(cfg), "--out", out]) == 2
     assert main(["hitting-scaling", "--eps-list", "abc", "--out", out]) == 2
     assert "--eps-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text, inequality", [
+    ("d_list = 2\nalpha = 1.01\n", "2 * d * log(alpha) > 1"),
+    ("d_list = 8\np_u = 0.3\n", "0 < p_u < 1/5 < p_l < 1/2"),
+], ids=["alpha_near_one_at_d_2", "p_u_above_one_fifth"])
+def test_hitting_scaling_rejects_bad_constants_before_simulating(
+        tmp_path, capsys, monkeypatch, config_text, inequality):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("hitting_times ran before the constants were checked")
+
+    monkeypatch.setattr("es_drift.cli.hitting_times", no_chains)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text)
+    assert main(["hitting-scaling", "--config", str(cfg),
+                 "--out", str(tmp_path / "hs.csv")]) == 2
+    assert inequality in capsys.readouterr().err
 
 
 def test_main_runtime_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 from es_drift import (ESParams, ESState, derive_stream, es_step, hitting_times,
                       initial_state, normalized_step_size, run_until, sphere_eval)
-from es_drift.kernels import es_hitting_times
+from es_drift.kernels import es_hitting_times, potential_value
 
 
 class FixedDraw:
@@ -82,7 +82,7 @@ def test_es_step_tie_counts_as_success():
 
 def test_es_step_success_frequency_matches_exact_probability(rng_for):
     # pin the normalized step size by stepping from the same state each time
-    from es_drift import SuccessProbQuery, psucc_exact
+    from es_drift import psucc_exact
 
     d, sigma_bar, n = 10, 2.0, 100_000
     state = initial_state(d, 1.0, sigma_bar)
@@ -90,7 +90,7 @@ def test_es_step_success_frequency_matches_exact_probability(rng_for):
     rng = rng_for(1)
     hits = sum(es_step(state, params, rng)[1].success for _ in range(n))
     p_hat = hits / n
-    p = psucc_exact(SuccessProbQuery(d, 0.0, sigma_bar))
+    p = psucc_exact(d, 0.0, sigma_bar)
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(p_hat - p) <= 3.0 * se
 
@@ -312,11 +312,13 @@ def test_run_until_hits_targets_below_norm_squared_underflow():
 
 
 def test_run_until_records_potential_when_given(rng_for, constants_for):
+    # the run driver's potential column: one array call over the trace
     c = constants_for(6)
     trace = run_until(initial_state(6, 1.0, 2.0), ESParams(1.5, 6), 1e-2,
-                      10_000, rng_for(8), potential_fn=c.potential_of)
-    assert np.all(np.isfinite(trace.potentials))
-    assert np.all(trace.potentials >= np.log(trace.norms) - 1e-12)
+                      10_000, rng_for(8))
+    potentials = potential_value(trace.norms, trace.sigmas, 6, c.alpha, c.ell, c.u, c.v)
+    assert np.all(np.isfinite(potentials))
+    assert np.all(potentials >= np.log(trace.norms) - 1e-12)
 
 
 def test_normalized_step_size_arithmetic():

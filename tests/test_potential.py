@@ -9,13 +9,12 @@ from scipy.integrate import quad
 from scipy.special import chndtr
 from scipy.stats import ncx2
 
-from es_drift import (ConfigurationError, kernels, ESState, SuccessProbQuery,
+from es_drift import (ConfigurationError, kernels, ESState,
                       derive_constants, drift_map, estimate_truncated_drift,
                       hitting_time_bounds, initial_state,
                       minimize_psucc_over_band, potential, psucc_exact,
                       psucc_limit, psucc_mc, truncated_delta)
 from es_drift.potential import Regime
-from es_drift.success import psucc_exact_many
 
 ND = NormalDist()
 LOG_ALPHA = math.log(1.5)
@@ -39,16 +38,16 @@ def test_derive_constants_default_invariants(constants_for):
 
 def test_derive_constants_band_ends_invert_the_probabilities(constants_for):
     c = constants_for(10)
-    assert psucc_exact(SuccessProbQuery(10, 0.0, c.ell)) == pytest.approx(0.3, abs=1e-8)
-    assert psucc_exact(SuccessProbQuery(10, 0.0, c.u)) == pytest.approx(0.1, abs=1e-8)
+    assert psucc_exact(10, 0.0, c.ell) == pytest.approx(0.3, abs=1e-8)
+    assert psucc_exact(10, 0.0, c.u) == pytest.approx(0.1, abs=1e-8)
 
 
 def test_derive_constants_minima_cross_checked_by_mc(constants_for, rng_for):
     c = constants_for(10)
     grid = np.exp(np.linspace(math.log(c.ell), math.log(c.u), 256))
     for rate, target in ((c.r_prime, c.p_prime), (c.r, c.p_star)):
-        argmin = float(grid[np.argmin(psucc_exact_many(10, rate, grid))])
-        est = psucc_mc(SuccessProbQuery(10, rate, argmin), 300_000, rng_for(0))
+        argmin = float(grid[np.argmin(psucc_exact(10, rate, grid))])
+        est = psucc_mc(10, rate, argmin, 300_000, rng_for(0))
         assert abs(est.value - target) <= 4.0 * est.std_error + 1e-6
 
 
@@ -101,7 +100,7 @@ def test_psucc_is_log_concave_in_log_sigma_bar(d):
     grid = np.exp(np.linspace(math.log(2e-5 * d), math.log(100.0 * d), 1001))
     tiny = np.finfo(float).tiny
     for r in (0.0, 1.0 / d, 0.3, 0.7):
-        p = psucc_exact_many(d, r, grid)
+        p = psucc_exact(d, r, grid)
         if (d, r) == (1024, 0.7):
             assert p.max() < tiny  # an offspring that close is out of float range
             continue
@@ -132,7 +131,7 @@ def test_band_minima_match_dense_grid_oracle(alpha):
 def test_minimize_rate_zero_attained_at_upper_end(constants_for):
     c = constants_for(16)
     result = minimize_psucc_over_band(16, 0.0, c.ell, c.u)
-    assert result == pytest.approx(psucc_exact(SuccessProbQuery(16, 0.0, c.u)),
+    assert result == pytest.approx(psucc_exact(16, 0.0, c.u),
                                    abs=1e-6)
 
 
@@ -140,7 +139,7 @@ def test_minimize_never_above_grid_values(constants_for):
     c = constants_for(8)
     result = minimize_psucc_over_band(8, c.r, c.ell, c.u)
     for s in np.exp(np.linspace(math.log(c.ell), math.log(c.u), 64)):
-        assert result <= psucc_exact(SuccessProbQuery(8, c.r, float(s))) + 1e-9
+        assert result <= psucc_exact(8, c.r, float(s)) + 1e-9
 
 
 def test_minimize_large_d_unimodal_limit_endpoints():
@@ -303,7 +302,7 @@ def test_drift_small_regime_closed_form(constants_for, rng_for):
     deep = c.ell / 1000.0
     est_deep = estimate_truncated_drift(initial_state(10, 1.0, deep), c,
                                         200_000, rng_for(5))
-    p_here = psucc_exact(SuccessProbQuery(10, 0.0, deep))
+    p_here = psucc_exact(10, 0.0, deep)
     closed = -c.v * LOG_ALPHA * (5.0 * p_here - 1.0) / 4.0
     assert est_deep.mean == pytest.approx(closed, rel=0.15, abs=3 * est_deep.half_width)
 

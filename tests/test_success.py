@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from es_drift import (ConvergenceError, SuccessProbQuery, psucc0_inverse,
-                      psucc_exact, psucc_limit, psucc_mc, std_normal_cdf)
-from es_drift.success import MAX_NONCENTRALITY, MIN_TOL, psucc_exact_many
+from es_drift import (ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit,
+                      psucc_mc, std_normal_cdf)
+from es_drift.success import MAX_ABS_ERROR, MAX_NONCENTRALITY
 
 ND = NormalDist()
 
@@ -101,27 +101,26 @@ ORACLE_POINTS = (
 
 def test_psucc_exact_matches_mpmath_oracle():
     for d, r, sigma_bar in ORACLE_POINTS:
-        value = psucc_exact(SuccessProbQuery(d, r, sigma_bar), tol=MIN_TOL)
-        assert abs(value - _mpmath_psucc(d, r, sigma_bar)) <= MIN_TOL, (d, r, sigma_bar)
+        value = psucc_exact(d, r, sigma_bar)
+        assert abs(value - _mpmath_psucc(d, r, sigma_bar)) <= MAX_ABS_ERROR, \
+            (d, r, sigma_bar)
     assert max((d / s) ** 2 for d, _, s in ORACLE_POINTS) > 0.9999 * MAX_NONCENTRALITY
     with pytest.raises(ConvergenceError):
-        psucc_exact(SuccessProbQuery(1000, 0.0, 0.9999e-2))
-    with pytest.raises(ConvergenceError):
-        psucc_exact(SuccessProbQuery(16, 0.0, 1.0), tol=0.5 * MIN_TOL)
+        psucc_exact(1000, 0.0, 0.9999e-2)
 
 
 def test_psucc_exact_many_matches_pointwise():
     grid = np.exp(np.linspace(math.log(0.1), math.log(10.0), 17))
-    values = psucc_exact_many(12, 0.05, grid)
+    values = psucc_exact(12, 0.05, grid)
     assert values.shape == grid.shape
     for s, value in zip(grid, values):
-        assert value == psucc_exact(SuccessProbQuery(12, 0.05, float(s)))
+        assert value == psucc_exact(12, 0.05, float(s))
     with pytest.raises(ValueError):
-        psucc_exact_many(12, 0.05, np.array([1.0, 0.0]))
+        psucc_exact(12, 0.05, np.array([1.0, 0.0]))
 
 
 def test_psucc_exact_monotone_in_sigma_bar():
-    values = [psucc_exact(SuccessProbQuery(16, 0.0, s)) for s in (1.0, 2.0, 4.0)]
+    values = [psucc_exact(16, 0.0, s) for s in (1.0, 2.0, 4.0)]
     assert values[0] > values[1] > values[2]
 
 
@@ -132,20 +131,20 @@ def test_psucc_exact_monotone_in_sigma_bar():
 def test_psucc_exact_many_monotone_in_sigma_bar_and_rate(d, sigma_bars, rates):
     # up to the verified accuracy: non-increasing in sigma_bar at r = 0,
     # where the curve is strictly decreasing, and in r at every sigma_bar
-    slack = 2.0 * MIN_TOL
+    slack = 2.0 * MAX_ABS_ERROR
     grid = np.sort(sigma_bars)
-    assert np.all(np.diff(psucc_exact_many(d, 0.0, grid)) <= slack)
-    by_rate = np.array([psucc_exact_many(d, r, grid) for r in sorted(rates)])
+    assert np.all(np.diff(psucc_exact(d, 0.0, grid)) <= slack)
+    by_rate = np.array([psucc_exact(d, r, grid) for r in sorted(rates)])
     assert np.all(np.diff(by_rate, axis=0) <= slack)
 
 
 def test_psucc_exact_matches_limit_at_high_dimension():
-    value = psucc_exact(SuccessProbQuery(256, 0.0, 2.0))
+    value = psucc_exact(256, 0.0, 2.0)
     assert abs(value - std_normal_cdf(-1.0)) < 1e-2
 
 
 def test_psucc_exact_vanishes_as_rate_approaches_one():
-    assert psucc_exact(SuccessProbQuery(8, 0.999, 1.0)) < 1e-12
+    assert psucc_exact(8, 0.999, 1.0) < 1e-12
 
 
 def test_psucc_exact_against_float64_quadrature(rng_for):
@@ -155,7 +154,7 @@ def test_psucc_exact_against_float64_quadrature(rng_for):
         d = int(rng.integers(2, 200))
         r = float(rng.uniform(0.0, 0.8))
         sigma_bar = float(np.exp(rng.uniform(math.log(0.2), math.log(8.0))))
-        mine = psucc_exact(SuccessProbQuery(d, r, sigma_bar), tol=1e-10)
+        mine = psucc_exact(d, r, sigma_bar)
         ref = _quad_psucc(d, r, sigma_bar)
         assert abs(mine - ref) < 5e-9, (d, r, sigma_bar)
 
@@ -163,19 +162,14 @@ def test_psucc_exact_against_float64_quadrature(rng_for):
 def test_psucc_exact_image_bounds():
     for d in (2, 16, 256):
         for sigma_bar in (0.25, 1.0, 4.0):
-            value = psucc_exact(SuccessProbQuery(d, 0.0, sigma_bar))
+            value = psucc_exact(d, 0.0, sigma_bar)
             assert 0.0 < value < 0.5
 
 
 def test_psucc_exact_convergence_failure_reports_bound():
     with pytest.raises(ConvergenceError) as excinfo:
-        psucc_exact(SuccessProbQuery(32, 0.0, 1e-5), tol=1e-10)
+        psucc_exact(32, 0.0, 1e-5)
     assert excinfo.value.error_bound > 1e-10
-
-
-def test_psucc_exact_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        psucc_exact(SuccessProbQuery(4, 0.0, 1.0), tol=0.01)
 
 
 def test_figure_curve_gap_shrinks_with_dimension():
@@ -183,7 +177,7 @@ def test_figure_curve_gap_shrinks_with_dimension():
     for rho in (0.0, 1.0):
         gaps = []
         for d in (2, 4, 8, 16, 32, 64, 128, 256):
-            gap = max(abs(psucc_exact(SuccessProbQuery(d, rho / d, float(s)))
+            gap = max(abs(psucc_exact(d, rho / d, float(s))
                           - psucc_limit(rho, float(s))) for s in grid)
             gaps.append(gap)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -217,18 +211,18 @@ def test_psucc_limit_pole():
 # ---------------------------------------------------------------------------
 
 def test_psucc_mc_half_at_vanishing_step(rng_for):
-    est = psucc_mc(SuccessProbQuery(8, 0.0, 1e-6), 1_000_000, rng_for(2))
+    est = psucc_mc(8, 0.0, 1e-6, 1_000_000, rng_for(2))
     assert abs(est.value - 0.5) <= 3.0 * est.std_error
 
 
 def test_psucc_mc_zero_for_deep_target(rng_for):
-    est = psucc_mc(SuccessProbQuery(8, 0.99, 1e-6), 100_000, rng_for(3))
+    est = psucc_mc(8, 0.99, 1e-6, 100_000, rng_for(3))
     assert est.value == 0.0
 
 
 def test_psucc_mc_agrees_with_exact(rng_for):
-    est = psucc_mc(SuccessProbQuery(64, 0.0, 2.0), 1_000_000, rng_for(4))
-    exact = psucc_exact(SuccessProbQuery(64, 0.0, 2.0))
+    est = psucc_mc(64, 0.0, 2.0, 1_000_000, rng_for(4))
+    exact = psucc_exact(64, 0.0, 2.0)
     assert abs(est.value - exact) <= 4.0 * est.std_error
 
 
@@ -237,9 +231,8 @@ def test_psucc_mc_agrees_with_exact(rng_for):
                                                    (4, 10, 0.02, 8.0)])
 def test_psucc_mc_agrees_with_exact_at_positive_rate_and_large_step(rng_for, key, d,
                                                                     r, sigma_bar):
-    query = SuccessProbQuery(d, r, sigma_bar)
-    est = psucc_mc(query, 1_000_000, rng_for(5, key))
-    exact = psucc_exact(query)
+    est = psucc_mc(d, r, sigma_bar, 1_000_000, rng_for(5, key))
+    exact = psucc_exact(d, r, sigma_bar)
     se = math.sqrt(exact * (1.0 - exact) / est.n_samples)
     assert est.value > 0.0
     assert abs(est.value - exact) <= 5.0 * se
@@ -250,8 +243,8 @@ def test_psucc_mc_agrees_with_exact_at_positive_rate_and_large_step(rng_for, key
 # ---------------------------------------------------------------------------
 
 def test_psucc0_inverse_round_trip():
-    sigma_bar = psucc0_inverse(16, 0.3, tol=1e-9)
-    assert abs(psucc_exact(SuccessProbQuery(16, 0.0, sigma_bar)) - 0.3) <= 1e-9
+    sigma_bar = psucc0_inverse(16, 0.3)
+    assert abs(psucc_exact(16, 0.0, sigma_bar) - 0.3) <= 1e-9
 
 
 def test_psucc0_inverse_limit_values():
@@ -266,10 +259,11 @@ def test_psucc0_inverse_domain():
             psucc0_inverse(8, p)
 
 
-def test_query_validation():
+def test_query_validation(rng_for):
+    for d, r, sigma_bar in ((0, 0.0, 1.0), (4, 1.0, 1.0), (4, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            psucc_exact(d, r, sigma_bar)
+        with pytest.raises(ValueError):
+            psucc_mc(d, r, sigma_bar, 100, rng_for(6))
     with pytest.raises(ValueError):
-        SuccessProbQuery(0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        SuccessProbQuery(4, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SuccessProbQuery(4, 0.0, 0.0)
+        psucc_exact(4, 0.0, np.array([1.0, 0.0, 2.0]))

@@ -6,6 +6,7 @@ values, which win over the defaults below. The defaults size the full
 experiment suite to minutes on a laptop.
 """
 
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -86,6 +87,12 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.eps_list is not None and any(e <= 0.0 for e in self.eps_list):
             raise ConfigurationError("eps_list entries must be positive")
+        # below the smallest normal float sigma * alpha^(-1/4) rounds back to
+        # sigma, so the 1/5 rule stalls and a run crawls to max_iter
+        tiny = sys.float_info.min  # the smallest normal float, np.finfo(float).tiny
+        if any(e < tiny for e in (self.epsilon, *(self.eps_list or ()))):
+            raise ConfigurationError(f"epsilon and eps_list entries must be at least "
+                                     f"the smallest normal float {tiny:.6g}")
         if not self.curve_sigma_lo < self.curve_sigma_hi:
             raise ConfigurationError("curve_sigma_lo must be below curve_sigma_hi")
         if not self.drift_span_lo < self.drift_span_hi:

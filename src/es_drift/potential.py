@@ -145,8 +145,7 @@ def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
              f"p_u={p_u}, p_l={p_l}")
 
     log_a = math.log(alpha)
-    ell = psucc0_inverse(d, p_l)
-    u = psucc0_inverse(d, p_u)
+    ell, u = psucc0_inverse(d, [p_l, p_u]).tolist()
     _require(u / ell >= alpha ** 1.25, "u / ell >= alpha^(5/4)",
              f"u/ell={u / ell:.6g}, alpha^(5/4)={alpha ** 1.25:.6g}")
 

@@ -15,14 +15,13 @@ noncentral chi-squared CDF evaluation:
 so the exact value is the CDF of chi2'_d(lambda) at ((1-r) d / sbar)^2,
 computed by ``scipy.special.chndtr``. For r = 0 the curve is strictly
 decreasing in sbar with image (0, 1/2), which makes it invertible by
-root finding. As d -> infinity with r*d -> rho the curve converges to
-Phi(-rho/sbar - sbar/2).
+bracketed root finding. As d -> infinity with r*d -> rho the curve
+converges to Phi(-rho/sbar - sbar/2).
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import chndtr, ndtri
 
 from . import kernels
@@ -40,6 +39,11 @@ MAX_NONCENTRALITY = 1e10
 MAX_ABS_ERROR = 1e-11
 # largest |p(d, 0, root) - p| that psucc0_inverse accepts
 MAX_ROOT_MISS = 5e-10
+# psucc0_inverse stops once a root's bracket on log sbar is narrower than
+# ROOT_LOG_TOL, so each root is within that relative distance of the true
+# one. (brentq's absolute 2e-12 would be 4e-11 relative at sbar = 0.05.)
+ROOT_LOG_TOL = 1e-13
+_MAX_ROOT_STEPS = 100
 
 
 def _check(d: int, r: float, sigma_bar: float) -> None:
@@ -78,12 +82,15 @@ def psucc_exact(d: int, r: float, sigma_bars):
     lam = (d / sbar) ** 2
     values = chndtr(((1.0 - r) * d / sbar) ** 2, d, lam)
     result = values if values.ndim else float(values)
-    where = f"(d={d}, r={r:.6g}, sigma_bar in [{sbar.min():.6g}, {sbar.max():.6g}])"
+
+    def where() -> str:
+        return f"(d={d}, r={r:.6g}, sigma_bar in [{sbar.min():.6g}, {sbar.max():.6g}])"
+
     if lam.max() > MAX_NONCENTRALITY:
         raise ConvergenceError(f"noncentrality {lam.max():.4g} above the verified "
-                               f"{MAX_NONCENTRALITY:.0e} {where}", result, math.inf)
+                               f"{MAX_NONCENTRALITY:.0e} {where()}", result, math.inf)
     if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where}",
+        raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where()}",
                                result, math.inf)
     return result
 
@@ -97,32 +104,80 @@ def psucc_limit(rho: float, sigma_bar: float) -> float:
     return std_normal_cdf(-rho / sigma_bar - sigma_bar / 2.0)
 
 
-def psucc0_inverse(d: int, p: float) -> float:
+def psucc0_inverse(d: int, p):
     """Normalized step size sbar with psucc_exact(d, 0, sbar) = p, to within
-    MAX_ROOT_MISS.
+    MAX_ROOT_MISS, for a scalar or an array of p.
 
     Defined for p in (0, 1/2), the image of the rate-zero success curve,
-    which decreases from 1/2 to 0 as sbar grows. Brent's method on the
-    bracket [s0, 2 s0] from the large-d root s0 = -2 Phi^-1(p), where the
-    finite-d curve lies above p, so the lower end stays inside the
-    verified noncentrality range at large d. The upper end doubles and
-    the lower end halves until the bracket holds.
+    which decreases from 1/2 to 0 as sbar grows. Each root starts from
+    the bracket [s0, 2 s0] around the large-d root s0 = -2 Phi^-1(p),
+    where the finite-d curve lies above p, so the lower end stays inside
+    the verified noncentrality range at large d. The upper end doubles
+    and the lower end halves until the bracket holds. Then the Illinois
+    variant of regula falsi (Dowell & Jarratt, BIT 1971) shrinks every
+    bracket on log sbar, with one psucc_exact call per step for all roots
+    still open, until the bracket on log sbar is narrower than
+    ROOT_LOG_TOL. Returns an array shaped like ``p`` (a float for a scalar).
     """
-    if not 0.0 < p < 0.5:
+    ps = np.asarray(p, dtype=float)
+    if not np.all((ps > 0.0) & (ps < 0.5)):
         raise ValueError(f"p must lie in (0, 1/2), the image of the rate-0 curve; got {p}")
+    targets = ps.ravel().tolist()
+    n = len(targets)
 
-    def excess(sbar: float) -> float:
-        return psucc_exact(d, 0.0, sbar) - p
+    def excess(sbars: list, ks: list) -> list:
+        values = np.atleast_1d(psucc_exact(d, 0.0, sbars)).tolist()
+        return [v - targets[k] for v, k in zip(values, ks)]
 
-    lo = -2.0 * float(ndtri(p))
-    hi = 2.0 * lo
-    while excess(hi) >= 0.0:
-        hi *= 2.0
-    while excess(lo) <= 0.0:
-        lo *= 0.5
-    root = brentq(excess, lo, hi)
-    miss = abs(excess(root))
-    if not miss <= MAX_ROOT_MISS:
-        raise ConvergenceError(f"root sigma_bar={root!r} misses p={p} by {miss:.3e}",
-                               estimate=root, error_bound=math.inf)
-    return root
+    # bracket: f(lo) > 0 > f(hi) for every root
+    lo = [-2.0 * s for s in ndtri(ps.ravel()).tolist()]
+    hi = [2.0 * s for s in lo]
+    while True:
+        f = excess(lo + hi, list(range(n)) * 2)
+        f_lo, f_hi = f[:n], f[n:]
+        held = True
+        for k in range(n):
+            if f_hi[k] >= 0.0:
+                hi[k] *= 2.0
+                held = False
+            if f_lo[k] <= 0.0:
+                lo[k] *= 0.5
+                held = False
+        if held:
+            break
+
+    # Illinois on x = log sbar; b is the latest iterate and f_b its excess,
+    # a the retained end, whose excess is halved each time it is kept twice.
+    # As in brentq, a step is never shorter than half the tolerance, so a
+    # secant that lands next to the root closes the bracket one step on.
+    a = [math.log(s) for s in lo]
+    b = [math.log(s) for s in hi]
+    f_a, f_b = f_lo, f_hi
+    open_ks = list(range(n))
+    for _ in range(_MAX_ROOT_STEPS):
+        if not open_ks:
+            break
+        xs = []
+        for k in open_ks:
+            step = f_b[k] * (b[k] - a[k]) / (f_b[k] - f_a[k])
+            x = b[k] - math.copysign(max(abs(step), 0.5 * ROOT_LOG_TOL), b[k] - a[k])
+            if not min(a[k], b[k]) < x < max(a[k], b[k]):
+                x = 0.5 * (a[k] + b[k])  # rounding put the secant on an end
+            xs.append(x)
+        still_open = []
+        for k, x, v in zip(open_ks, xs, excess([math.exp(x) for x in xs], open_ks)):
+            if (v > 0.0) == (f_b[k] > 0.0):
+                f_a[k] *= 0.5
+            else:
+                a[k], f_a[k] = b[k], f_b[k]
+            b[k], f_b[k] = x, v
+            if v != 0.0 and abs(b[k] - a[k]) >= ROOT_LOG_TOL:
+                still_open.append(k)
+        open_ks = still_open
+
+    roots = [math.exp(x) for x in b]
+    for root, miss, target in zip(roots, map(abs, f_b), targets):
+        if not miss <= MAX_ROOT_MISS:
+            raise ConvergenceError(f"root sigma_bar={root!r} misses p={target} by "
+                                   f"{miss:.3e}", estimate=root, error_bound=math.inf)
+    return np.reshape(roots, ps.shape) if ps.ndim else roots[0]

@@ -66,6 +66,12 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(d_list=(1,)).validate()
     ExperimentConfig().validate()
+    # epsilon and eps_list entries must be normal floats
+    tiny = np.finfo(float).tiny
+    for bad in (dict(epsilon=tiny / 2), dict(eps_list=(1e-3, tiny / 2))):
+        with pytest.raises(ConfigurationError, match="smallest normal float"):
+            ExperimentConfig(**bad).validate()
+    ExperimentConfig(epsilon=tiny, eps_list=(tiny,)).validate()
 
 
 _POSITIVE = st.floats(1e-300, 1e300)
@@ -311,6 +317,16 @@ def test_hitting_scaling_rejects_bad_constants_before_simulating(
     assert main(["hitting-scaling", "--config", str(cfg),
                  "--out", str(tmp_path / "hs.csv")]) == 2
     assert inequality in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--d", "10", "--epsilon", "5e-324"],
+    ["hitting-scaling", "--d", "4", "--eps-list", "1e-3,5e-324"],
+], ids=["epsilon", "eps_list"])
+def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args):
+    # sigma * alpha^(-1/4) rounds back to sigma there: the run would stall
+    assert main([*args, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "smallest normal float" in capsys.readouterr().err
 
 
 def test_main_runtime_error(tmp_path, capsys):

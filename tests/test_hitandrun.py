@@ -177,12 +177,13 @@ def test_exact_log_progress_rejects_dimension_one():
         expected_log_progress_exact(1)
 
 
-def test_import_leaves_out_scipy_integrate():
-    # a fresh interpreter, since other test modules import scipy.integrate
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+def test_import_leaves_out_scipy_module(module):
+    # a fresh interpreter, since other test modules import both modules
     src = str(Path(es_drift.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, es_drift; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, es_drift.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.optimize import brentq
+from scipy.special import gammainc, ndtri
 
+from es_drift import success
 from es_drift import (ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit,
                       psucc_mc, std_normal_cdf)
 from es_drift.success import MAX_ABS_ERROR, MAX_NONCENTRALITY
@@ -257,6 +259,53 @@ def test_psucc0_inverse_domain():
     for p in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):
             psucc0_inverse(8, p)
+
+
+ROOT_DIMENSIONS = [2, 3] + [2 ** k for k in range(2, 17)]
+ROOT_PROBABILITIES = (0.001, 0.1, 0.3, 0.49)
+
+
+@pytest.mark.parametrize("d", ROOT_DIMENSIONS)
+def test_psucc0_inverse_matches_brentq_oracle(d):
+    for p in ROOT_PROBABILITIES:
+        if (d / (-2.0 * ND.inv_cdf(p))) ** 2 > MAX_NONCENTRALITY:
+            # the root lies below the verified range of psucc_exact
+            with pytest.raises(ConvergenceError):
+                psucc0_inverse(d, p)
+            continue
+        root = psucc0_inverse(d, p)
+        oracle = brentq(lambda s: psucc_exact(d, 0.0, s) - p, 0.999 * root, 1.001 * root,
+                        xtol=1e-15)
+        assert abs(root - oracle) <= 1e-12 * oracle, (d, p)
+
+
+def test_psucc0_inverse_vector_equals_scalar_calls():
+    ps = np.array([[0.49, 0.3], [0.1, 0.001]])
+    for d in (2, 10, 1024):
+        roots = psucc0_inverse(d, ps)
+        assert roots.shape == ps.shape
+        for p, root in zip(ps.ravel(), roots.ravel()):
+            assert root == psucc0_inverse(d, float(p))
+    assert isinstance(psucc0_inverse(10, 0.3), float)
+    with pytest.raises(ValueError):
+        psucc0_inverse(10, [0.3, 0.5])
+
+
+def test_psucc0_inverse_halves_a_lower_end_above_the_root(monkeypatch):
+    # a start three times the large-d root puts p(lo) below p, so the
+    # lower end must halve before the bracket holds
+    expected = psucc0_inverse(16, 0.3)
+    monkeypatch.setattr(success, "ndtri", lambda p: 3.0 * ndtri(p))
+    root = psucc0_inverse(16, 0.3)
+    assert psucc_exact(16, 0.0, -6.0 * ND.inv_cdf(0.3)) < 0.3
+    assert abs(root - expected) <= 1e-12 * expected
+
+
+def test_psucc0_inverse_raises_on_a_missed_root(monkeypatch):
+    # one Illinois step from the starting bracket cannot reach MAX_ROOT_MISS
+    monkeypatch.setattr(success, "_MAX_ROOT_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="misses p=0.1 by"):
+        psucc0_inverse(16, [0.1, 0.3])
 
 
 def test_query_validation(rng_for):

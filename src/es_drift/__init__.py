@@ -13,7 +13,7 @@ from .kernels import LOG_PROGRESS_CAP
 from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
                         drift_map, estimate_truncated_drift,
                         hitting_time_bounds, minimize_psucc_over_band,
-                        potential, truncated_delta)
+                        potential)
 from .streams import derive_stream
 from .success import (psucc0_inverse, psucc_exact, psucc_limit, psucc_mc,
                       std_normal_cdf)
@@ -34,7 +34,7 @@ __all__ = [
     "har_step", "optimal_gamma", "sample_angle",
     "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
     "estimate_truncated_drift", "hitting_time_bounds", "minimize_psucc_over_band",
-    "potential", "truncated_delta",
+    "potential",
     "derive_stream",
     "psucc0_inverse", "psucc_exact", "psucc_limit", "psucc_mc", "std_normal_cdf",
     "TruncatedSeries", "first_hitting_time", "lower_bound_thm2",

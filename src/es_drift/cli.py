@@ -7,8 +7,8 @@ regimes, ``hitting-scaling`` compares empirical hitting times with the
 theoretical sandwich, ``bounds`` dumps the derived constant pipeline,
 ``har-check`` validates the line-search progress ceiling, and ``run``
 traces a single strategy run. Outputs are CSV/JSON with a schema_version
-marker; identical configs and seeds give byte-identical files for any
-worker count.
+marker; identical configs and seeds give byte-identical files.
+``--workers`` has no effect; it goes once the benchmark stops passing it.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
@@ -118,8 +118,7 @@ def cmd_drift_map(config: ExperimentConfig) -> list[tuple]:
                          config.drift_span_hi * constants.u,
                          config.drift_grid_points)
         rng = derive_stream(config.master_seed, 1, d_index)
-        for row in drift_map(d, constants, grid, config.mc_samples, rng,
-                             workers=config.workers):
+        for row in drift_map(d, constants, grid, config.mc_samples, rng):
             rows.append((d, row.sigma_bar, row.regime, row.drift_mean,
                          row.ci_halfwidth, row.bound_B, row.satisfied))
     _write_csv(_out_path(config, "drift_map.csv"),
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mc-samples", type=int, dest="mc_samples",
                         help="Monte Carlo samples per estimate")
     common.add_argument("--workers", type=int,
-                        help="worker processes for drift-map (default 1)")
+                        help="no effect; goes once perfbench stops passing it")
 
     parser = argparse.ArgumentParser(
         prog="es-drift",

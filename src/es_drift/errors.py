@@ -12,11 +12,10 @@ class ConfigurationError(ValueError):
 class ConvergenceError(RuntimeError):
     """A tolerance-controlled numerical routine cannot meet its tolerance.
 
-    Carries the best estimate obtained so far and the achieved error
-    bound, so callers can decide whether the partial result is usable.
+    Carries the best estimate obtained so far, so callers can decide
+    whether the partial result is usable.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float):
         super().__init__(message)
         self.estimate = estimate
-        self.error_bound = error_bound

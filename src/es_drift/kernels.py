@@ -15,7 +15,8 @@ chi2 only for the samples z0 leaves undecided: chi2 >= 0 only adds to
 no chi2 can change the outcome, and each sampler decides from z0 with
 the same floating-point expression its outcome uses. Every failure
 moves the drift potential by the same amount, so the drift sampler
-scores only the successes, each as its change less the failures'. The
+scores only the successes, each as its change less the failures', for
+a whole grid of step sizes from one pool of draws. The
 samplers reduce fixed-size chunks of draws with vectorized numpy, which
 bounds peak memory. The ES run is sequential, one offspring per
 iteration; es_hitting_times steps many independent runs together, one
@@ -101,30 +102,37 @@ def success_mc_hits(scale, radius, d, n, rng):
 
 
 def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
-    """Sums of max(dV, -a_cut) over n one-step transitions, about y_fail.
+    """Sums of max(dV, -a_cut) over n one-step transitions, about y_fail,
+    for each step size in the array ``sigma``.
 
-    All transitions restart from the same state (norm_m, sigma); the mean
-    is the conditional expected truncated potential change at that state.
-    Every failure moves the potential by the same y_fail, so only the
-    successes are scored one by one. Returns (y_fail, sum, sum_sq), the
-    sums of y - y_fail over the successes, to which each failure adds 0:
-    the mean is y_fail + sum / n, and a point where every sample fails
-    has sum = sum_sq = 0 exactly.
+    Transitions restart from (norm_m, sigma[i]), so the mean is the
+    conditional expected truncated potential change there. All step sizes
+    score one pool: z0 once per chunk, chi2 only where the smallest step
+    size leaves z0 undecided (a z0 deciding a failure there decides one at
+    every larger step size, as rounding is monotone). Each failure moves
+    the potential by y_fail, so only successes are scored. Returns arrays
+    (y_fail, sum, sum_sq), one entry per step size, the sums of
+    y - y_fail over the successes: the mean is y_fail + sum / n, and a
+    point where every sample fails has sum = sum_sq = 0 exactly.
     """
-    v_now = potential_value(norm_m, sigma, d, alpha, ell, u, v)
-    y_fail = max(float(potential_value(norm_m, sigma * alpha ** -0.25,
-                                       d, alpha, ell, u, v) - v_now), -a_cut)
+    sigmas = np.array(sigma, np.float64, ndmin=1)
+    v_now = potential_value(norm_m, sigmas, d, alpha, ell, u, v)
+    y_fail = np.maximum(potential_value(norm_m, sigmas * alpha ** -0.25,
+                                        d, alpha, ell, u, v) - v_now, -a_cut)
     norm_sq = norm_m * norm_m
-    total = 0.0
-    total_sq = 0.0
+    s_min = sigmas.min()
+    total = np.zeros(sigmas.size)
+    total_sq = np.zeros(sigmas.size)
     for _, z0, chi2 in _deciding_draws(
-            d, n, rng, lambda z0: (norm_m + sigma * z0) ** 2 <= norm_sq):
-        cand_sq = (norm_m + sigma * z0) ** 2 + (sigma * sigma) * chi2
-        cand_sq = cand_sq[cand_sq <= norm_sq]
-        y = np.maximum(potential_value(np.sqrt(cand_sq), sigma * alpha,
-                                       d, alpha, ell, u, v) - v_now, -a_cut) - y_fail
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
+            d, n, rng, lambda z0: (norm_m + s_min * z0) ** 2 <= norm_sq):
+        for i, s in enumerate(sigmas.tolist()):
+            cand_sq = (norm_m + s * z0) ** 2 + (s * s) * chi2
+            cand_sq = cand_sq[cand_sq <= norm_sq]
+            y = np.maximum(potential_value(np.sqrt(cand_sq), s * alpha,
+                                           d, alpha, ell, u, v) - v_now[i],
+                           -a_cut) - y_fail[i]
+            total[i] += y.sum()
+            total_sq[i] += (y * y).sum()
     return y_fail, total, total_sq
 
 

@@ -21,7 +21,6 @@ transitions from fixed states.
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -188,11 +187,20 @@ def potential(state: ESState, c: DriftConstants) -> float:
     return c.potential_of(state.norm, state.sigma)
 
 
-def truncated_delta(v_now: float, v_next: float, A: float) -> float:
-    """One-step potential change with downward moves cut at -A."""
-    if not A > 0.0:
-        raise ValueError("truncation depth A must be positive")
-    return max(v_next - v_now, -A)
+def _drift_estimates(norm: float, sigmas, c: DriftConstants, n: int,
+                     rng) -> list[MeanEstimate]:
+    """Truncated-drift estimates at (norm, sigma) for each sigma, all
+    scored on one pool of n draws from rng."""
+    if n < 1000:
+        raise ValueError("need at least 1000 transitions for a stable estimate")
+    sums = kernels.truncated_drift_sums(norm, sigmas, c.d, c.alpha, c.ell, c.u,
+                                        c.v, c.A, n, rng)
+    estimates = []
+    for y_fail, total, total_sq in zip(*(x.tolist() for x in sums)):
+        # the sums are of y - y_fail, so a constant increment has no spread
+        shifted = mean_estimate(total, total_sq, n)
+        estimates.append(replace(shifted, mean=y_fail + shifted.mean))
+    return estimates
 
 
 def estimate_truncated_drift(state: ESState, c: DriftConstants, n: int,
@@ -203,60 +211,39 @@ def estimate_truncated_drift(state: ESState, c: DriftConstants, n: int,
     state (a conditional expectation, not a trajectory average); the
     half-width is a 99% normal-approximation confidence radius.
     """
-    if n < 1000:
-        raise ValueError("need at least 1000 transitions for a stable estimate")
     if state.d != c.d:
         raise ValueError(f"state dimension {state.d} != constants dimension {c.d}")
     norm = state.norm
     if norm == 0.0:
         raise ValueError("drift undefined at the optimum (||m|| = 0)")
-    y_fail, total, total_sq = kernels.truncated_drift_sums(
-        norm, state.sigma, c.d, c.alpha, c.ell, c.u, c.v, c.A, n, rng)
-    # the sums are of y - y_fail, so a constant increment has no spread
-    shifted = mean_estimate(total, total_sq, n)
-    return replace(shifted, mean=y_fail + shifted.mean)
+    (estimate,) = _drift_estimates(norm, [state.sigma], c, n, rng)
+    return estimate
 
 
-def _drift_point(args) -> tuple[float, float]:
-    sigma_bar, c, n, rng = args
-    state = ESState(m=_unit_vector(c.d), sigma=sigma_bar / c.d)
-    est = estimate_truncated_drift(state, c, n, rng)
-    return est.mean, est.half_width
-
-
-def _unit_vector(d: int) -> np.ndarray:
-    m = np.zeros(d)
-    m[0] = 1.0
-    return m
-
-
-def drift_map(d: int, c: DriftConstants, sigma_bar_grid, n: int, rng,
-              workers: int = 1) -> list[DriftMapRow]:
+def drift_map(d: int, c: DriftConstants, sigma_bar_grid, n: int,
+              rng) -> list[DriftMapRow]:
     """Truncated-drift estimate at ||m|| = 1 states across a step-size grid.
 
-    Each grid point gets an independent child stream spawned from rng,
-    so results are identical for any worker count; rows come back in
-    grid order.
+    Every grid point scores the same n draws from rng, drawn for the
+    smallest step size of the grid (common random numbers), so the rows
+    are correlated and each ``ci_halfwidth`` is that row's own (marginal)
+    99% interval. A row depends only on its own sigma_bar and the grid
+    minimum: reordering the grid reorders the rows, and adding points at
+    or above the minimum leaves the other rows unchanged.
     """
     grid = [float(s) for s in sigma_bar_grid]
     if not grid:
         raise ValueError("sigma_bar_grid must be non-empty")
+    if not all(s > 0.0 for s in grid):
+        raise ValueError("sigma_bar_grid entries must be positive")
     if d != c.d:
         raise ValueError(f"d={d} does not match constants (d={c.d})")
-    streams = rng.spawn(len(grid))
-    tasks = [(s, c, n, stream) for s, stream in zip(grid, streams)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_drift_point, tasks))
-    else:
-        results = list(map(_drift_point, tasks))
-    rows = []
-    for sigma_bar, (mean, hw) in zip(grid, results):
-        rows.append(DriftMapRow(
-            sigma_bar=sigma_bar, regime=c.classify(sigma_bar).value,
-            drift_mean=mean, ci_halfwidth=hw, bound_B=c.B,
-            satisfied=bool(mean + hw <= -c.B)))
-    return rows
+    estimates = _drift_estimates(1.0, np.array(grid) / d, c, n, rng)
+    return [DriftMapRow(sigma_bar=sigma_bar, regime=c.classify(sigma_bar).value,
+                        drift_mean=est.mean, ci_halfwidth=est.half_width,
+                        bound_B=c.B,
+                        satisfied=bool(est.mean + est.half_width <= -c.B))
+            for sigma_bar, est in zip(grid, estimates)]
 
 
 def hitting_time_bounds(state0: ESState, c: DriftConstants,

@@ -1,9 +1,9 @@
 """Reproducible random stream derivation.
 
 Every stochastic routine takes an explicit ``numpy.random.Generator``.
-Independent tasks (replicates, grid points) get streams derived from
+Independent tasks (replicates, dimensions) get streams derived from
 ``(master_seed, *task_key)`` so results do not depend on execution
-order or on the degree of parallelism.
+order.
 """
 
 import numpy as np

@@ -75,7 +75,9 @@ def psucc_exact(d: int, r: float, sigma_bars):
     Returns an array shaped like ``sigma_bars`` (a float for a scalar).
     Raises ConvergenceError if the noncentrality (d/sbar)^2 exceeds
     MAX_NONCENTRALITY (normalized step sizes near zero) or if the CDF
-    comes back non-finite or outside [0, 1].
+    comes back non-finite or outside [0, 1]. ``chndtr`` is not smooth at
+    the 1e-11 level at d >= 8192, so values there (and the constants
+    derived from them) reproduce to about 1e-11 relative only.
     """
     sbar = np.asarray(sigma_bars, dtype=float)
     _check(d, r, float(sbar.min()))  # validates every sbar
@@ -88,10 +90,10 @@ def psucc_exact(d: int, r: float, sigma_bars):
 
     if lam.max() > MAX_NONCENTRALITY:
         raise ConvergenceError(f"noncentrality {lam.max():.4g} above the verified "
-                               f"{MAX_NONCENTRALITY:.0e} {where()}", result, math.inf)
+                               f"{MAX_NONCENTRALITY:.0e} {where()}", result)
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where()}",
-                               result, math.inf)
+                               result)
     return result
 
 
@@ -179,5 +181,5 @@ def psucc0_inverse(d: int, p):
     for root, miss, target in zip(roots, map(abs, f_b), targets):
         if not miss <= MAX_ROOT_MISS:
             raise ConvergenceError(f"root sigma_bar={root!r} misses p={target} by "
-                                   f"{miss:.3e}", estimate=root, error_bound=math.inf)
+                                   f"{miss:.3e}", estimate=root)
     return np.reshape(roots, ps.shape) if ps.ndim else roots[0]

@@ -5,7 +5,8 @@ of 4: a mixed chunk, a chunk z0 settles entirely, a chunk z0 settles
 nowhere and a short last chunk. It checks the chi-squared sizes asked for
 and compares the sums with a per-sample reference on the full formula, in
 which a sample the sampler decided from z0 gets chi2 = 0, the value most
-favourable to success.
+favourable to success. The drift sampler takes a grid of step sizes and
+draws chi2 for the samples its smallest step size leaves undecided.
 """
 
 import math
@@ -108,6 +109,62 @@ def test_truncated_drift_sums_draw_chi2_for_undecided_only(
     shifted = [y - y_fail for y in ys]
     assert total == pytest.approx(sum(shifted), rel=1e-12, abs=1e-15)
     assert total_sq == pytest.approx(sum(y * y for y in shifted), rel=1e-12, abs=1e-15)
+
+
+# sigma_bar at the three step sizes of the shared-pool test, one per
+# regime (reasonable, small, large), so the smallest is not first
+POOL_SIGMA_BAR_OF = [lambda c: c.ell, lambda c: c.ell / 2.0, lambda c: 2.0 * c.u]
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_truncated_drift_sums_score_every_step_size_from_one_pool(
+        small_chunks, constants_for, d):
+    c = constants_for(d)
+    norm = 1.7
+    sigmas = [f(c) * norm / d for f in POOL_SIGMA_BAR_OF]
+    s_min = min(sigmas)
+    # z0 is drawn once per chunk and chi2 once per z0 the smallest step
+    # size leaves undecided, t in [-1, 0] there
+    z0s = [t * 2.0 * norm / s_min for t in DRIFT_T]
+    flags = [-1.0 <= t <= 0.0 for t in DRIFT_T]
+    chi2s = [w / (s_min * s_min) for w in DRIFT_W]
+    draws = PresetDraws(z0s, chi2s)
+    y_fail, total, total_sq = kernels.truncated_drift_sums(
+        norm, np.array(sigmas), d, c.alpha, c.ell, c.u, c.v, c.A, len(z0s), draws)
+    assert draws.used_up()
+    assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
+    assert _chunk_counts(flags) == [2, 0, 4, 2]
+    assert y_fail.shape == total.shape == total_sq.shape == (len(sigmas),)
+
+    cut = False
+    for i, sigma in enumerate(sigmas):
+        ys = []
+        successes = 0
+        decided_here = 0
+        for z0, chi2 in zip(z0s, _full_chi2(flags, chi2s)):
+            if (norm + sigma * z0) ** 2 > norm * norm:
+                decided_here += 1
+            cand_sq = (norm + sigma * z0) ** 2 + sigma * sigma * chi2
+            if cand_sq <= norm * norm:
+                new = (math.sqrt(cand_sq), sigma * c.alpha)
+                successes += 1
+            else:
+                new = (norm, sigma * c.alpha ** -0.25)
+            ys.append(max(c.potential_of(*new) - c.potential_of(norm, sigma), -c.A))
+        expected_fail = max(c.potential_of(norm, sigma * c.alpha ** -0.25)
+                            - c.potential_of(norm, sigma), -c.A)
+        # every step size has successes; the larger ones also score pool
+        # samples that their own z0 test would have decided as failures
+        assert 0 < successes < sum(flags)
+        if sigma > s_min:
+            assert decided_here > len(flags) - sum(flags)
+        cut = cut or min(ys) == -c.A
+        assert y_fail[i] == expected_fail
+        shifted = [y - expected_fail for y in ys]
+        assert total[i] == pytest.approx(sum(shifted), rel=1e-12, abs=1e-15)
+        assert total_sq[i] == pytest.approx(sum(y * y for y in shifted),
+                                            rel=1e-12, abs=1e-15)
+    assert cut
 
 
 # success_mc_hits(0.5, 0.9, ...): a hit needs |1 + z0/2| < 0.9, which only

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from statistics import NormalDist
 
 import numpy as np
@@ -10,10 +11,11 @@ from scipy.special import chndtr
 from scipy.stats import ncx2
 
 from es_drift import (ConfigurationError, kernels, ESState,
-                      derive_constants, drift_map, estimate_truncated_drift,
+                      derive_constants, derive_stream, drift_map,
+                      estimate_truncated_drift,
                       hitting_time_bounds, initial_state,
                       minimize_psucc_over_band, potential, psucc_exact,
-                      psucc_limit, psucc_mc, truncated_delta)
+                      psucc_limit, psucc_mc)
 from es_drift.potential import Regime
 
 ND = NormalDist()
@@ -249,8 +251,9 @@ def test_potential_value_shifts_by_log_scale(constants_for, d, log_norm,
 @given(d=_DIMS, points=st.lists(st.tuples(_LOG_NORMS, _LOG_SIGMA_BARS),
                                 min_size=1, max_size=50))
 def test_potential_value_array_matches_scalar(constants_for, d, points):
-    # the drift sampler scores failures with one scalar call and successes
-    # with one array call, so both must give the same potential
+    # the drift sampler scores the step sizes of a grid with one array call
+    # and each step size's successes with another, so an entry must not
+    # depend on the array around it
     c = constants_for(d)
     norms = [math.exp(ln) for ln, _ in points]
     sigmas = [math.exp(ls) * n / d for n, (_, ls) in zip(norms, points)]
@@ -259,25 +262,6 @@ def test_potential_value_array_matches_scalar(constants_for, d, points):
     scalar = [kernels.potential_value(n, s, *_potential_args(c))
               for n, s in zip(norms, sigmas)]
     np.testing.assert_allclose(array, scalar, rtol=1e-15, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# truncated increments
-# ---------------------------------------------------------------------------
-
-def test_truncated_delta_cases():
-    assert truncated_delta(0.0, -5.0, 1.0) == -1.0
-    assert truncated_delta(0.0, 0.3, 1.0) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        truncated_delta(0.0, 0.0, 0.0)
-
-
-def test_truncated_delta_never_below_cut(rng_for):
-    rng = rng_for(2)
-    for _ in range(1000):
-        v_now, v_next = rng.normal(size=2) * 10.0
-        a_cut = float(rng.uniform(0.1, 5.0))
-        assert truncated_delta(v_now, v_next, a_cut) >= -a_cut
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +380,45 @@ def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
     assert row.drift_mean == y_fail
 
 
-def test_drift_map_parallel_matches_serial(constants_for, rng_for):
-    c = constants_for(5)
-    grid = [0.5, 1.5, 5.0]
-    serial = drift_map(5, c, grid, 2000, rng_for(9), workers=1)
-    parallel = drift_map(5, c, grid, 2000, rng_for(9), workers=2)
-    assert serial == parallel
+def test_drift_map_rejects_non_positive_grid_points(constants_for, rng_for):
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            drift_map(10, constants_for(10), [1.0, bad], 2000, rng_for(14))
+
+
+def test_estimate_equals_the_one_point_drift_map_row(constants_for, rng_for):
+    c = constants_for(10)
+    for i, sigma_bar in enumerate((c.ell / 10.0, math.sqrt(c.ell * c.u), 3.0 * c.u)):
+        est = estimate_truncated_drift(initial_state(10, 1.0, sigma_bar), c, 20_000,
+                                       rng_for(12, i))
+        (row,) = drift_map(10, c, [sigma_bar], 20_000, rng_for(12, i))
+        assert (row.drift_mean, row.ci_halfwidth) == (est.mean, est.half_width)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(d=st.sampled_from([3, 10]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=4),
+       data=st.data())
+def test_drift_map_rows_follow_their_grid_points(constants_for, d, fractions,
+                                                 extra, data):
+    # every grid point scores the same pool, drawn for the smallest step
+    # size: reordering the grid reorders the rows, and points at or above
+    # the grid minimum leave the other rows as they were, to the bit
+    c = constants_for(d)
+
+    def rows_for(grid):
+        rows = drift_map(d, c, grid, 2000, derive_stream(424242, 13, d))
+        return [repr(astuple(row)) for row in rows]
+
+    lo, hi = math.log(c.ell / 20.0), math.log(20.0 * c.u)
+    grid = [math.exp(lo + f * (hi - lo)) for f in fractions]
+    rows = rows_for(grid)
+    order = data.draw(st.permutations(range(len(grid))))
+    assert rows_for([grid[k] for k in order]) == [rows[k] for k in order]
+    low = min(grid)
+    wider = grid + [low * math.exp(f * (hi - math.log(low))) for f in extra]
+    assert rows_for(wider)[:len(grid)] == rows
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,6 @@ def test_psucc_exact_image_bounds():
             assert 0.0 < value < 0.5
 
 
-def test_psucc_exact_convergence_failure_reports_bound():
-    with pytest.raises(ConvergenceError) as excinfo:
-        psucc_exact(32, 0.0, 1e-5)
-    assert excinfo.value.error_bound > 1e-10
-
-
 def test_figure_curve_gap_shrinks_with_dimension():
     grid = np.exp(np.linspace(math.log(0.125), math.log(8.0), 32))
     for rho in (0.0, 1.0):

@@ -2,8 +2,7 @@
 sphere, plus the numerical machinery for drift-style runtime analysis."""
 
 from .core import (ESParams, ESState, RunTrace, StepOutcome, es_step,
-                   hitting_times, initial_state, normalized_step_size, run_until,
-                   sphere_eval)
+                   hitting_times, initial_state, run_until)
 from .errors import ConfigurationError, ConvergenceError
 from .estimates import MeanEstimate, ProbEstimate, Z99
 from .hitandrun import (HarSample, expected_log_progress_exact,
@@ -27,8 +26,7 @@ __all__ = [
     "LOG_PROGRESS_CAP", "Z99", "__version__",
     "ConfigurationError", "ConvergenceError",
     "ESParams", "ESState", "RunTrace", "StepOutcome",
-    "es_step", "hitting_times", "initial_state", "normalized_step_size", "run_until",
-    "sphere_eval",
+    "es_step", "hitting_times", "initial_state", "run_until",
     "MeanEstimate", "ProbEstimate",
     "HarSample", "expected_log_progress_exact", "expected_log_progress_mc",
     "har_step", "optimal_gamma", "sample_angle",

@@ -148,14 +148,15 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
     # a configuration the bounds reject fails before any chain runs
     constants = [derive_constants(d, config.alpha, config.p_u, config.p_l)
                  for d in config.d_list]
-    # one chain per (d_index, replicate), on stream (seed, 2, d_index, rep),
-    # gives the first passages below every epsilon
+    # one chain per (d_index, replicate) gives the first passages below
+    # every epsilon; the replicates of a d share stream (seed, 2, d_index),
+    # each stepped by its own column of that stream's draw blocks
     results = hitting_times(
         [initial_state(d, config.m0_norm, config.sigma_bar0)
          for d in config.d_list for _ in range(reps)],
         config.alpha, eps_values, config.max_iter,
-        [derive_stream(config.master_seed, 2, d_index, rep)
-         for d_index in range(len(config.d_list)) for rep in range(reps)])
+        [rng for d_index in range(len(config.d_list))
+         for rng in [derive_stream(config.master_seed, 2, d_index)] * reps])
 
     reports = []
     for d_index, (d, c) in enumerate(zip(config.d_list, constants)):

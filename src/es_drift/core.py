@@ -94,14 +94,6 @@ class RunTrace:
         return len(self.ts)
 
 
-def sphere_eval(x: Sequence[float] | np.ndarray) -> float:
-    """Squared Euclidean norm, the objective being minimized."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("expected a non-empty 1-d vector")
-    return float(x @ x)
-
-
 def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:
     """State on the first axis with ||m|| = m0_norm and the given
     normalized step size (isotropy makes the direction irrelevant)."""
@@ -112,14 +104,6 @@ def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:
     m = np.zeros(d)
     m[0] = m0_norm
     return ESState(m=m, sigma=sigma_bar0 * m0_norm / d)
-
-
-def normalized_step_size(state: ESState) -> float:
-    """d * sigma / ||m||, the scale-invariant state on the sphere."""
-    norm = state.norm
-    if norm == 0.0:
-        raise ZeroDivisionError("normalized step size undefined at the optimum (||m|| = 0)")
-    return state.d * state.sigma / norm
 
 
 def es_step(state: ESState, params: ESParams, rng) -> tuple[ESState, StepOutcome]:
@@ -177,11 +161,18 @@ def hitting_times(states: Sequence[ESState], alpha: float,
     """First passages of independent runs below shared thresholds, all
     stepped together.
 
-    Run i starts from states[i] and draws from rngs[i]. It gets a list with
-    one entry per threshold, in the order of ``epsilons`` (any order,
-    duplicates allowed): entry j equals
-    ``run_until(states[i], ESParams(alpha, states[i].d), epsilons[j],
-    max_iter, rngs[i]).hitting_time``, None where the budget ran out.
+    Run i starts from states[i] and draws from rngs[i]. Runs given the same
+    Generator object share its stream and must share d: at every 64-step
+    block the group draws one block of normals, then one of chi-squared
+    values, for all its runs, and each run reads its own column (see
+    ``kernels.es_hitting_times``). Run i gets a list with one entry per
+    threshold, in the order of ``epsilons`` (any order, duplicates
+    allowed), None where the budget ran out. For a run alone on its
+    generator, entry j equals ``run_until(states[i], ESParams(alpha,
+    states[i].d), epsilons[j], max_iter, rngs[i]).hitting_time``; a run in
+    a group equals run_until fed its column of the group's blocks. A run's
+    entries do not depend on the other runs, the other thresholds or
+    max_iter.
     """
     if len(states) != len(rngs):
         raise ValueError(f"got {len(states)} states and {len(rngs)} streams")

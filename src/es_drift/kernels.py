@@ -21,9 +21,11 @@ samplers reduce fixed-size chunks of draws with vectorized numpy, which
 bounds peak memory. The ES run is sequential, one offspring per
 iteration; es_hitting_times steps many independent runs together, one
 array operation per iteration for all of them, and records each run's
-first passage below every threshold of a shared list. Every kernel
-takes explicit ``numpy.random.Generator`` streams, so a given seed
-yields the same sample sequence on every call.
+first passage below every threshold of a shared list. Its runs on one
+generator share that stream: one draw per block for all of them, one
+column of the block each. Every kernel takes explicit
+``numpy.random.Generator`` streams, so a given seed yields the same
+sample sequence on every call.
 """
 
 import math
@@ -33,12 +35,13 @@ import numpy as np
 # samples per chunk in the Monte Carlo samplers (bounds peak memory)
 _CHUNK = 1 << 20
 # offspring drawn at a time per run by es_run and es_hitting_times, always
-# a full block whatever the budget, so both consume a stream identically
-# and a run's draws do not depend on max_iter. es_hitting_times keeps the
-# blocks of all runs in two (_ES_CHUNK, n) arrays, one column per run,
-# refilled at each block boundary, so a step reads one contiguous row:
-# 2 * 8 * _ES_CHUNK bytes per run, 1 MB for 1,000 runs at 64 steps, where
-# 1024 steps would take 16 MB
+# a full block whatever the budget, so a run alone on its generator
+# consumes it identically in both and a run's draws do not depend on
+# max_iter. es_hitting_times keeps the blocks of all runs in two
+# (_ES_CHUNK, n) arrays, one column per run, refilled per generator at each
+# block boundary, so a step reads one contiguous row: 2 * 8 * _ES_CHUNK
+# bytes per run, 1 MB for 1,000 runs at 64 steps, where 1024 steps would
+# take 16 MB
 _ES_CHUNK = 64
 
 # stand-in for an infinite log-progress on a measure-zero collinear hit
@@ -209,62 +212,94 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
 
 
 def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
-    """First passages of many independent es_run chains below shared
-    thresholds, stepped in lockstep.
+    """First passages of many es_run chains below shared thresholds,
+    stepped in lockstep.
 
-    Run i starts at (norm0[i], sigma0[i]) in dimension d[i] and draws from
-    its own generator rngs[i] exactly as es_run does; ``norm0``, ``sigma0``
-    and ``d`` broadcast to ``len(rngs)``. ``epsilons`` is one non-increasing
-    vector of k thresholds shared by every run. Returns an (n, k) int64
-    array: entry (i, j) is the first t with ||m|| <= epsilons[j] on run i,
-    which is es_run's hitting time for that target, or -1 where run i used
-    up max_iter first.
+    Run i starts at (norm0[i], sigma0[i]) in dimension d[i]; ``norm0``,
+    ``sigma0`` and ``d`` broadcast to ``len(rngs)``. Runs given the same
+    Generator object form a group, which must share d (ValueError
+    otherwise): at every _ES_CHUNK-step block boundary a group with a live
+    run draws _ES_CHUNK * m normals, then as many chi2, for its m runs,
+    each reshaped to (_ES_CHUNK, m), and column j steps the group's j-th
+    run in ``rngs`` order. A run alone on its generator so draws exactly
+    as es_run does. ``epsilons`` is one non-increasing vector of k
+    thresholds shared by every run. Returns an (n, k) int64 array: entry
+    (i, j) is the first t with ||m|| <= epsilons[j] on run i, or -1 where
+    run i used up max_iter first.
 
-    Each run keeps the index of its next threshold, and one step may pass
+    Each run keeps its next threshold as its target, and one step may pass
     several. A run that has passed its last threshold is frozen: sigma = 0
-    makes its ratio exactly 1, so it stays put. Frozen runs leave the state
-    arrays at the next block boundary, where the draw block is refilled
-    anyway, and every step reads one contiguous row of the block.
+    makes its ratio exactly 1, so it stays put in the state arrays, and a
+    group whose runs are all frozen stops drawing. A group draws the same
+    blocks whichever of its runs are frozen, so a run's draws and first
+    passages do not depend on other runs, on the other thresholds or on
+    max_iter.
     """
     n = len(rngs)
     norm, sigma = (np.array(np.broadcast_to(np.asarray(x, np.float64), (n,)))
                    for x in (norm0, sigma0))
     ds = np.broadcast_to(d, (n,)).tolist()
+    members = {}
+    for i, rng in enumerate(rngs):
+        members.setdefault(id(rng), []).append(i)
+    groups = []               # (generator, d, size, columns) per group
+    group_of = np.empty(n, np.intp)
+    for g, runs in enumerate(members.values()):
+        group_d = {ds[i] for i in runs}
+        if len(group_d) > 1:
+            raise ValueError("runs sharing a generator must share d, got d = "
+                             f"{sorted(group_d)}")
+        # a slice writes a block into adjacent columns 2-3x faster than an
+        # index array, and runs of a group are usually adjacent
+        contiguous = runs[-1] - runs[0] == len(runs) - 1
+        columns = slice(runs[0], runs[-1] + 1) if contiguous else np.array(runs)
+        groups.append((rngs[runs[0]], ds[runs[0]], len(runs), columns))
+        group_of[runs] = g
+    live = [size for _, _, size, _ in groups]   # unfrozen runs per group
+    active = n
     # -inf past the last threshold, which no norm reaches
     thresholds = np.append(np.asarray(epsilons, np.float64), -np.inf)
     k = thresholds.size - 1
     times = np.full((n, k), -1, np.int64)
     nxt = np.zeros(n, np.intp)        # index of each run's next threshold
+    target = np.full(n, thresholds[0])
     # one column of draws per run in the block, refilled at every boundary
     z0s = np.empty((_ES_CHUNK, n))
     chi2s = np.empty((_ES_CHUNK, n))
-    live = np.arange(n)       # run index of each entry in the state arrays
-    active = n                # entries not yet frozen
-    sigma_down = alpha ** -0.25
+    q = np.empty(n)
+    hit = np.empty(n, np.bool_)
+    success = np.empty(n, np.bool_)
+    sigma_factor = np.empty(n)
+    factor = np.array([alpha ** -0.25, alpha])   # failure, success
     t = 0
     while True:
-        hit = norm <= thresholds[nxt]
-        if hit.any():
+        np.less_equal(norm, target, out=hit)
+        if np.count_nonzero(hit):
             for r in np.flatnonzero(hit).tolist():
-                j = nxt[r]
+                first = j = int(nxt[r])
                 while norm[r] <= thresholds[j]:
                     j += 1
-                times[live[r], nxt[r]:j] = t
+                times[r, first:j] = t
                 nxt[r] = j
+                target[r] = thresholds[j]
                 if j == k:
                     sigma[r] = 0.0
+                    live[group_of[r]] -= 1
                     active -= 1
         if t >= max_iter or not active:
             break
         step = t % _ES_CHUNK
         if step == 0:
-            keep = nxt < k
-            live, norm, sigma, nxt = (x[keep] for x in (live, norm, sigma, nxt))
-            for r, i in enumerate(live.tolist()):
-                z0s[:, r], chi2s[:, r] = _draw(ds[i], _ES_CHUNK, rngs[i])
-        m = live.size
-        ratio_sq = _ratio_sq(sigma / norm, z0s[step, :m], chi2s[step, :m])
-        norm *= np.sqrt(np.minimum(ratio_sq, 1.0))
-        sigma *= np.where(ratio_sq <= 1.0, alpha, sigma_down)
+            for (rng, group_d, size, columns), group_live in zip(groups, live):
+                if group_live:
+                    z0, chi2 = _draw(group_d, _ES_CHUNK * size, rng)
+                    z0s[:, columns] = z0.reshape(_ES_CHUNK, size)
+                    chi2s[:, columns] = chi2.reshape(_ES_CHUNK, size)
+        np.divide(sigma, norm, out=q)
+        ratio_sq = _ratio_sq(q, z0s[step], chi2s[step])
+        np.less_equal(ratio_sq, 1.0, out=success)
+        np.minimum(ratio_sq, 1.0, out=ratio_sq)
+        norm *= np.sqrt(ratio_sq, out=ratio_sq)
+        sigma *= factor.take(success, out=sigma_factor)
         t += 1
     return times

@@ -1,8 +1,8 @@
 """Reproducible random stream derivation.
 
 Every stochastic routine takes an explicit ``numpy.random.Generator``.
-Independent tasks (replicates, dimensions) get streams derived from
-``(master_seed, *task_key)`` so results do not depend on execution
+Independent tasks (a subcommand at one dimension) get streams derived
+from ``(master_seed, *task_key)`` so results do not depend on execution
 order.
 """
 

@@ -176,13 +176,13 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
 
 
 def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
-    # the d = 4 runs are replicates 0..9 on streams (seed, 2, 0, rep), one
+    # the d = 4 runs are replicates 0..9 sharing stream (seed, 2, 0), one
     # chain each for both epsilons; a budget of 260 censors exactly those
     # whose uncensored time to 1e-4 exceeds it, and a mean of the finished
     # runs alone would be biased low
     uncensored = [times[1] for times in hitting_times(
         [initial_state(4, 1.0, 2.0)] * 10, 1.5, [1e-2, 1e-4], 10 ** 7,
-        [derive_stream(20180715, 2, 0, rep) for rep in range(10)])]
+        [derive_stream(20180715, 2, 0)] * 10)]
     over_budget = sum(t > 260 for t in uncensored)
     assert 0 < over_budget < 10
     cfg = tmp_path / "partly.cfg"
@@ -262,6 +262,24 @@ def test_byte_identical_reruns(tmp_path):
     cmd_hitting_scaling(ExperimentConfig(output_path=str(out_a), **base))
     cmd_hitting_scaling(ExperimentConfig(output_path=str(out_b), **base))
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_hitting_scaling_rows_of_a_d_do_not_depend_on_d_list(tmp_path):
+    # the replicates of d_list[i] share stream (seed, 2, i), so adding a
+    # later dimension leaves the d = 4 rows as they were; reruns are
+    # byte-identical
+    base = dict(eps_list=(1e-2, 1e-4), replicates=8)
+    outs = {}
+    for name, d_list in (("a", (4,)), ("b", (4, 8)), ("c", (4, 8))):
+        outs[name] = tmp_path / f"{name}.csv"
+        cmd_hitting_scaling(ExperimentConfig(output_path=str(outs[name]),
+                                             d_list=d_list, **base))
+    assert outs["b"].read_bytes() == outs["c"].read_bytes()
+    header, alone, _ = _read_csv(outs["a"])
+    _, joined, _ = _read_csv(outs["b"])
+    d_column = header.index("d")
+    assert [row for row in joined if row[d_column] == "4"] == alone
+    assert [row[d_column] for row in joined] == ["4", "4", "8", "8"]
 
 
 def test_byte_identical_across_worker_counts(tmp_path):

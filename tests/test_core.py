@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from es_drift import (ESParams, ESState, derive_stream, es_step, hitting_times,
-                      initial_state, normalized_step_size, run_until, sphere_eval)
+                      initial_state, run_until)
 from es_drift.kernels import es_hitting_times, potential_value
 
 
@@ -24,27 +24,6 @@ class FixedDraw:
         self._i += 1
         assert v.size == size
         return v.copy()
-
-
-def test_sphere_eval_at_origin():
-    assert sphere_eval(np.zeros(7)) == 0.0
-
-
-def test_sphere_eval_pythagorean():
-    assert sphere_eval([3.0, 4.0]) == 25.0
-
-
-def test_sphere_eval_matches_accumulation_oracle(rng_for):
-    x = rng_for(0).standard_normal(10)
-    oracle = 0.0
-    for xi in x:
-        oracle += float(xi) * float(xi)
-    assert math.isclose(sphere_eval(x), oracle, rel_tol=1e-12)
-
-
-def test_sphere_eval_rejects_empty():
-    with pytest.raises(ValueError):
-        sphere_eval(np.array([]))
 
 
 def test_es_step_forced_failure_shrinks_sigma():
@@ -264,6 +243,107 @@ def test_hitting_times_memory_does_not_grow_with_max_iter():
     assert peak < 4 * 2 ** 20
 
 
+def test_hitting_times_memory_with_one_shared_generator():
+    # a group of 1,000 runs draws one (_ES_CHUNK, 1000) block of each kind
+    # at a time, 1 MB of blocks plus the draws being copied in
+    n, d = 1000, 8
+    tracemalloc.start()
+    try:
+        times = es_hitting_times(1.0, 2.0 / d, d, 1.5, [1e-2, 1e-3, 1e-4], 10 ** 9,
+                                 [derive_stream(11)] * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.shape == (n, 3)
+    assert np.all(times > 0)
+    assert np.all(np.diff(times, axis=1) >= 0)
+    assert peak < 4 * 2 ** 20
+
+
+class GroupColumnDraw:
+    """Stands in for a Generator, serving one run the column of a group's
+    blocks that es_hitting_times gives it: each call draws the block of all
+    ``size_of_group`` runs from ``rng`` and returns column ``column``."""
+
+    def __init__(self, rng, size_of_group, column):
+        self._rng = rng
+        self._k = size_of_group
+        self._j = column
+
+    def _column(self, flat, size):
+        return flat.reshape(size, self._k)[:, self._j].copy()
+
+    def standard_normal(self, size):
+        return self._column(self._rng.standard_normal(size * self._k), size)
+
+    def standard_gamma(self, shape, size):
+        return self._column(self._rng.standard_gamma(shape, size * self._k), size)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(groups=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 2 ** 32 - 1)),
+                       min_size=1, max_size=3),
+       members=st.lists(st.tuples(st.integers(0, 2), st.floats(0.25, 16.0)),
+                        min_size=1, max_size=12),
+       powers=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+       max_iter=st.integers(1, 3000))
+@example(groups=[(3, 1), (10, 2)],
+         members=[(i % 3, 2.0 ** (i % 5 - 1)) for i in range(30)],
+         powers=[4, 0, 8, 4, 300], max_iter=4999)
+def test_hitting_times_group_equals_run_until_column_for_column(
+        groups, members, powers, max_iter):
+    # runs on one generator object, interleaved with other groups in the
+    # caller's order, each equal run for run and threshold for threshold to
+    # run_until fed that run's column of the group's blocks from a fresh
+    # copy of the stream
+    member_groups = [g % len(groups) for g, _ in members]
+    states = [initial_state(groups[g][0], 1.0, sigma_bar)
+              for g, (_, sigma_bar) in zip(member_groups, members)]
+    shared = [derive_stream(seed) for _, seed in groups]
+    epsilons = [10.0 ** -k for k in powers]
+    lockstep = hitting_times(states, 1.5, epsilons, max_iter,
+                             [shared[g] for g in member_groups])
+    single = []
+    for i, (state, g) in enumerate(zip(states, member_groups)):
+        column = member_groups[:i].count(g)
+        single.append([run_until(
+            state, ESParams(1.5, state.d), epsilon, max_iter,
+            GroupColumnDraw(derive_stream(groups[g][1]), member_groups.count(g), column),
+            record_every=max_iter).hitting_time for epsilon in epsilons])
+    assert lockstep == single
+
+
+def test_hitting_times_of_a_run_do_not_depend_on_the_rest_of_the_call():
+    # a group of 6 runs at d = 8; budget 400 censors some at 1e-4
+    def group():
+        return [initial_state(8, 1.0, 2.0)] * 6, [derive_stream(31)] * 6
+
+    states, rngs = group()
+    base = hitting_times(states, 1.5, [1e-2, 1e-4], 400, rngs)
+    assert 0 < sum(times[1] is None for times in base) < 6
+    # more thresholds, interleaved with the first two
+    states, rngs = group()
+    more = hitting_times(states, 1.5, [1e-3, 1e-2, 1e-6, 1e-4], 400, rngs)
+    assert [[times[1], times[3]] for times in more] == base
+    # a larger budget only uncensors runs, each past the smaller budget
+    states, rngs = group()
+    longer = hitting_times(states, 1.5, [1e-2, 1e-4], 10 ** 7, rngs)
+    assert [[t if t <= 400 else None for t in times] for times in longer] == base
+    # another group joins, before and after, at another d
+    states, rngs = group()
+    other = [initial_state(16, 1.0, 2.0)] * 3
+    joined = hitting_times(other + states + other, 1.5, [1e-2, 1e-4], 400,
+                           [derive_stream(32)] * 3 + rngs + [derive_stream(32)] * 3)
+    assert joined[3:9] == base
+
+
+def test_hitting_times_group_must_share_dimension():
+    rng = derive_stream(0)
+    with pytest.raises(ValueError, match="share d"):
+        hitting_times([initial_state(4, 1.0, 2.0), initial_state(8, 1.0, 2.0)],
+                      1.5, [1e-2], 10, [rng, rng])
+
+
 def test_hitting_times_validates_inputs():
     state = initial_state(4, 1.0, 2.0)
     with pytest.raises(ValueError, match="epsilon"):
@@ -321,19 +401,9 @@ def test_run_until_records_potential_when_given(rng_for, constants_for):
     assert np.all(potentials >= np.log(trace.norms) - 1e-12)
 
 
-def test_normalized_step_size_arithmetic():
-    assert normalized_step_size(ESState(m=[1.0] + [0.0] * 9, sigma=0.1)) == pytest.approx(1.0)
-    assert normalized_step_size(ESState(m=[2.0, 0.0], sigma=1.0)) == pytest.approx(1.0)
-
-
-def test_normalized_step_size_pole():
-    with pytest.raises(ZeroDivisionError):
-        normalized_step_size(ESState(m=[0.0, 0.0], sigma=1.0))
-
-
 def test_initial_state_has_requested_normalized_step():
     state = initial_state(12, 0.7, 2.5)
-    assert normalized_step_size(state) == pytest.approx(2.5, rel=1e-12)
+    assert state.d * state.sigma / state.norm == pytest.approx(2.5, rel=1e-12)
     assert state.norm == pytest.approx(0.7)
 
 

@@ -233,7 +233,10 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
     group whose runs are all frozen stops drawing. A group draws the same
     blocks whichever of its runs are frozen, so a run's draws and first
     passages do not depend on other runs, on the other thresholds or on
-    max_iter.
+    max_iter. The cost of that: frozen runs stay in every step's array
+    operations until the whole call ends, so with one generator per run
+    (many small groups) a batch whose runs finish at very different times
+    steps slower than it would if finished runs were dropped.
     """
     n = len(rngs)
     norm, sigma = (np.array(np.broadcast_to(np.asarray(x, np.float64), (n,)))
@@ -249,11 +252,7 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
         if len(group_d) > 1:
             raise ValueError("runs sharing a generator must share d, got d = "
                              f"{sorted(group_d)}")
-        # a slice writes a block into adjacent columns 2-3x faster than an
-        # index array, and runs of a group are usually adjacent
-        contiguous = runs[-1] - runs[0] == len(runs) - 1
-        columns = slice(runs[0], runs[-1] + 1) if contiguous else np.array(runs)
-        groups.append((rngs[runs[0]], ds[runs[0]], len(runs), columns))
+        groups.append((rngs[runs[0]], ds[runs[0]], len(runs), np.array(runs)))
         group_of[runs] = g
     live = [size for _, _, size, _ in groups]   # unfrozen runs per group
     active = n

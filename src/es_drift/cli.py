@@ -68,10 +68,22 @@ def _format(value) -> str:
     return str(int(value)) if isinstance(value, np.integer) else str(value)
 
 
+def _format_column(values: tuple) -> list[str]:
+    """_format of every value, one string method for a column of one kind."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return list(map(float.__repr__, values))
+    if kinds <= {bool, np.bool_}:
+        return ["true" if v else "false" for v in values]
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_format, values))
+
+
 def _write_csv(path: Path, columns: list[str], rows: list[tuple],
                trailing_comments: Optional[list[str]] = None) -> None:
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_format_column, zip(*rows)))))
     lines.extend(trailing_comments or [])
     path.write_text("\n".join(lines) + "\n")
 

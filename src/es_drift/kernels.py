@@ -16,7 +16,11 @@ no chi2 can change the outcome, and each sampler decides from z0 with
 the same floating-point expression its outcome uses. Every failure
 moves the drift potential by the same amount, so the drift sampler
 scores only the successes, each as its change less the failures', for
-a whole grid of step sizes from one pool of draws. The
+a whole grid of step sizes from one pool of draws. The potential is
+written once, as a function of the log-norm x and the two penalty logs
+of the step size; after a success the step size is fixed per grid
+point, so the sampler computes its penalty logs once and scores a
+success from x = log(cand_sq) / 2 with one log and no square root. The
 samplers reduce fixed-size chunks of draws with vectorized numpy, which
 bounds peak memory. The ES run is sequential, one offspring per
 iteration; es_hitting_times steps many independent runs together, one
@@ -48,14 +52,32 @@ _ES_CHUNK = 64
 LOG_PROGRESS_CAP = 700.0
 
 
+def _penalty_logs(sigma, d, alpha, ell, u):
+    """(lo, hi) at step size sigma: the penalties at log-norm x are x + lo
+    (step size too small) and hi - x (too large)."""
+    return np.log(alpha * ell / (d * sigma)), np.log(alpha ** 0.25 * sigma * d / u)
+
+
+def _log_potential(x, lo, hi, v):
+    """The drift potential at log-norm x, given the step size's penalty logs:
+    x + v * max(0, x + lo, hi - x).
+
+    Written as the largest of three lines in x, with slopes 1, 1 + v and
+    1 - v, all positive for 0 <= v < 1, so the optimum, x = log 0 = -inf,
+    gives -inf instead of NaN.
+    """
+    return np.maximum(x, np.maximum((1.0 + v) * x + v * lo,
+                                    (1.0 - v) * x + v * hi))
+
+
 def potential_value(norm_m, sigma, d, alpha, ell, u, v):
     """log-norm plus step-size penalty: the drift potential at (norm, sigma).
 
     Elementwise on arrays; returns a numpy float for scalar arguments.
+    Evaluated as _log_potential at x = log(norm_m), like the drift sampler's
+    scores.
     """
-    pen_small = np.log(alpha * ell * norm_m / (d * sigma))
-    pen_large = np.log(alpha ** 0.25 * sigma * d / (u * norm_m))
-    return np.log(norm_m) + v * np.maximum(0.0, np.maximum(pen_small, pen_large))
+    return _log_potential(np.log(norm_m), *_penalty_logs(sigma, d, alpha, ell, u), v)
 
 
 def _draw(d, k, rng):
@@ -122,18 +144,32 @@ def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
     v_now = potential_value(norm_m, sigmas, d, alpha, ell, u, v)
     y_fail = np.maximum(potential_value(norm_m, sigmas * alpha ** -0.25,
                                         d, alpha, ell, u, v) - v_now, -a_cut)
+    # a success multiplies the step size by alpha; its penalty logs are
+    # fixed per step size, so scoring one costs one log
+    lo_up, hi_up = _penalty_logs(sigmas * alpha, d, alpha, ell, u)
+    points = list(zip(sigmas.tolist(), lo_up.tolist(), hi_up.tolist(),
+                      v_now.tolist(), y_fail.tolist()))
     norm_sq = norm_m * norm_m
     s_min = sigmas.min()
     total = np.zeros(sigmas.size)
     total_sq = np.zeros(sigmas.size)
     for _, z0, chi2 in _deciding_draws(
             d, n, rng, lambda z0: (norm_m + s_min * z0) ** 2 <= norm_sq):
-        for i, s in enumerate(sigmas.tolist()):
-            cand_sq = (norm_m + s * z0) ** 2 + (s * s) * chi2
-            cand_sq = cand_sq[cand_sq <= norm_sq]
-            y = np.maximum(potential_value(np.sqrt(cand_sq), s * alpha,
-                                           d, alpha, ell, u, v) - v_now[i],
-                           -a_cut) - y_fail[i]
+        for i, (s, lo, hi, v_i, y_fail_i) in enumerate(points):
+            # (norm_m + s z0)^2 + s^2 chi2, and the scoring below, in place
+            cand_sq = s * z0
+            cand_sq += norm_m
+            np.square(cand_sq, out=cand_sq)
+            cand_sq += (s * s) * chi2
+            x = cand_sq[cand_sq <= norm_sq]
+            # an exact hit of the optimum has x = -inf, so y = -a_cut
+            with np.errstate(divide="ignore"):
+                np.log(x, out=x)
+            x *= 0.5
+            y = _log_potential(x, lo, hi, v)
+            y -= v_i
+            np.maximum(y, -a_cut, out=y)
+            y -= y_fail_i
             total[i] += y.sum()
             total_sq[i] += (y * y).sum()
     return y_fail, total, total_sq

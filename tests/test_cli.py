@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from es_drift import derive_stream, hitting_times, initial_state
-from es_drift.cli import (cmd_bounds, cmd_drift_map, cmd_har_check,
-                          cmd_hitting_scaling, cmd_run, cmd_success_curve,
-                          main)
+from es_drift.cli import (_format, _write_csv, cmd_bounds, cmd_drift_map,
+                          cmd_har_check, cmd_hitting_scaling, cmd_run,
+                          cmd_success_curve, main)
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
 from es_drift.success import std_normal_cdf
@@ -250,6 +250,32 @@ def test_run_trace(tmp_path):
     assert any(c.startswith("# hitting_time=") for c in comments)
     norms = [float(row[1]) for row in raw]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
+
+
+# columns of one kind each, then columns mixing kinds
+_CSV_COLUMNS = [
+    [0.1, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 2.0],
+    [np.float64(0.1), 1.5, np.float64(math.nan), 3.0, 1e-17, -2.5, 0.0, 7.0],
+    [True, False, np.True_, np.False_, True, True, False, True],
+    [0, -3, 10 ** 20, 7, 1, 2, 3, 4],
+    ["small_sigma", "a", "", "b", "c", "d", "e", "f"],
+    [np.int64(5), 2, 3.5, True, np.float32(0.1), "x", np.bool_(False), -1],
+    [1, 2.0, 3, 4.0, 5, 6.0, 7, 8.0],
+]
+
+
+def test_write_csv_formats_every_value_as_format_does(tmp_path):
+    # the writer formats a column at a time; every file must read as if
+    # _format had been called on each value
+    rows = list(zip(*_CSV_COLUMNS))
+    names = [f"c{i}" for i in range(len(_CSV_COLUMNS))]
+    out = tmp_path / "t.csv"
+    _write_csv(out, names, rows, ["# done"])
+    expected = ["# schema_version=1", ",".join(names),
+                *(",".join(_format(v) for v in row) for row in rows), "# done"]
+    assert out.read_text() == "\n".join(expected) + "\n"
+    _write_csv(out, names, [])
+    assert out.read_text() == "# schema_version=1\n" + ",".join(names) + "\n"
 
 
 # ---------------------------------------------------------------------------

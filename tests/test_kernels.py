@@ -6,10 +6,14 @@ nowhere and a short last chunk. It checks the chi-squared sizes asked for
 and compares the sums with a per-sample reference on the full formula, in
 which a sample the sampler decided from z0 gets chi2 = 0, the value most
 favourable to success. The drift sampler takes a grid of step sizes and
-draws chi2 for the samples its smallest step size leaves undecided.
+draws chi2 for the samples its smallest step size leaves undecided; two
+more tests check that it scores an exact hit of the optimum as -A and,
+on a recorded real stream, that it scores exactly the successes a direct
+count finds at every step size.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +169,84 @@ def test_truncated_drift_sums_score_every_step_size_from_one_pool(
         assert total_sq[i] == pytest.approx(sum(y * y for y in shifted),
                                             rel=1e-12, abs=1e-15)
     assert cut
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_truncated_drift_sums_score_an_exact_hit_of_the_optimum_as_minus_a(
+        constants_for, d):
+    # z0 = -||m|| / sigma and chi2 = 0 land exactly on the optimum (powers
+    # of two keep sigma * z0 exact): V' = -inf there, so the truncated
+    # change is -A, with no NaN and no warning
+    c = constants_for(d)
+    norm = 2.0
+    sigma = 2.0 ** round(math.log2(math.sqrt(c.ell * c.u) * norm / d))
+    assert (norm + sigma * (-norm / sigma)) ** 2 == 0.0
+    draws = PresetDraws([-norm / sigma, 1.0, 2.0, 3.0], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y_fail, total, total_sq = kernels.truncated_drift_sums(
+            norm, sigma, d, c.alpha, c.ell, c.u, c.v, c.A, 4, draws)
+    assert draws.used_up()
+    assert y_fail == max(c.potential_of(norm, sigma * c.alpha ** -0.25)
+                         - c.potential_of(norm, sigma), -c.A)
+    assert total == -c.A - y_fail
+    assert total_sq == (-c.A - y_fail) ** 2
+
+
+class RecordedDraws:
+    """A real Generator whose z0 and chi2 draws are kept, in order."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.z0s = []
+        self.chi2s = []
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        self.z0s.append(out)
+        return out
+
+    def standard_gamma(self, shape, size):
+        out = self._rng.standard_gamma(shape, size)
+        self.chi2s.append(2.0 * out)
+        return out
+
+
+@pytest.mark.parametrize("d", [2, 10, 64])
+@pytest.mark.parametrize("norm", [1.7, 0.3])
+def test_truncated_drift_sums_count_every_success_at_every_step_size(
+        monkeypatch, constants_for, rng_for, d, norm):
+    # every success is scored through _log_potential with its step size's
+    # penalty logs; counting the scored log-norms per step size must give
+    # the direct count of the success test on the same draws
+    monkeypatch.setattr(kernels, "_CHUNK", 1000)
+    c = constants_for(d)
+    sigmas = np.exp(np.linspace(math.log(c.ell / 100.0), math.log(100.0 * c.u),
+                                16)) * norm / d
+    lo_up, _ = kernels._penalty_logs(sigmas * c.alpha, d, c.alpha, c.ell, c.u)
+    scored = dict.fromkeys(lo_up.tolist(), 0)
+    log_potential = kernels._log_potential
+
+    def counting(x, lo, hi, v):
+        if np.ndim(lo) == 0:
+            scored[lo] += np.size(x)
+        return log_potential(x, lo, hi, v)
+
+    monkeypatch.setattr(kernels, "_log_potential", counting)
+    draws = RecordedDraws(rng_for(14, d))
+    kernels.truncated_drift_sums(norm, sigmas, d, c.alpha, c.ell, c.u, c.v,
+                                 c.A, 4500, draws)
+
+    z0 = np.concatenate(draws.z0s)
+    # a sample without a chi2 draw is decided as a failure by z0 alone at
+    # the smallest step size; chi2 = 0 keeps it one at every step size
+    chi2 = np.zeros(z0.size)
+    chi2[(norm + sigmas.min() * z0) ** 2 <= norm ** 2] = np.concatenate(draws.chi2s)
+    direct = [int(np.count_nonzero((norm + s * z0) ** 2 + s * s * chi2 <= norm ** 2))
+              for s in sigmas.tolist()]
+    assert [scored[lo] for lo in lo_up.tolist()] == direct
+    # the grid spans successes at every step size down to none
+    assert direct[0] > direct[-1] == 0
 
 
 # success_mc_hits(0.5, 0.9, ...): a hit needs |1 + z0/2| < 0.9, which only

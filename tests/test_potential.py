@@ -264,6 +264,22 @@ def test_potential_value_array_matches_scalar(constants_for, d, points):
     np.testing.assert_allclose(array, scalar, rtol=1e-15, atol=1e-15)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(d=_DIMS, log_norm=_LOG_NORMS, log_sigma_bar=_LOG_SIGMA_BARS)
+def test_potential_value_matches_math_log_oracle(constants_for, d, log_norm,
+                                                 log_sigma_bar):
+    # the penalty as the paper writes it, one math.log per term
+    c = constants_for(d)
+    norm = math.exp(log_norm)
+    sigma = math.exp(log_sigma_bar) * norm / d
+    pen_small = math.log(c.alpha * c.ell * norm / (d * sigma))
+    pen_large = math.log(c.alpha ** 0.25 * sigma * d / (c.u * norm))
+    oracle = math.log(norm) + c.v * max(0.0, pen_small, pen_large)
+    value = kernels.potential_value(norm, sigma, *_potential_args(c))
+    assert value == pytest.approx(oracle, rel=1e-13,
+                                  abs=1e-13 * max(1.0, abs(log_norm)))
+
+
 # ---------------------------------------------------------------------------
 # drift estimation
 # ---------------------------------------------------------------------------

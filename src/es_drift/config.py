@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
+from .estimates import MIN_MC_SAMPLES
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -78,8 +79,10 @@ class ExperimentConfig:
             raise ConfigurationError("replicates must be at least 1")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be a non-negative integer")
+        if self.mc_samples < MIN_MC_SAMPLES:
+            raise ConfigurationError(f"mc_samples must be at least {MIN_MC_SAMPLES}")
         positives = ("alpha", "p_u", "p_l", "epsilon", "m0_norm", "sigma_bar0",
-                     "mc_samples", "max_iter", "record_every", "drift_grid_points",
+                     "max_iter", "record_every", "drift_grid_points",
                      "drift_span_lo", "drift_span_hi", "curve_grid_points",
                      "curve_sigma_lo", "curve_sigma_hi", "workers")
         for name in positives:

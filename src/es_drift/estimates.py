@@ -6,6 +6,8 @@ from statistics import NormalDist
 
 # two-sided 99% normal quantile, used for every confidence half-width
 Z99 = NormalDist().inv_cdf(0.995)
+# fewest samples behind a Monte Carlo mean estimate, for a stable half-width
+MIN_MC_SAMPLES = 1000
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import digamma
 
 from . import kernels
-from .estimates import MeanEstimate, mean_estimate
+from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
 from .kernels import LOG_PROGRESS_CAP
 
 
@@ -91,17 +91,33 @@ def har_step(m, sigma: float, rng) -> tuple[np.ndarray, float]:
     return x_star, min(max(lp, 0.0), LOG_PROGRESS_CAP)
 
 
-def expected_log_progress_mc(d: int, n: int, rng) -> MeanEstimate:
-    """Monte Carlo mean of the acute-angle log progress in dimension d."""
-    if d < 2:
+def expected_log_progress_mc(d, n: int, rng) -> MeanEstimate | list[MeanEstimate]:
+    """Monte Carlo mean of the acute-angle log progress in dimension d.
+
+    ``d`` is an int, giving one MeanEstimate, or a strictly increasing
+    sequence of dimensions, giving a list with one MeanEstimate per d. All
+    dimensions score one pool of n draws from ``rng``
+    (``kernels.har_log_progress_pool_sums``): z0 is drawn once, so the
+    estimates are correlated, and each half-width is that estimate's own
+    (marginal) 99% interval. The first estimate of a sequence equals the
+    int call for its d on the same stream, bit for bit, while n is at most
+    one chunk of draws (kernels._CHUNK, 2^20).
+    """
+    ds = list(d) if np.ndim(d) else [d]
+    if not ds or ds[0] < 2:
         raise ValueError("dimension must be at least 2 (angle density needs it)")
-    if n < 1000:
-        raise ValueError("need at least 1000 samples for a stable estimate")
-    total, total_sq, capped = kernels.har_log_progress_sums(d, n, rng)
-    if capped:
-        warnings.warn(f"{capped} collinear draws capped at {LOG_PROGRESS_CAP}",
-                      stacklevel=2)
-    return mean_estimate(float(total), float(total_sq), n)
+    if any(b <= a for a, b in zip(ds, ds[1:])):
+        raise ValueError(f"dimensions must be strictly increasing, got {ds}")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples for a stable estimate")
+    sums = kernels.har_log_progress_pool_sums(ds, n, rng)
+    estimates = []
+    for d_k, total, total_sq, capped in zip(ds, *(x.tolist() for x in sums)):
+        if capped:
+            warnings.warn(f"{capped} collinear draws capped at {LOG_PROGRESS_CAP}"
+                          f" in dimension {d_k}", stacklevel=2)
+        estimates.append(mean_estimate(total, total_sq, n))
+    return estimates if np.ndim(d) else estimates[0]
 
 
 def expected_log_progress_exact(d: int) -> float:

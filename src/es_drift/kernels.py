@@ -21,15 +21,18 @@ written once, as a function of the log-norm x and the two penalty logs
 of the step size; after a success the step size is fixed per grid
 point, so the sampler computes its penalty logs once and scores a
 success from x = log(cand_sq) / 2 with one log and no square root. The
-samplers reduce fixed-size chunks of draws with vectorized numpy, which
-bounds peak memory. The ES run is sequential, one offspring per
-iteration; es_hitting_times steps many independent runs together, one
-array operation per iteration for all of them, and records each run's
-first passage below every threshold of a shared list. Its runs on one
-generator share that stream: one draw per block for all of them, one
-column of the block each. Every kernel takes explicit
-``numpy.random.Generator`` streams, so a given seed yields the same
-sample sequence on every call.
+acute-angle sampler scores a whole increasing list of dimensions from
+one pool as well: z0 once per chunk, and chi2 for each d built from the
+previous d's by one gamma increment, chi-squared(d - 1) being a sum of
+independent chi-squared parts. The samplers reduce fixed-size chunks of
+draws with vectorized numpy, which bounds peak memory. The ES run is
+sequential, one offspring per iteration; es_hitting_times steps many
+independent runs together, one array operation per iteration for all of
+them, and records each run's first passage below every threshold of a
+shared list. Its runs on one generator share that stream: one draw per
+block for all of them, one column of the block each. Every kernel takes
+explicit ``numpy.random.Generator`` streams, so a given seed yields the
+same sample sequence on every call.
 """
 
 import math
@@ -175,23 +178,36 @@ def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):
     return y_fail, total, total_sq
 
 
-def har_log_progress_sums(d, n, rng):
-    """Sums of -log(sin(theta)) on acute angles, theta = angle(N, e1).
+def har_log_progress_pool_sums(ds, n, rng):
+    """Sums of -log(sin(theta)) on acute angles, theta = angle(N, e1), in
+    every dimension of ``ds``, all scored on one pool of n draws.
 
-    Returns (sum, sum_sq, n_capped); obtuse angles contribute zero,
-    exact collinear draws are capped at LOG_PROGRESS_CAP.
+    ``ds`` is a strictly increasing sequence of dimensions >= 2. Each chunk
+    draws z0 once and keeps the acute angles, z0 >= 0, once, then one
+    gamma draw per d in the order of ``ds``: chi2 for ds[0] is
+    chi-squared(ds[0] - 1), and chi2 for ds[k] is that of ds[k - 1] plus
+    2 * Gamma((ds[k] - ds[k - 1]) / 2). So each entry has the exact
+    chi-squared(d - 1) law, the entries are correlated, and a one-d pool
+    draws exactly what scoring that d alone would. Returns arrays
+    (sum, sum_sq, n_capped), one entry per d; obtuse angles contribute
+    zero, and exact collinear draws (chi2 = 0) are capped at
+    LOG_PROGRESS_CAP and counted.
     """
-    total = 0.0
-    total_sq = 0.0
-    capped = 0
-    for _, z0, chi2 in _deciding_draws(d, n, rng, lambda z0: z0 >= 0.0):
-        with np.errstate(divide="ignore"):
-            lp = -0.5 * np.log(chi2 / (z0 * z0 + chi2))
-        over = lp > LOG_PROGRESS_CAP
-        capped += int(np.count_nonzero(over))
-        lp = np.where(over, LOG_PROGRESS_CAP, lp)
-        total += float(lp.sum())
-        total_sq += float((lp * lp).sum())
+    total = np.zeros(len(ds))
+    total_sq = np.zeros(len(ds))
+    capped = np.zeros(len(ds), np.int64)
+    for _, z0, chi2 in _deciding_draws(ds[0], n, rng, lambda z0: z0 >= 0.0):
+        z0_sq = z0 * z0
+        for i, d in enumerate(ds):
+            if i:
+                chi2 += 2.0 * rng.standard_gamma(0.5 * (d - ds[i - 1]), z0.size)
+            with np.errstate(divide="ignore"):
+                lp = -0.5 * np.log(chi2 / (z0_sq + chi2))
+            over = lp > LOG_PROGRESS_CAP
+            capped[i] += np.count_nonzero(over)
+            lp = np.where(over, LOG_PROGRESS_CAP, lp)
+            total[i] += lp.sum()
+            total_sq[i] += (lp * lp).sum()
     return total, total_sq, capped
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .core import ESState
 from .errors import ConfigurationError
-from .estimates import MeanEstimate, mean_estimate
+from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
 from .success import psucc_exact, psucc0_inverse
 from .theorems import lower_bound_thm2, upper_bound_thm1
 
@@ -191,8 +191,9 @@ def _drift_estimates(norm: float, sigmas, c: DriftConstants, n: int,
                      rng) -> list[MeanEstimate]:
     """Truncated-drift estimates at (norm, sigma) for each sigma, all
     scored on one pool of n draws from rng."""
-    if n < 1000:
-        raise ValueError("need at least 1000 transitions for a stable estimate")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} transitions for a "
+                         "stable estimate")
     sums = kernels.truncated_drift_sums(norm, sigmas, c.d, c.alpha, c.ell, c.u,
                                         c.v, c.A, n, rng)
     estimates = []

@@ -13,6 +13,7 @@ from es_drift.cli import (_format, _write_csv, cmd_bounds, cmd_drift_map,
                           cmd_success_curve, main)
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
+from es_drift.estimates import MIN_MC_SAMPLES
 from es_drift.success import std_normal_cdf
 
 
@@ -76,6 +77,7 @@ def test_config_validation():
 
 _POSITIVE = st.floats(1e-300, 1e300)
 _COUNT = st.integers(1, 2 ** 31)
+_MC_COUNT = st.integers(MIN_MC_SAMPLES, 2 ** 31)
 _ORDERED = st.tuples(_POSITIVE, _POSITIVE).filter(lambda t: t[0] < t[1])
 
 
@@ -89,7 +91,7 @@ def _configs(draw):
         alpha=draw(_POSITIVE), p_u=draw(_POSITIVE), p_l=draw(_POSITIVE),
         epsilon=draw(_POSITIVE), m0_norm=draw(_POSITIVE), sigma_bar0=draw(_POSITIVE),
         replicates=draw(_COUNT), master_seed=draw(st.integers(0, 2 ** 64)),
-        mc_samples=draw(_COUNT),
+        mc_samples=draw(_MC_COUNT),
         output_path=draw(st.none() | st.text("abc019._-/", min_size=1, max_size=20)),
         max_iter=draw(_COUNT), record_every=draw(_COUNT),
         drift_grid_points=draw(_COUNT), drift_span_lo=span_lo, drift_span_hi=span_hi,
@@ -240,6 +242,46 @@ def test_har_check_rows(tmp_path):
     assert all(row[-1] for row in rows)
 
 
+class CountingStream:
+    """A real Generator that counts the normals drawn and records every
+    gamma call as (shape, size)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.normals = 0
+        self.gamma_calls = []
+
+    def standard_normal(self, size):
+        self.normals += size
+        return self._rng.standard_normal(size)
+
+    def standard_gamma(self, shape, size):
+        self.gamma_calls.append((shape, size))
+        return self._rng.standard_gamma(shape, size)
+
+
+def test_har_check_draws_z0_once_for_every_dimension(tmp_path, monkeypatch):
+    # one stream, (seed, 3, 0), and one pool: n normals in all, and per
+    # chunk one gamma increment per d, (d - d_prev) / 2 with d_prev = 1 first
+    streams = []
+
+    def counting_stream(*key):
+        streams.append((key, CountingStream(derive_stream(*key))))
+        return streams[-1][1]
+
+    monkeypatch.setattr("es_drift.cli.derive_stream", counting_stream)
+    n = 20_000
+    cmd_har_check(ExperimentConfig(output_path=str(tmp_path / "har.csv"),
+                                   mc_samples=n, master_seed=5))
+    [(key, stream)] = streams
+    assert key == (5, 3, 0)
+    assert stream.normals == n
+    ds = (2, 4, 8, 16, 32, 64, 128)
+    assert [shape for shape, _ in stream.gamma_calls] == [
+        (d - d_prev) / 2 for d_prev, d in zip((1, *ds), ds)]
+    assert len({size for _, size in stream.gamma_calls}) == 1
+
+
 def test_run_trace(tmp_path):
     out = tmp_path / "trace.csv"
     config = ExperimentConfig(output_path=str(out), d_list=(6,), epsilon=1e-3)
@@ -361,6 +403,17 @@ def test_hitting_scaling_rejects_bad_constants_before_simulating(
     assert main(["hitting-scaling", "--config", str(cfg),
                  "--out", str(tmp_path / "hs.csv")]) == 2
     assert inequality in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["har-check", "drift-map"])
+def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
+    out = str(tmp_path / "out.csv")
+    for n in (10, MIN_MC_SAMPLES - 1):
+        assert main([command, "--d", "4", "--mc-samples", str(n), "--out", out]) == 2
+        assert f"mc_samples must be at least {MIN_MC_SAMPLES}" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(mc_samples=MIN_MC_SAMPLES - 1).validate()
+    ExperimentConfig(mc_samples=MIN_MC_SAMPLES).validate()
 
 
 @pytest.mark.parametrize("args", [

@@ -142,6 +142,26 @@ def test_mc_rejects_bad_inputs(rng_for):
         expected_log_progress_mc(4, 10, rng_for(7))
 
 
+@pytest.mark.parametrize("ds", [(2, 8, 64), (8, 9, 128)])
+def test_pooled_first_row_equals_the_single_dimension_call(rng_for, ds):
+    pooled = expected_log_progress_mc(ds, 30_000, rng_for(10, ds[0]))
+    assert len(pooled) == len(ds)
+    assert pooled[0] == expected_log_progress_mc(ds[0], 30_000, rng_for(10, ds[0]))
+
+
+def test_pooled_rows_match_closed_form(rng_for):
+    # the rows share z0 and nest chi2, but each keeps its own law
+    ds = (2, 4, 8, 16, 32, 64, 128)
+    for d, est in zip(ds, expected_log_progress_mc(ds, 200_000, rng_for(11))):
+        assert abs(est.mean - expected_log_progress_exact(d)) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("ds", [(4, 4), (8, 4), (2, 16, 8), (1, 4), (), [0]])
+def test_pooled_mc_rejects_bad_dimension_lists(rng_for, ds):
+    with pytest.raises(ValueError):
+        expected_log_progress_mc(ds, 10_000, rng_for(7))
+
+
 def test_quadrature_planar_closed_form():
     assert expected_log_progress_exact(2) == pytest.approx(HALF_LOG_TWO, abs=1e-15)
 

@@ -9,7 +9,9 @@ favourable to success. The drift sampler takes a grid of step sizes and
 draws chi2 for the samples its smallest step size leaves undecided; two
 more tests check that it scores an exact hit of the optimum as -A and,
 on a recorded real stream, that it scores exactly the successes a direct
-count finds at every step size.
+count finds at every step size. The acute-angle sampler takes a list of
+dimensions and builds each chi2 from the previous dimension's by one
+increment.
 """
 
 import math
@@ -272,7 +274,7 @@ def test_success_mc_hits_draws_chi2_for_undecided_only(small_chunks, d):
     assert 0 < hits == expected < sum(flags)
 
 
-# har_log_progress_sums: only acute angles, z0 >= 0, contribute
+# har_log_progress_pool_sums: only acute angles, z0 >= 0, contribute
 HAR_Z0 = [1.0, -0.5, -2.0, 0.0,        # mixed
           -0.1, -3.0, -1.0, -0.7,      # all obtuse
           0.2, 2.5, 0.7, 1.5,          # all acute
@@ -280,22 +282,61 @@ HAR_Z0 = [1.0, -0.5, -2.0, 0.0,        # mixed
 HAR_CHI2 = [3.0, 2.0, 1.0, 8.0, 0.0, 0.5, 0.3]
 
 
+def _acute_log_progress(z0, chi2):
+    if z0 < 0.0:
+        return 0.0
+    if chi2 == 0.0:
+        return kernels.LOG_PROGRESS_CAP
+    return -0.5 * math.log(chi2 / (z0 * z0 + chi2))
+
+
 @pytest.mark.parametrize("d", [2, 10])
-def test_har_log_progress_sums_draw_chi2_for_acute_only(small_chunks, d):
+def test_har_log_progress_pool_sums_draw_chi2_for_acute_only(small_chunks, d):
     flags = [z0 >= 0.0 for z0 in HAR_Z0]
     draws = PresetDraws(HAR_Z0, HAR_CHI2)
-    total, total_sq, capped = kernels.har_log_progress_sums(d, len(HAR_Z0), draws)
+    total, total_sq, capped = (
+        x[0] for x in kernels.har_log_progress_pool_sums((d,), len(HAR_Z0), draws))
     assert draws.used_up()
     assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
     assert _chunk_counts(flags) == [2, 0, 4, 1]
-    lps = []
-    for z0, chi2 in zip(HAR_Z0, _full_chi2(flags, HAR_CHI2)):
-        if z0 < 0.0:
-            lps.append(0.0)
-        elif chi2 == 0.0:
-            lps.append(kernels.LOG_PROGRESS_CAP)
-        else:
-            lps.append(-0.5 * math.log(chi2 / (z0 * z0 + chi2)))
+    lps = [_acute_log_progress(z0, chi2)
+           for z0, chi2 in zip(HAR_Z0, _full_chi2(flags, HAR_CHI2))]
     assert capped == 1
     assert total == pytest.approx(sum(lps), rel=1e-12)
     assert total_sq == pytest.approx(sum(lp * lp for lp in lps), rel=1e-12)
+
+
+POOL_D = (2, 4, 10)
+# chi2 increments, as the pool draws them: per chunk, one run per d over
+# the chunk's acute samples; 0.2 keeps chi2 = 0 up to d = 4, 2.5 at d = 2
+POOL_INC = [3.0, 2.0, 1.0, 0.5, 4.0, 6.0,                  # chunk 1
+            0.0, 0.0, 1.2, 0.8, 0.0, 2.0, 0.3, 1.1,        # chunk 3
+            5.0, 3.0, 7.0, 0.9,
+            0.4, 0.6, 2.5]                                 # chunk 4
+
+
+def test_har_log_progress_pool_sums_nest_chi2_across_dimensions(small_chunks):
+    flags = [z0 >= 0.0 for z0 in HAR_Z0]
+    counts = _chunk_counts(flags)
+    draws = PresetDraws(HAR_Z0, POOL_INC)
+    total, total_sq, capped = kernels.har_log_progress_pool_sums(
+        POOL_D, len(HAR_Z0), draws)
+    assert draws.used_up()
+    steps = [(d - d_prev) / 2 for d_prev, d in zip((1, *POOL_D), POOL_D)]
+    assert steps == [0.5, 1.0, 3.0]
+    assert draws.gamma_calls == [(step, k) for k in counts for step in steps]
+    # per-sample reference: chi2 at POOL_D[j] is the sum of the sample's
+    # first j + 1 increments
+    increments = iter(POOL_INC)
+    chi2 = {i: [] for i, flag in enumerate(flags) if flag}
+    for chunk in range(0, len(HAR_Z0), CHUNK):
+        acute = [i for i in range(chunk, chunk + CHUNK) if i in chi2]
+        for _ in POOL_D:
+            for i in acute:
+                chi2[i].append(sum(chi2[i][-1:]) + next(increments))
+    for j in range(len(POOL_D)):
+        lps = [_acute_log_progress(z0, chi2[i][j] if i in chi2 else 0.0)
+               for i, z0 in enumerate(HAR_Z0)]
+        assert total[j] == pytest.approx(sum(lps), rel=1e-12)
+        assert total_sq[j] == pytest.approx(sum(lp * lp for lp in lps), rel=1e-12)
+    assert capped.tolist() == [2, 1, 0]

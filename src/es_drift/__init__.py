@@ -10,9 +10,8 @@ from .hitandrun import (HarSample, expected_log_progress_exact,
                         sample_angle)
 from .kernels import LOG_PROGRESS_CAP
 from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
-                        drift_map, estimate_truncated_drift,
-                        hitting_time_bounds, minimize_psucc_over_band,
-                        potential)
+                        drift_map, hitting_time_bounds,
+                        minimize_psucc_over_band, potential)
 from .streams import derive_stream
 from .success import (psucc0_inverse, psucc_exact, psucc_limit, psucc_mc,
                       std_normal_cdf)
@@ -31,8 +30,7 @@ __all__ = [
     "HarSample", "expected_log_progress_exact", "expected_log_progress_mc",
     "har_step", "optimal_gamma", "sample_angle",
     "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
-    "estimate_truncated_drift", "hitting_time_bounds", "minimize_psucc_over_band",
-    "potential",
+    "hitting_time_bounds", "minimize_psucc_over_band", "potential",
     "derive_stream",
     "psucc0_inverse", "psucc_exact", "psucc_limit", "psucc_mc", "std_normal_cdf",
     "TruncatedSeries", "first_hitting_time", "lower_bound_thm2",

@@ -35,8 +35,17 @@ from .success import psucc_exact, psucc_limit
 
 SCHEMA_VERSION = 1
 
+
+def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    return np.exp(np.linspace(math.log(lo), math.log(hi), points))
+
+
 CURVE_D_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
 CURVE_RHO_VALUES = (0.0, 1.0)
+CURVE_SIGMA_BARS = _log_grid(0.125, 8.0, 64)
+# drift-map's grid of a d runs from DRIFT_SPAN[0] * ell to DRIFT_SPAN[1] * u
+DRIFT_SPAN = (0.01, 100.0)
+DRIFT_GRID_POINTS = 32
 HAR_D_VALUES = (2, 4, 8, 16, 32, 64, 128)
 
 
@@ -92,23 +101,17 @@ def _out_path(config: ExperimentConfig, default_name: str) -> Path:
     return Path(config.output_path) if config.output_path else Path(default_name)
 
 
-def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    return np.exp(np.linspace(math.log(lo), math.log(hi), points))
-
-
 # ---------------------------------------------------------------------------
 # success-curve
 # ---------------------------------------------------------------------------
 
 def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
     """Exact vs limit success probabilities on a step-size grid."""
-    grid = _log_grid(config.curve_sigma_lo, config.curve_sigma_hi,
-                     config.curve_grid_points)
     rows = []
     for rho in CURVE_RHO_VALUES:
         for d in CURVE_D_VALUES:
-            exact = psucc_exact(d, rho / d, grid).tolist()
-            for sigma_bar, p_exact in zip(grid.tolist(), exact):
+            exact = psucc_exact(d, rho / d, CURVE_SIGMA_BARS).tolist()
+            for sigma_bar, p_exact in zip(CURVE_SIGMA_BARS.tolist(), exact):
                 limit = psucc_limit(rho, sigma_bar)
                 rows.append((rho, d, sigma_bar, p_exact, limit,
                              abs(p_exact - limit)))
@@ -126,11 +129,10 @@ def cmd_drift_map(config: ExperimentConfig) -> list[tuple]:
     rows = []
     for d_index, d in enumerate(config.d_list):
         constants = derive_constants(d, config.alpha, config.p_u, config.p_l)
-        grid = _log_grid(config.drift_span_lo * constants.ell,
-                         config.drift_span_hi * constants.u,
-                         config.drift_grid_points)
+        grid = _log_grid(DRIFT_SPAN[0] * constants.ell, DRIFT_SPAN[1] * constants.u,
+                         DRIFT_GRID_POINTS)
         rng = derive_stream(config.master_seed, 1, d_index)
-        for row in drift_map(d, constants, grid, config.mc_samples, rng):
+        for row in drift_map(constants, grid, config.mc_samples, rng):
             rows.append((d, row.sigma_bar, row.regime, row.drift_mean,
                          row.ci_halfwidth, row.bound_B, row.satisfied))
     _write_csv(_out_path(config, "drift_map.csv"),
@@ -194,7 +196,8 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
                 within_bounds=within, censored_runs=censored))
 
     comments = []
-    if len(eps_values) >= 3:
+    # a line through fewer than 3 distinct epsilons is exact or singular
+    if len(set(eps_values)) >= 3:
         x = np.log(1.0 / np.array(eps_values))
         for d in config.d_list:
             y = np.array([r.mean_T for r in reports if r.d == d])

@@ -6,6 +6,7 @@ values, which win over the defaults below. The defaults size the full
 experiment suite to minutes on a laptop.
 """
 
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -38,12 +39,6 @@ _PARSERS = {
     "output_path": str,
     "max_iter": int,
     "record_every": int,
-    "drift_grid_points": int,
-    "drift_span_lo": float,
-    "drift_span_hi": float,
-    "curve_grid_points": int,
-    "curve_sigma_lo": float,
-    "curve_sigma_hi": float,
     "workers": int,
 }
 
@@ -64,12 +59,6 @@ class ExperimentConfig:
     output_path: Optional[str] = None
     max_iter: int = 10_000_000
     record_every: int = 1
-    drift_grid_points: int = 32
-    drift_span_lo: float = 0.01
-    drift_span_hi: float = 100.0
-    curve_grid_points: int = 64
-    curve_sigma_lo: float = 0.125
-    curve_sigma_hi: float = 8.0
     workers: int = 1
 
     def validate(self) -> None:
@@ -81,25 +70,22 @@ class ExperimentConfig:
             raise ConfigurationError("master_seed must be a non-negative integer")
         if self.mc_samples < MIN_MC_SAMPLES:
             raise ConfigurationError(f"mc_samples must be at least {MIN_MC_SAMPLES}")
-        positives = ("alpha", "p_u", "p_l", "epsilon", "m0_norm", "sigma_bar0",
-                     "max_iter", "record_every", "drift_grid_points",
-                     "drift_span_lo", "drift_span_hi", "curve_grid_points",
-                     "curve_sigma_lo", "curve_sigma_hi", "workers")
-        for name in positives:
+        for name in ("alpha", "p_u", "p_l", "epsilon", "m0_norm", "sigma_bar0"):
+            # a NaN fails both comparisons
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive")
+        for name in ("max_iter", "record_every", "workers"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.eps_list is not None and any(e <= 0.0 for e in self.eps_list):
-            raise ConfigurationError("eps_list entries must be positive")
+        if self.eps_list is not None and not all(0.0 < e < math.inf
+                                                 for e in self.eps_list):
+            raise ConfigurationError("eps_list entries must be finite and positive")
         # below the smallest normal float sigma * alpha^(-1/4) rounds back to
         # sigma, so the 1/5 rule stalls and a run crawls to max_iter
         tiny = sys.float_info.min  # the smallest normal float, np.finfo(float).tiny
         if any(e < tiny for e in (self.epsilon, *(self.eps_list or ()))):
             raise ConfigurationError(f"epsilon and eps_list entries must be at least "
                                      f"the smallest normal float {tiny:.6g}")
-        if not self.curve_sigma_lo < self.curve_sigma_hi:
-            raise ConfigurationError("curve_sigma_lo must be below curve_sigma_hi")
-        if not self.drift_span_lo < self.drift_span_hi:
-            raise ConfigurationError("drift_span_lo must be below drift_span_hi")
 
     @property
     def epsilons(self) -> tuple[float, ...]:

@@ -91,19 +91,18 @@ def har_step(m, sigma: float, rng) -> tuple[np.ndarray, float]:
     return x_star, min(max(lp, 0.0), LOG_PROGRESS_CAP)
 
 
-def expected_log_progress_mc(d, n: int, rng) -> MeanEstimate | list[MeanEstimate]:
-    """Monte Carlo mean of the acute-angle log progress in dimension d.
+def expected_log_progress_mc(ds, n: int, rng) -> list[MeanEstimate]:
+    """Monte Carlo means of the acute-angle log progress, one per dimension.
 
-    ``d`` is an int, giving one MeanEstimate, or a strictly increasing
-    sequence of dimensions, giving a list with one MeanEstimate per d. All
-    dimensions score one pool of n draws from ``rng``
+    ``ds`` is a strictly increasing sequence of dimensions. All of them
+    score one pool of n draws from ``rng``
     (``kernels.har_log_progress_pool_sums``): z0 is drawn once, so the
     estimates are correlated, and each half-width is that estimate's own
-    (marginal) 99% interval. The first estimate of a sequence equals the
-    int call for its d on the same stream, bit for bit, while n is at most
-    one chunk of draws (kernels._CHUNK, 2^20).
+    (marginal) 99% interval. The first estimate equals that of the
+    one-dimension list ``[ds[0]]`` on the same stream, bit for bit, while n
+    is at most one chunk of draws (kernels._CHUNK, 2^20).
     """
-    ds = list(d) if np.ndim(d) else [d]
+    ds = list(ds)
     if not ds or ds[0] < 2:
         raise ValueError("dimension must be at least 2 (angle density needs it)")
     if any(b <= a for a, b in zip(ds, ds[1:])):
@@ -112,12 +111,12 @@ def expected_log_progress_mc(d, n: int, rng) -> MeanEstimate | list[MeanEstimate
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples for a stable estimate")
     sums = kernels.har_log_progress_pool_sums(ds, n, rng)
     estimates = []
-    for d_k, total, total_sq, capped in zip(ds, *(x.tolist() for x in sums)):
+    for d, total, total_sq, capped in zip(ds, *(x.tolist() for x in sums)):
         if capped:
             warnings.warn(f"{capped} collinear draws capped at {LOG_PROGRESS_CAP}"
-                          f" in dimension {d_k}", stacklevel=2)
+                          f" in dimension {d}", stacklevel=2)
         estimates.append(mean_estimate(total, total_sq, n))
-    return estimates if np.ndim(d) else estimates[0]
+    return estimates
 
 
 def expected_log_progress_exact(d: int) -> float:

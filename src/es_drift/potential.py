@@ -14,14 +14,15 @@ bound B as the minimum over the three step-size regimes, and the
 envelope L <= B <= U with d*B bounded between positive constants.
 
 The expected one-step potential change, truncated below at -A, is then
-at most -B at every state. ``estimate_truncated_drift`` and
-``drift_map`` verify this empirically by resampling one-step
-transitions from fixed states.
+at most -B at every state. By scale invariance that drift depends on the
+normalized step size alone, so ``drift_map`` verifies it empirically at
+||m|| = 1 across a grid of step sizes, by resampling one-step
+transitions from each fixed state.
 """
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import kernels
 from .core import ESState
 from .errors import ConfigurationError
-from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
+from .estimates import MIN_MC_SAMPLES, mean_estimate
 from .success import psucc_exact, psucc0_inverse
 from .theorems import lower_bound_thm2, upper_bound_thm1
 
@@ -187,64 +188,40 @@ def potential(state: ESState, c: DriftConstants) -> float:
     return c.potential_of(state.norm, state.sigma)
 
 
-def _drift_estimates(norm: float, sigmas, c: DriftConstants, n: int,
-                     rng) -> list[MeanEstimate]:
-    """Truncated-drift estimates at (norm, sigma) for each sigma, all
-    scored on one pool of n draws from rng."""
-    if n < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} transitions for a "
-                         "stable estimate")
-    sums = kernels.truncated_drift_sums(norm, sigmas, c.d, c.alpha, c.ell, c.u,
-                                        c.v, c.A, n, rng)
-    estimates = []
-    for y_fail, total, total_sq in zip(*(x.tolist() for x in sums)):
-        # the sums are of y - y_fail, so a constant increment has no spread
-        shifted = mean_estimate(total, total_sq, n)
-        estimates.append(replace(shifted, mean=y_fail + shifted.mean))
-    return estimates
-
-
-def estimate_truncated_drift(state: ESState, c: DriftConstants, n: int,
-                             rng) -> MeanEstimate:
-    """Monte Carlo mean of the truncated potential change at a fixed state.
-
-    Each of the n transitions resamples the offspring from the same
-    state (a conditional expectation, not a trajectory average); the
-    half-width is a 99% normal-approximation confidence radius.
-    """
-    if state.d != c.d:
-        raise ValueError(f"state dimension {state.d} != constants dimension {c.d}")
-    norm = state.norm
-    if norm == 0.0:
-        raise ValueError("drift undefined at the optimum (||m|| = 0)")
-    (estimate,) = _drift_estimates(norm, [state.sigma], c, n, rng)
-    return estimate
-
-
-def drift_map(d: int, c: DriftConstants, sigma_bar_grid, n: int,
+def drift_map(c: DriftConstants, sigma_bar_grid, n: int,
               rng) -> list[DriftMapRow]:
     """Truncated-drift estimate at ||m|| = 1 states across a step-size grid.
 
-    Every grid point scores the same n draws from rng, drawn for the
-    smallest step size of the grid (common random numbers), so the rows
-    are correlated and each ``ci_halfwidth`` is that row's own (marginal)
-    99% interval. A row depends only on its own sigma_bar and the grid
-    minimum: reordering the grid reorders the rows, and adding points at
-    or above the minimum leaves the other rows unchanged.
+    Each of the n transitions resamples the offspring from the same state
+    (a conditional expectation, not a trajectory average). Every grid
+    point scores the same n draws from rng, drawn for the smallest step
+    size of the grid (common random numbers), so the rows are correlated
+    and each ``ci_halfwidth`` is that row's own (marginal) 99%
+    normal-approximation interval. A row depends only on its own
+    sigma_bar and the grid minimum: reordering the grid reorders the rows,
+    and adding points at or above the minimum leaves the other rows
+    unchanged.
     """
     grid = [float(s) for s in sigma_bar_grid]
     if not grid:
         raise ValueError("sigma_bar_grid must be non-empty")
     if not all(s > 0.0 for s in grid):
         raise ValueError("sigma_bar_grid entries must be positive")
-    if d != c.d:
-        raise ValueError(f"d={d} does not match constants (d={c.d})")
-    estimates = _drift_estimates(1.0, np.array(grid) / d, c, n, rng)
-    return [DriftMapRow(sigma_bar=sigma_bar, regime=c.classify(sigma_bar).value,
-                        drift_mean=est.mean, ci_halfwidth=est.half_width,
-                        bound_B=c.B,
-                        satisfied=bool(est.mean + est.half_width <= -c.B))
-            for sigma_bar, est in zip(grid, estimates)]
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} transitions for a "
+                         "stable estimate")
+    sums = kernels.truncated_drift_sums(1.0, np.array(grid) / c.d, c.d, c.alpha,
+                                        c.ell, c.u, c.v, c.A, n, rng)
+    rows = []
+    for sigma_bar, y_fail, total, total_sq in zip(grid, *(x.tolist() for x in sums)):
+        # the sums are of y - y_fail, so a constant increment has no spread
+        shifted = mean_estimate(total, total_sq, n)
+        mean = y_fail + shifted.mean
+        rows.append(DriftMapRow(
+            sigma_bar=sigma_bar, regime=c.classify(sigma_bar).value,
+            drift_mean=mean, ci_halfwidth=shifted.half_width, bound_B=c.B,
+            satisfied=bool(mean + shifted.half_width <= -c.B)))
+    return rows
 
 
 def hitting_time_bounds(state0: ESState, c: DriftConstants,

@@ -90,7 +90,7 @@ def test_criterion_04_drift_bound_on_grid(constants_for):
         grid = np.exp(np.linspace(math.log(constants.ell / 100.0),
                                   math.log(100.0 * constants.u), 32))
         rng = derive_stream(SEED, 4, d_index)
-        rows = drift_map(d, constants, grid, 1_000_000, rng)
+        rows = drift_map(constants, grid, 1_000_000, rng)
         passed &= all(row.satisfied for row in rows)
         worst = min(worst, min(-constants.B - (row.drift_mean + row.ci_halfwidth)
                                for row in rows))
@@ -139,7 +139,7 @@ def test_criterion_07_line_search_ceiling():
     mc_ok = True
     gaps = []
     for i, d in enumerate((2, 8, 64)):
-        est = expected_log_progress_mc(d, 1_000_000, derive_stream(SEED, 7, i))
+        (est,) = expected_log_progress_mc([d], 1_000_000, derive_stream(SEED, 7, i))
         gap = abs(est.mean - expected_log_progress_exact(d)) / est.std_error
         gaps.append(gap)
         mc_ok &= gap < 4.0

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from es_drift import derive_stream, hitting_times, initial_state
+from es_drift import derive_constants, derive_stream, hitting_times, initial_state
 from es_drift.cli import (_format, _write_csv, cmd_bounds, cmd_drift_map,
                           cmd_har_check, cmd_hitting_scaling, cmd_run,
                           cmd_success_curve, main)
@@ -59,6 +60,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert main(["success-curve", "--config", str(cfg),
                  "--out", str(tmp_path / "curve.csv")]) == 2
     assert "unknown config key 'tol'" in capsys.readouterr().err
+    # the drivers' step-size grids are fixed, so no config key sets them
+    for key in ("curve_grid_points", "curve_sigma_lo", "curve_sigma_hi",
+                "drift_grid_points", "drift_span_lo", "drift_span_hi"):
+        cfg.write_text(f"{key} = 16\n")
+        assert main(["success-curve", "--config", str(cfg),
+                     "--out", str(tmp_path / "curve.csv")]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_config_validation():
@@ -78,13 +86,10 @@ def test_config_validation():
 _POSITIVE = st.floats(1e-300, 1e300)
 _COUNT = st.integers(1, 2 ** 31)
 _MC_COUNT = st.integers(MIN_MC_SAMPLES, 2 ** 31)
-_ORDERED = st.tuples(_POSITIVE, _POSITIVE).filter(lambda t: t[0] < t[1])
 
 
 @st.composite
 def _configs(draw):
-    curve_lo, curve_hi = draw(_ORDERED)
-    span_lo, span_hi = draw(_ORDERED)
     return ExperimentConfig(
         d_list=tuple(draw(st.lists(st.integers(2, 2 ** 20), min_size=1, max_size=5))),
         eps_list=draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple)),
@@ -93,10 +98,7 @@ def _configs(draw):
         replicates=draw(_COUNT), master_seed=draw(st.integers(0, 2 ** 64)),
         mc_samples=draw(_MC_COUNT),
         output_path=draw(st.none() | st.text("abc019._-/", min_size=1, max_size=20)),
-        max_iter=draw(_COUNT), record_every=draw(_COUNT),
-        drift_grid_points=draw(_COUNT), drift_span_lo=span_lo, drift_span_hi=span_hi,
-        curve_grid_points=draw(_COUNT), curve_sigma_lo=curve_lo, curve_sigma_hi=curve_hi,
-        workers=draw(_COUNT))
+        max_iter=draw(_COUNT), record_every=draw(_COUNT), workers=draw(_COUNT))
 
 
 def _config_line(name, value):
@@ -121,11 +123,16 @@ def test_config_round_trips_through_key_value_file(tmp_path_factory, config):
 
 def test_success_curve_rows(tmp_path):
     out = tmp_path / "curve.csv"
-    config = ExperimentConfig(output_path=str(out), curve_grid_points=16)
+    config = ExperimentConfig(output_path=str(out))
     rows = cmd_success_curve(config)
     header, raw, _ = _read_csv(out)
     assert header == ["rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"]
-    assert len(raw) == len(rows) == 2 * 8 * 16
+    # 64 step sizes from 1/8 to 8 for each of 2 rates and 8 dimensions
+    assert len(raw) == len(rows) == 1024
+    grid = [row[2] for row in rows[:64]]
+    assert grid[0] == pytest.approx(0.125, rel=1e-15)
+    assert grid[-1] == pytest.approx(8.0, rel=1e-15)
+    assert all(row[2] == grid[k % 64] for k, row in enumerate(rows))
     for rho, d, sigma_bar, p_exact, p_limit, gap in rows:
         assert sigma_bar > 0.0
         assert 0.0 <= p_exact <= 1.0
@@ -138,13 +145,16 @@ def test_success_curve_rows(tmp_path):
 
 def test_drift_map_rows(tmp_path):
     out = tmp_path / "dm.csv"
-    config = ExperimentConfig(output_path=str(out), d_list=(5,),
-                              mc_samples=2000, drift_grid_points=6)
+    config = ExperimentConfig(output_path=str(out), d_list=(5,), mc_samples=2000)
     rows = cmd_drift_map(config)
     header, raw, _ = _read_csv(out)
     assert header == ["d", "sigma_bar", "regime", "drift_mean", "ci_halfwidth",
                       "bound_B", "satisfied"]
-    assert len(raw) == 6
+    # 32 step sizes from ell / 100 to 100 u
+    c = derive_constants(5)
+    assert len(raw) == len(rows) == 32
+    assert rows[0][1] == pytest.approx(c.ell / 100.0, rel=1e-14)
+    assert rows[-1][1] == pytest.approx(100.0 * c.u, rel=1e-14)
     assert all(row[-1] for row in rows)
     bounds = {row[5] for row in rows}
     assert len(bounds) == 1 and bounds.pop() > 0.0
@@ -164,6 +174,19 @@ def test_hitting_scaling_report(tmp_path):
     fit_lines = [c for c in comments if c.startswith("# fit")]
     assert len(fit_lines) == 2
     assert all("r_squared=" in line for line in fit_lines)
+
+
+def test_hitting_scaling_fits_only_three_distinct_epsilons(tmp_path):
+    # a fit through one repeated epsilon is singular: no line, and no warning
+    out = tmp_path / "hs.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hitting-scaling", "--d", "4", "--replicates", "3",
+                     "--eps-list", "1e-2,1e-2,1e-2", "--out", str(out)])
+    assert code == 0
+    _, raw, comments = _read_csv(out)
+    assert len(raw) == 3
+    assert not [c for c in comments if c.startswith("# fit")]
 
 
 def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
@@ -416,14 +439,32 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
     ExperimentConfig(mc_samples=MIN_MC_SAMPLES).validate()
 
 
-@pytest.mark.parametrize("args", [
-    ["run", "--d", "10", "--epsilon", "5e-324"],
-    ["hitting-scaling", "--d", "4", "--eps-list", "1e-3,5e-324"],
-], ids=["epsilon", "eps_list"])
-def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args):
-    # sigma * alpha^(-1/4) rounds back to sigma there: the run would stall
+@pytest.mark.parametrize("args, config_text, message", [
+    (["run", "--d", "10", "--epsilon", "5e-324"], None, "smallest normal float"),
+    (["hitting-scaling", "--d", "4", "--eps-list", "1e-3,5e-324"], None,
+     "smallest normal float"),
+    (["run", "--d", "10", "--epsilon", "inf"], None,
+     "epsilon must be finite and positive"),
+    (["hitting-scaling", "--d", "4", "--eps-list", "1e-2,nan"], None,
+     "eps_list entries must be finite and positive"),
+    (["run", "--d", "10", "--sigma-bar0", "inf"], None,
+     "sigma_bar0 must be finite and positive"),
+    (["run", "--d", "10", "--m0-norm", "nan"], None,
+     "m0_norm must be finite and positive"),
+    (["bounds", "--d", "10"], "m0_norm = inf\n", "m0_norm must be finite and positive"),
+], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
+        "m0_norm_nan", "m0_norm_inf_in_config_file"])
+def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
+                                                    config_text, message):
+    # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal
+    # float, so the run would stall; a NaN or infinite start or target gives
+    # a run that never moves, or bounds that are not finite
+    if config_text is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_text)
+        args = [*args, "--config", str(cfg)]
     assert main([*args, "--out", str(tmp_path / "out.csv")]) == 2
-    assert "smallest normal float" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_main_runtime_error(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_sample_angle_agrees_with_kernel_statistic(rng_for):
     rng = rng_for(4)
     manual = np.array([sample_angle(3, rng).log_progress for _ in range(n)])
     manual_se = float(manual.std(ddof=1)) / math.sqrt(n)
-    est = expected_log_progress_mc(3, n, rng_for(4, 1))
+    (est,) = expected_log_progress_mc([3], n, rng_for(4, 1))
     gap = abs(float(manual.mean()) - est.mean)
     assert gap <= 4.0 * math.hypot(manual_se, est.std_error)
 
@@ -124,29 +124,29 @@ def test_sample_angle_agrees_with_kernel_statistic(rng_for):
 # ---------------------------------------------------------------------------
 
 def test_mc_matches_planar_closed_form(rng_for):
-    est = expected_log_progress_mc(2, 1_000_000, rng_for(5))
+    (est,) = expected_log_progress_mc([2], 1_000_000, rng_for(5))
     assert abs(est.mean - HALF_LOG_TWO) <= 1.5 * est.half_width
     assert est.mean - est.half_width <= 0.5
 
 
 def test_mc_respects_inverse_dimension_bound(rng_for):
     for i, d in enumerate((2, 4, 8, 16, 32, 64)):
-        est = expected_log_progress_mc(d, 100_000, rng_for(6, i))
+        (est,) = expected_log_progress_mc([d], 100_000, rng_for(6, i))
         assert est.mean - est.half_width <= 1.0 / d
 
 
 def test_mc_rejects_bad_inputs(rng_for):
     with pytest.raises(ValueError):
-        expected_log_progress_mc(1, 10_000, rng_for(7))
+        expected_log_progress_mc([1], 10_000, rng_for(7))
     with pytest.raises(ValueError):
-        expected_log_progress_mc(4, 10, rng_for(7))
+        expected_log_progress_mc([4], 10, rng_for(7))
 
 
 @pytest.mark.parametrize("ds", [(2, 8, 64), (8, 9, 128)])
 def test_pooled_first_row_equals_the_single_dimension_call(rng_for, ds):
     pooled = expected_log_progress_mc(ds, 30_000, rng_for(10, ds[0]))
     assert len(pooled) == len(ds)
-    assert pooled[0] == expected_log_progress_mc(ds[0], 30_000, rng_for(10, ds[0]))
+    assert pooled[:1] == expected_log_progress_mc([ds[0]], 30_000, rng_for(10, ds[0]))
 
 
 def test_pooled_rows_match_closed_form(rng_for):
@@ -211,7 +211,7 @@ def test_import_leaves_out_scipy_module(module):
 
 def test_quadrature_agrees_with_mc(rng_for):
     for i, d in enumerate((2, 8, 32)):
-        est = expected_log_progress_mc(d, 200_000, rng_for(8, i))
+        (est,) = expected_log_progress_mc([d], 200_000, rng_for(8, i))
         exact = expected_log_progress_exact(d)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 

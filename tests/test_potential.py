@@ -10,9 +10,8 @@ from scipy.integrate import quad
 from scipy.special import chndtr
 from scipy.stats import ncx2
 
-from es_drift import (ConfigurationError, kernels, ESState,
+from es_drift import (ConfigurationError, kernels, ESState, Z99,
                       derive_constants, derive_stream, drift_map,
-                      estimate_truncated_drift,
                       hitting_time_bounds, initial_state,
                       minimize_psucc_over_band, potential, psucc_exact,
                       psucc_limit, psucc_mc)
@@ -286,33 +285,30 @@ def test_potential_value_matches_math_log_oracle(constants_for, d, log_norm,
 
 def test_drift_reasonable_state_beats_bound(constants_for, rng_for):
     c = constants_for(10)
-    est = estimate_truncated_drift(initial_state(10, 1.0, 2.0), c, 200_000,
-                                   rng_for(3))
-    assert est.mean + est.half_width <= -c.B
+    (row,) = drift_map(c, [2.0], 200_000, rng_for(3))
+    assert row.drift_mean + row.ci_halfwidth <= -c.B
 
 
 def test_drift_small_regime_closed_form(constants_for, rng_for):
     c = constants_for(10)
     sigma_bar = c.ell / 10.0
-    est = estimate_truncated_drift(initial_state(10, 1.0, sigma_bar), c,
-                                   200_000, rng_for(4))
+    (row,) = drift_map(c, [sigma_bar], 200_000, rng_for(4))
     case_bound = -c.v * LOG_ALPHA * (5.0 * c.p_l - 1.0) / 4.0
-    assert est.mean <= case_bound + est.half_width
+    assert row.drift_mean <= case_bound + row.ci_halfwidth
     # deep in the regime the drift approaches the success-split closed form
     deep = c.ell / 1000.0
-    est_deep = estimate_truncated_drift(initial_state(10, 1.0, deep), c,
-                                        200_000, rng_for(5))
+    (row_deep,) = drift_map(c, [deep], 200_000, rng_for(5))
     p_here = psucc_exact(10, 0.0, deep)
     closed = -c.v * LOG_ALPHA * (5.0 * p_here - 1.0) / 4.0
-    assert est_deep.mean == pytest.approx(closed, rel=0.15, abs=3 * est_deep.half_width)
+    assert row_deep.drift_mean == pytest.approx(closed, rel=0.15,
+                                                abs=3 * row_deep.ci_halfwidth)
 
 
 def test_drift_large_regime_closed_form(constants_for, rng_for):
     c = constants_for(10)
-    est = estimate_truncated_drift(initial_state(10, 1.0, 10.0 * c.u), c,
-                                   200_000, rng_for(6))
+    (row,) = drift_map(c, [10.0 * c.u], 200_000, rng_for(6))
     case_bound = -c.v * LOG_ALPHA * (1.0 - 5.0 * c.p_u) / 4.0
-    assert est.mean <= case_bound + est.half_width
+    assert row.drift_mean <= case_bound + row.ci_halfwidth
 
 
 def _drift_by_quadrature(c, sigma_bar):
@@ -357,23 +353,22 @@ def test_drift_estimate_matches_quadrature_oracle(constants_for, rng_for, d):
                                    1.35 * c.ell, band_mid,  # reasonable
                                    1.5 * c.u, 3.0 * c.u)):  # large
         exact = _drift_by_quadrature(c, sigma_bar)
-        est = estimate_truncated_drift(initial_state(d, 1.0, sigma_bar), c,
-                                       400_000, rng_for(11, d, i))
-        assert est.std_error > 0.0
-        assert abs(est.mean - exact) <= 5.0 * est.std_error
+        (row,) = drift_map(c, [sigma_bar], 400_000, rng_for(11, d, i))
+        std_error = row.ci_halfwidth / Z99
+        assert std_error > 0.0
+        assert abs(row.drift_mean - exact) <= 5.0 * std_error
 
 
 def test_drift_requires_enough_samples(constants_for, rng_for):
     with pytest.raises(ValueError):
-        estimate_truncated_drift(initial_state(10, 1.0, 2.0), constants_for(10),
-                                 999, rng_for(7))
+        drift_map(constants_for(10), [2.0], 999, rng_for(7))
 
 
 def test_drift_map_rows_and_regime_boundaries(constants_for, rng_for):
     c = constants_for(10)
     mid = math.sqrt(c.ell * c.u)
     grid = [0.5 * c.ell, c.ell, mid, c.u, 2.0 * c.u]
-    rows = drift_map(10, c, grid, 2000, rng_for(8))
+    rows = drift_map(c, grid, 2000, rng_for(8))
     assert [row.regime for row in rows] == [
         Regime.SMALL.value, Regime.REASONABLE.value, Regime.REASONABLE.value,
         Regime.REASONABLE.value, Regime.LARGE.value]
@@ -391,7 +386,7 @@ def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
     sigma = sigma_bar / 10
     y_fail = max(c.potential_of(1.0, sigma * c.alpha ** -0.25)
                  - c.potential_of(1.0, sigma), -c.A)
-    (row,) = drift_map(10, c, [sigma_bar], 10_000, rng_for(10))
+    (row,) = drift_map(c, [sigma_bar], 10_000, rng_for(10))
     assert row.ci_halfwidth == 0.0
     assert row.drift_mean == y_fail
 
@@ -399,16 +394,7 @@ def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
 def test_drift_map_rejects_non_positive_grid_points(constants_for, rng_for):
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
-            drift_map(10, constants_for(10), [1.0, bad], 2000, rng_for(14))
-
-
-def test_estimate_equals_the_one_point_drift_map_row(constants_for, rng_for):
-    c = constants_for(10)
-    for i, sigma_bar in enumerate((c.ell / 10.0, math.sqrt(c.ell * c.u), 3.0 * c.u)):
-        est = estimate_truncated_drift(initial_state(10, 1.0, sigma_bar), c, 20_000,
-                                       rng_for(12, i))
-        (row,) = drift_map(10, c, [sigma_bar], 20_000, rng_for(12, i))
-        assert (row.drift_mean, row.ci_halfwidth) == (est.mean, est.half_width)
+            drift_map(constants_for(10), [1.0, bad], 2000, rng_for(14))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -424,7 +410,7 @@ def test_drift_map_rows_follow_their_grid_points(constants_for, d, fractions,
     c = constants_for(d)
 
     def rows_for(grid):
-        rows = drift_map(d, c, grid, 2000, derive_stream(424242, 13, d))
+        rows = drift_map(c, grid, 2000, derive_stream(424242, 13, d))
         return [repr(astuple(row)) for row in rows]
 
     lo, hi = math.log(c.ell / 20.0), math.log(20.0 * c.u)

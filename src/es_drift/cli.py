@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .config import _PARSERS, ExperimentConfig, build_config
-from .core import ESParams, hitting_times, initial_state, run_until
+from .core import hitting_times, initial_state, run_until
 from .errors import ConfigurationError
 from .estimates import mean_estimate
 from .hitandrun import expected_log_progress_exact, expected_log_progress_mc
@@ -108,11 +108,12 @@ def _out_path(config: ExperimentConfig, default_name: str) -> Path:
 def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
     """Exact vs limit success probabilities on a step-size grid."""
     rows = []
+    sigma_bars = CURVE_SIGMA_BARS.tolist()
     for rho in CURVE_RHO_VALUES:
+        limits = [psucc_limit(rho, sigma_bar) for sigma_bar in sigma_bars]
         for d in CURVE_D_VALUES:
             exact = psucc_exact(d, rho / d, CURVE_SIGMA_BARS).tolist()
-            for sigma_bar, p_exact in zip(CURVE_SIGMA_BARS.tolist(), exact):
-                limit = psucc_limit(rho, sigma_bar)
+            for sigma_bar, p_exact, limit in zip(sigma_bars, exact, limits):
                 rows.append((rho, d, sigma_bar, p_exact, limit,
                              abs(p_exact - limit)))
     _write_csv(_out_path(config, "success_curve.csv"),
@@ -196,8 +197,8 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
                 within_bounds=within, censored_runs=censored))
 
     comments = []
-    # a line through fewer than 3 distinct epsilons is exact or singular
-    if len(set(eps_values)) >= 3:
+    # a line through fewer than 3 epsilons is exact or singular
+    if len(eps_values) >= 3:
         x = np.log(1.0 / np.array(eps_values))
         for d in config.d_list:
             y = np.array([r.mean_T for r in reports if r.d == d])
@@ -294,8 +295,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
     c = derive_constants(d, config.alpha, config.p_u, config.p_l)
     state0 = initial_state(d, config.m0_norm, config.sigma_bar0)
     rng = derive_stream(config.master_seed, 4, 0)
-    trace = run_until(state0, ESParams(config.alpha, d), config.epsilon,
-                      config.max_iter, rng, record_every=config.record_every)
+    trace = run_until(state0, config.alpha, config.epsilon, config.max_iter, rng,
+                      record_every=config.record_every)
     potentials = kernels.potential_value(trace.norms, trace.sigmas, d, c.alpha,
                                          c.ell, c.u, c.v)
     rows = list(zip(trace.ts.tolist(), trace.norms.tolist(), trace.sigmas.tolist(),

@@ -77,13 +77,15 @@ class ExperimentConfig:
         for name in ("max_iter", "record_every", "workers"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.eps_list is not None and not all(0.0 < e < math.inf
-                                                 for e in self.eps_list):
+        eps_list = self.eps_list or ()
+        if not all(0.0 < e < math.inf for e in eps_list):
             raise ConfigurationError("eps_list entries must be finite and positive")
+        if len(set(eps_list)) < len(eps_list):
+            raise ConfigurationError("eps_list entries must be distinct")
         # below the smallest normal float sigma * alpha^(-1/4) rounds back to
         # sigma, so the 1/5 rule stalls and a run crawls to max_iter
         tiny = sys.float_info.min  # the smallest normal float, np.finfo(float).tiny
-        if any(e < tiny for e in (self.epsilon, *(self.eps_list or ()))):
+        if any(e < tiny for e in (self.epsilon, *eps_list)):
             raise ConfigurationError(f"epsilon and eps_list entries must be at least "
                                      f"the smallest normal float {tiny:.6g}")
 

@@ -22,35 +22,20 @@ from . import kernels
 
 
 @dataclass(frozen=True)
-class ESParams:
-    """Strategy parameters: step-size multiplier and problem dimension."""
-
-    alpha: float
-    d: int
-
-    def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-
-
-@dataclass(frozen=True)
 class ESState:
-    """Algorithm state: search point m, step size sigma, iteration index t."""
+    """Algorithm state: search point m and step size sigma."""
 
     m: np.ndarray
     sigma: float
-    t: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
-        if self.m.ndim != 1 or self.m.size == 0:
-            raise ValueError("m must be a non-empty 1-d vector")
+        if self.m.ndim != 1:
+            raise ValueError("m must be a 1-d vector")
+        if self.m.size < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.m.size}")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.t < 0:
-            raise ValueError("iteration index must be non-negative")
 
     @property
     def d(self) -> int:
@@ -97,8 +82,6 @@ class RunTrace:
 def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:
     """State on the first axis with ||m|| = m0_norm and the given
     normalized step size (isotropy makes the direction irrelevant)."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
     if not (m0_norm > 0.0 and sigma_bar0 > 0.0):
         raise ValueError("m0_norm and sigma_bar0 must be positive")
     m = np.zeros(d)
@@ -106,13 +89,17 @@ def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:
     return ESState(m=m, sigma=sigma_bar0 * m0_norm / d)
 
 
-def es_step(state: ESState, params: ESParams, rng) -> tuple[ESState, StepOutcome]:
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+
+
+def es_step(state: ESState, alpha: float, rng) -> tuple[ESState, StepOutcome]:
     """One offspring trial: sample x ~ m + sigma*N(0, I), keep the better point.
 
     On success sigma is multiplied by alpha, on failure by alpha^(-1/4).
     """
-    if state.d != params.d:
-        raise ValueError(f"state dimension {state.d} != params dimension {params.d}")
+    _check_alpha(alpha)
     z = rng.standard_normal(state.d)
     x = state.m + state.sigma * z
     fx = float(x @ x)
@@ -120,14 +107,14 @@ def es_step(state: ESState, params: ESParams, rng) -> tuple[ESState, StepOutcome
     offspring_norm = math.sqrt(fx)
     if fx <= fm:
         log_progress = math.inf if fx == 0.0 else 0.5 * (math.log(fm) - math.log(fx))
-        new = ESState(m=x, sigma=state.sigma * params.alpha, t=state.t + 1)
+        new = ESState(m=x, sigma=state.sigma * alpha)
         return new, StepOutcome(success=True, offspring_norm=offspring_norm,
                                 log_progress=log_progress)
-    new = ESState(m=state.m, sigma=state.sigma * params.alpha ** -0.25, t=state.t + 1)
+    new = ESState(m=state.m, sigma=state.sigma * alpha ** -0.25)
     return new, StepOutcome(success=False, offspring_norm=offspring_norm, log_progress=0.0)
 
 
-def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
+def run_until(state0: ESState, alpha: float, epsilon: float, max_iter: int,
               rng, record_every: int = 1) -> RunTrace:
     """Run until ||m_t|| <= epsilon or max_iter steps, tracing the state.
 
@@ -135,8 +122,7 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
     iteration budget ran out (reported in the trace, not an error).
     ``record_every`` thins the trace; the final state is always kept.
     """
-    if state0.d != params.d:
-        raise ValueError(f"state dimension {state0.d} != params dimension {params.d}")
+    _check_alpha(alpha)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if max_iter < 1:
@@ -144,15 +130,13 @@ def run_until(state0: ESState, params: ESParams, epsilon: float, max_iter: int,
     if record_every < 1:
         raise ValueError("record_every must be positive")
     ts, norms, sigmas, successes, hit, t_final, n_success = kernels.es_run(
-        state0.norm, state0.sigma, params.d, params.alpha, epsilon, max_iter,
+        state0.norm, state0.sigma, state0.d, alpha, epsilon, max_iter,
         record_every, rng)
-    ts = ts + state0.t
     with np.errstate(divide="ignore"):
-        sigma_bars = params.d * sigmas / norms  # inf at the optimum
+        sigma_bars = state0.d * sigmas / norms  # inf at the optimum
     return RunTrace(ts=ts, norms=norms, sigmas=sigmas, sigma_bars=sigma_bars,
-                    successes=successes,
-                    hitting_time=(state0.t + t_final) if hit else None,
-                    iterations=state0.t + t_final, n_success=int(n_success))
+                    successes=successes, hitting_time=t_final if hit else None,
+                    iterations=t_final, n_success=int(n_success))
 
 
 def hitting_times(states: Sequence[ESState], alpha: float,
@@ -168,16 +152,14 @@ def hitting_times(states: Sequence[ESState], alpha: float,
     ``kernels.es_hitting_times``). Run i gets a list with one entry per
     threshold, in the order of ``epsilons`` (any order, duplicates
     allowed), None where the budget ran out. For a run alone on its
-    generator, entry j equals ``run_until(states[i], ESParams(alpha,
-    states[i].d), epsilons[j], max_iter, rngs[i]).hitting_time``; a run in
-    a group equals run_until fed its column of the group's blocks. A run's
-    entries do not depend on the other runs, the other thresholds or
-    max_iter.
+    generator, entry j equals ``run_until(states[i], alpha, epsilons[j],
+    max_iter, rngs[i]).hitting_time``; a run in a group equals run_until
+    fed its column of the group's blocks. A run's entries do not depend on
+    the other runs, the other thresholds or max_iter.
     """
     if len(states) != len(rngs):
         raise ValueError(f"got {len(states)} states and {len(rngs)} streams")
-    for state in states:
-        ESParams(alpha, state.d)
+    _check_alpha(alpha)
     if not len(epsilons):
         raise ValueError("need at least one epsilon")
     if not all(epsilon > 0.0 for epsilon in epsilons):
@@ -190,5 +172,4 @@ def hitting_times(states: Sequence[ESState], alpha: float,
         [state.norm for state in states], [state.sigma for state in states],
         [state.d for state in states], alpha, eps[order], max_iter, rngs)
     times = times[:, np.argsort(order)].tolist()
-    return [[None if t < 0 else state.t + t for t in row]
-            for state, row in zip(states, times)]
+    return [[None if t < 0 else t for t in row] for row in times]

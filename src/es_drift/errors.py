@@ -10,12 +10,4 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A tolerance-controlled numerical routine cannot meet its tolerance.
-
-    Carries the best estimate obtained so far, so callers can decide
-    whether the partial result is usable.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
+    """A tolerance-controlled numerical routine cannot meet its tolerance."""

@@ -11,21 +11,6 @@ MIN_MC_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
-class ProbEstimate:
-    """Binomial proportion estimate with its standard error."""
-
-    value: float
-    std_error: float
-    n_samples: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"probability estimate outside [0, 1]: {self.value}")
-        if self.std_error < 0.0:
-            raise ValueError("negative standard error")
-
-
-@dataclass(frozen=True)
 class MeanEstimate:
     """Sample mean with a 99% normal-approximation confidence half-width."""
 
@@ -36,11 +21,6 @@ class MeanEstimate:
     @property
     def std_error(self) -> float:
         return self.half_width / Z99
-
-
-def prob_estimate(hits: int, n: int) -> ProbEstimate:
-    p = hits / n
-    return ProbEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), n_samples=n)
 
 
 def mean_estimate(total: float, total_sq: float, n: int) -> MeanEstimate:

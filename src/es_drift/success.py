@@ -22,13 +22,11 @@ converges to Phi(-rho/sbar - sbar/2).
 import math
 
 import numpy as np
-from scipy.special import chndtr, ndtri
+from scipy.special import chndtr, ndtr, ndtri
 
 from . import kernels
 from .errors import ConvergenceError
-from .estimates import ProbEstimate, prob_estimate
-
-SQRT2 = math.sqrt(2.0)
+from .estimates import MeanEstimate, mean_estimate
 
 # The stated accuracy of psucc_exact, checked against an mpmath quadrature
 # of the success probability by
@@ -55,18 +53,15 @@ def _check(d: int, r: float, sigma_bar: float) -> None:
         raise ValueError(f"normalized step size must be positive, got {sigma_bar}")
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / SQRT2)
-
-
-def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> ProbEstimate:
-    """Monte Carlo estimate of the success probability with rate r."""
+def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> MeanEstimate:
+    """Monte Carlo estimate of the success probability with rate r: the
+    mean of the 0/1 success indicator, whose sum of squares is the hit
+    count."""
     _check(d, r, sigma_bar)
     if n < 1:
         raise ValueError("sample count must be positive")
     hits = kernels.success_mc_hits(sigma_bar / d, 1.0 - r, d, n, rng)
-    return prob_estimate(int(hits), n)
+    return mean_estimate(hits, hits, n)
 
 
 def psucc_exact(d: int, r: float, sigma_bars):
@@ -83,18 +78,16 @@ def psucc_exact(d: int, r: float, sigma_bars):
     _check(d, r, float(sbar.min()))  # validates every sbar
     lam = (d / sbar) ** 2
     values = chndtr(((1.0 - r) * d / sbar) ** 2, d, lam)
-    result = values if values.ndim else float(values)
 
     def where() -> str:
         return f"(d={d}, r={r:.6g}, sigma_bar in [{sbar.min():.6g}, {sbar.max():.6g}])"
 
     if lam.max() > MAX_NONCENTRALITY:
         raise ConvergenceError(f"noncentrality {lam.max():.4g} above the verified "
-                               f"{MAX_NONCENTRALITY:.0e} {where()}", result)
+                               f"{MAX_NONCENTRALITY:.0e} {where()}")
     if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where()}",
-                               result)
-    return result
+        raise ConvergenceError(f"chi-squared CDF outside [0, 1] or not finite {where()}")
+    return values if values.ndim else float(values)
 
 
 def psucc_limit(rho: float, sigma_bar: float) -> float:
@@ -103,7 +96,7 @@ def psucc_limit(rho: float, sigma_bar: float) -> float:
         raise ValueError(f"rho must be non-negative, got {rho}")
     if not sigma_bar > 0.0:
         raise ValueError("normalized step size must be positive")
-    return std_normal_cdf(-rho / sigma_bar - sigma_bar / 2.0)
+    return float(ndtr(-rho / sigma_bar - sigma_bar / 2.0))
 
 
 def psucc0_inverse(d: int, p):
@@ -181,5 +174,5 @@ def psucc0_inverse(d: int, p):
     for root, miss, target in zip(roots, map(abs, f_b), targets):
         if not miss <= MAX_ROOT_MISS:
             raise ConvergenceError(f"root sigma_bar={root!r} misses p={target} by "
-                                   f"{miss:.3e}", estimate=root)
+                                   f"{miss:.3e}")
     return np.reshape(roots, ps.shape) if ps.ndim else roots[0]

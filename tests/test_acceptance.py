@@ -202,8 +202,8 @@ def test_criterion_10_mc_vs_exact_oracle_equivalence():
         # combine the binomial error (floored by the exact value, in case
         # the empirical count is zero) with the exact value's tolerance
         se = max(est.std_error,
-                 math.sqrt(exact * (1.0 - exact) / est.n_samples))
-        margin = abs(est.value - exact) / (se + 1e-9)
+                 math.sqrt(exact * (1.0 - exact) / est.n))
+        margin = abs(est.mean - exact) / (se + 1e-9)
         worst = max(worst, margin)
         ok &= margin <= 4.0
     _report(10, "Monte Carlo vs exact oracle equivalence", ok, started,

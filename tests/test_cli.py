@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from es_drift import derive_constants, derive_stream, hitting_times, initial_state
 from es_drift.cli import (_format, _write_csv, cmd_bounds, cmd_drift_map,
@@ -15,7 +16,6 @@ from es_drift.cli import (_format, _write_csv, cmd_bounds, cmd_drift_map,
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
 from es_drift.estimates import MIN_MC_SAMPLES
-from es_drift.success import std_normal_cdf
 
 
 def _read_csv(path):
@@ -92,7 +92,8 @@ _MC_COUNT = st.integers(MIN_MC_SAMPLES, 2 ** 31)
 def _configs(draw):
     return ExperimentConfig(
         d_list=tuple(draw(st.lists(st.integers(2, 2 ** 20), min_size=1, max_size=5))),
-        eps_list=draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple)),
+        eps_list=draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=4,
+                                           unique=True).map(tuple)),
         alpha=draw(_POSITIVE), p_u=draw(_POSITIVE), p_l=draw(_POSITIVE),
         epsilon=draw(_POSITIVE), m0_norm=draw(_POSITIVE), sigma_bar0=draw(_POSITIVE),
         replicates=draw(_COUNT), master_seed=draw(st.integers(0, 2 ** 64)),
@@ -138,7 +139,7 @@ def test_success_curve_rows(tmp_path):
         assert 0.0 <= p_exact <= 1.0
         if rho == 0.0:
             assert 0.0 < p_exact < 0.5
-            assert p_limit == pytest.approx(std_normal_cdf(-sigma_bar / 2.0))
+            assert p_limit == pytest.approx(ndtr(-sigma_bar / 2.0))
         if d == 256:
             assert gap < 1e-2
 
@@ -177,15 +178,15 @@ def test_hitting_scaling_report(tmp_path):
 
 
 def test_hitting_scaling_fits_only_three_distinct_epsilons(tmp_path):
-    # a fit through one repeated epsilon is singular: no line, and no warning
+    # a line through two epsilons is exact: no fit, and no warning
     out = tmp_path / "hs.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["hitting-scaling", "--d", "4", "--replicates", "3",
-                     "--eps-list", "1e-2,1e-2,1e-2", "--out", str(out)])
+                     "--eps-list", "1e-2,1e-3", "--out", str(out)])
     assert code == 0
     _, raw, comments = _read_csv(out)
-    assert len(raw) == 3
+    assert len(raw) == 2
     assert not [c for c in comments if c.startswith("# fit")]
 
 
@@ -452,8 +453,13 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
     (["run", "--d", "10", "--m0-norm", "nan"], None,
      "m0_norm must be finite and positive"),
     (["bounds", "--d", "10"], "m0_norm = inf\n", "m0_norm must be finite and positive"),
+    (["hitting-scaling", "--d", "4", "--eps-list", "1e-2,1e-3,1e-2"], None,
+     "eps_list entries must be distinct"),
+    (["hitting-scaling", "--d", "4"], "eps_list = 1e-2, 1e-3, 1e-2\n",
+     "eps_list entries must be distinct"),
 ], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
-        "m0_norm_nan", "m0_norm_inf_in_config_file"])
+        "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
+        "eps_list_repeated_in_config_file"])
 def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
                                                     config_text, message):
     # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from es_drift import (ESParams, ESState, derive_stream, es_step, hitting_times,
-                      initial_state, run_until)
+from es_drift import (ESState, derive_stream, es_step, hitting_times, initial_state,
+                      run_until)
 from es_drift.kernels import es_hitting_times, potential_value
 
 
@@ -28,20 +28,17 @@ class FixedDraw:
 
 def test_es_step_forced_failure_shrinks_sigma():
     state = ESState(m=np.array([1.0, 0.0]), sigma=0.5)
-    params = ESParams(alpha=1.5, d=2)
     # offspring far out along +m is worse
-    new, outcome = es_step(state, params, FixedDraw([10.0, 0.0]))
+    new, outcome = es_step(state, 1.5, FixedDraw([10.0, 0.0]))
     assert not outcome.success
     assert outcome.log_progress == 0.0
     np.testing.assert_array_equal(new.m, state.m)
     assert new.sigma == pytest.approx(0.5 * 1.5 ** -0.25, rel=1e-15)
-    assert new.t == 1
 
 
 def test_es_step_forced_success_moves_and_grows_sigma():
     state = ESState(m=np.array([1.0, 0.0]), sigma=0.5)
-    params = ESParams(alpha=1.5, d=2)
-    new, outcome = es_step(state, params, FixedDraw([-1.0, 0.0]))
+    new, outcome = es_step(state, 1.5, FixedDraw([-1.0, 0.0]))
     assert outcome.success
     np.testing.assert_allclose(new.m, [0.5, 0.0])
     assert new.sigma == pytest.approx(0.75, rel=1e-15)
@@ -51,8 +48,7 @@ def test_es_step_forced_success_moves_and_grows_sigma():
 def test_es_step_tie_counts_as_success():
     # offspring mirrored through the origin has the exact same norm
     state = ESState(m=np.array([1.0, 0.0]), sigma=1.0)
-    params = ESParams(alpha=1.5, d=2)
-    new, outcome = es_step(state, params, FixedDraw([-2.0, 0.0]))
+    new, outcome = es_step(state, 1.5, FixedDraw([-2.0, 0.0]))
     assert outcome.success
     assert outcome.offspring_norm == 1.0
     assert outcome.log_progress == 0.0
@@ -65,9 +61,8 @@ def test_es_step_success_frequency_matches_exact_probability(rng_for):
 
     d, sigma_bar, n = 10, 2.0, 100_000
     state = initial_state(d, 1.0, sigma_bar)
-    params = ESParams(alpha=1.5, d=d)
     rng = rng_for(1)
-    hits = sum(es_step(state, params, rng)[1].success for _ in range(n))
+    hits = sum(es_step(state, 1.5, rng)[1].success for _ in range(n))
     p_hat = hits / n
     p = psucc_exact(d, 0.0, sigma_bar)
     se = math.sqrt(p * (1.0 - p) / n)
@@ -76,7 +71,7 @@ def test_es_step_success_frequency_matches_exact_probability(rng_for):
 
 def test_run_until_immediate_hit(rng_for):
     state = initial_state(4, 0.5, 2.0)
-    trace = run_until(state, ESParams(1.5, 4), epsilon=1.0, max_iter=100,
+    trace = run_until(state, 1.5, epsilon=1.0, max_iter=100,
                       rng=rng_for(9))
     assert trace.hitting_time == 0
     assert len(trace) == 1
@@ -84,16 +79,15 @@ def test_run_until_immediate_hit(rng_for):
 
 
 def test_run_until_norms_non_increasing(rng_for):
-    params = ESParams(1.5, 6)
     for seed in range(5):
-        trace = run_until(initial_state(6, 1.0, 2.0), params, 1e-3, 10_000,
+        trace = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-3, 10_000,
                           rng_for(2, seed))
         assert trace.hitting_time is not None
         assert np.all(np.diff(trace.norms) <= 0.0)
 
 
 def test_run_until_sigma_ratios_exact(rng_for):
-    trace = run_until(initial_state(5, 1.0, 2.0), ESParams(1.5, 5), 1e-4,
+    trace = run_until(initial_state(5, 1.0, 2.0), 1.5, 1e-4,
                       10_000, rng_for(3))
     ratios = trace.sigmas[1:] / trace.sigmas[:-1]
     for ratio in ratios:
@@ -104,7 +98,7 @@ def test_run_until_sigma_ratios_exact(rng_for):
 
 
 def test_run_until_sigma_bookkeeping_identity(rng_for):
-    trace = run_until(initial_state(5, 1.0, 2.0), ESParams(1.5, 5), 1e-6,
+    trace = run_until(initial_state(5, 1.0, 2.0), 1.5, 1e-6,
                       10_000, rng_for(4))
     failures = trace.iterations - trace.n_success
     log_alpha = math.log(1.5)
@@ -116,15 +110,16 @@ def test_run_until_sigma_bookkeeping_identity(rng_for):
 def test_run_until_matches_manual_stepping(rng_for):
     # run_until draws (z0, chi2) where es_step draws a d-vector, so the two
     # paths agree in distribution: hitting times on disjoint streams
-    params = ESParams(1.5, 6)
     manual, reduced = [], []
     for rep in range(400):
         state = initial_state(6, 1.0, 2.0)
         rng = rng_for(5, 0, rep)
+        t = 0
         while state.norm > 1e-3:
-            state, _ = es_step(state, params, rng)
-        manual.append(state.t)
-        trace = run_until(initial_state(6, 1.0, 2.0), params, 1e-3, 10_000,
+            state, _ = es_step(state, 1.5, rng)
+            t += 1
+        manual.append(t)
+        trace = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-3, 10_000,
                           rng_for(5, 1, rep), record_every=10_000)
         reduced.append(trace.hitting_time)
     assert ks_2samp(manual, reduced).pvalue > 1e-3
@@ -159,7 +154,7 @@ def test_run_until_steps_the_norm_sigma_chain_exactly():
     draws = FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
                             [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16])
     state0 = ESState(m=[1.0, 0.0, 0.0, 0.0], sigma=0.5)
-    trace = run_until(state0, ESParams(16.0, 4), 1e-3, 4, draws)
+    trace = run_until(state0, 16.0, 1e-3, 4, draws)
     assert trace.norms.tolist() == [1.0, 0.5, 0.5, 0.5, 0.25]
     assert trace.sigmas.tolist() == [0.5, 8.0, 4.0, 64.0, 1024.0]
     assert trace.successes.tolist() == [True, False, True, True, False]
@@ -168,23 +163,22 @@ def test_run_until_steps_the_norm_sigma_chain_exactly():
 
 
 def test_hitting_times_steps_each_run_exactly():
-    # run 1 (d = 3, from t = 10) fails then succeeds to ||m|| = 0.75 at
-    # t = 2 and stays there; run 2 is the chain above, ||m|| = 1, 0.5, 0.5,
-    # 0.5, 0.25: a hit on the budget's last step counts, 0.2 is never
-    # reached, and one step may pass two thresholds (0.75 and 0.6 at t = 1,
-    # 0.3 and 0.26 at t = 4); entries follow the caller's threshold order,
-    # duplicates too
+    # run 1 (d = 3) fails then succeeds to ||m|| = 0.75 at t = 2 and stays
+    # there; run 2 is the chain above, ||m|| = 1, 0.5, 0.5, 0.5, 0.25: a
+    # hit on the budget's last step counts, 0.2 is never reached, and one
+    # step may pass two thresholds (0.75 and 0.6 at t = 1, 0.3 and 0.26 at
+    # t = 4); entries follow the caller's threshold order, duplicates too
     alpha = 16.0
-    runs = [(ESState(m=[1.0, 0.0, 0.0], sigma=0.5, t=10),
+    runs = [(ESState(m=[1.0, 0.0, 0.0], sigma=0.5),
              FixedSphereDraw(3, [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])),
             (ESState(m=[1.0, 0.0, 0.0, 0.0], sigma=0.5),
              FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
                              [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16]))]
     states, draws = zip(*runs)
     assert hitting_times(states, alpha, [0.75, 0.3, 0.2], 4, draws) == [
-        [12, None, None], [1, 4, None]]
+        [2, None, None], [1, 4, None]]
     assert hitting_times(states, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4,
-                         draws) == [[None, 12, None, None, 12, None],
+                         draws) == [[None, 2, None, None, 2, None],
                                     [4, 1, 1, 4, 1, None]]
 
 
@@ -205,7 +199,7 @@ def test_hitting_times_equal_run_until_run_for_run(runs, powers, max_iter):
     epsilons = [10.0 ** -k for k in powers]
     lockstep = hitting_times(states, 1.5, epsilons, max_iter,
                              [derive_stream(seed) for _, seed in runs])
-    single = [[run_until(state, ESParams(1.5, state.d), epsilon, max_iter,
+    single = [[run_until(state, 1.5, epsilon, max_iter,
                          derive_stream(seed), record_every=max_iter).hitting_time
                for epsilon in epsilons]
               for state, (_, seed) in zip(states, runs)]
@@ -217,7 +211,7 @@ def test_hitting_time_does_not_depend_on_the_budget(max_iter):
     # every run draws full blocks, so a smaller budget only cuts the run
     # short; this stream hits in between the budgets
     def hit(budget):
-        return run_until(initial_state(4, 1.0, 2.0), ESParams(1.5, 4), 1e-4, budget,
+        return run_until(initial_state(4, 1.0, 2.0), 1.5, 1e-4, budget,
                          derive_stream(20180715, 2, 19), record_every=budget).hitting_time
 
     uncensored = hit(10 ** 7)
@@ -307,7 +301,7 @@ def test_hitting_times_group_equals_run_until_column_for_column(
     for i, (state, g) in enumerate(zip(states, member_groups)):
         column = member_groups[:i].count(g)
         single.append([run_until(
-            state, ESParams(1.5, state.d), epsilon, max_iter,
+            state, 1.5, epsilon, max_iter,
             GroupColumnDraw(derive_stream(groups[g][1]), member_groups.count(g), column),
             record_every=max_iter).hitting_time for epsilon in epsilons])
     assert lockstep == single
@@ -359,9 +353,9 @@ def test_hitting_times_validates_inputs():
 
 
 def test_run_until_thinning_keeps_hit_and_final(rng_for):
-    full = run_until(initial_state(6, 1.0, 2.0), ESParams(1.5, 6), 1e-3,
+    full = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-3,
                      10_000, rng_for(6), record_every=1)
-    thin = run_until(initial_state(6, 1.0, 2.0), ESParams(1.5, 6), 1e-3,
+    thin = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-3,
                      10_000, rng_for(6), record_every=7)
     assert thin.hitting_time == full.hitting_time
     assert thin.ts[-1] == full.ts[-1]
@@ -373,7 +367,7 @@ def test_run_until_thinning_keeps_hit_and_final(rng_for):
 
 
 def test_run_until_exhausted_budget_reports_none(rng_for):
-    trace = run_until(initial_state(6, 1.0, 2.0), ESParams(1.5, 6), 1e-12, 50,
+    trace = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-12, 50,
                       rng_for(7))
     assert trace.hitting_time is None
     assert trace.iterations == 50
@@ -384,7 +378,7 @@ def test_run_until_hits_targets_below_norm_squared_underflow():
     # still take strictly longer to reach than the one above it
     hits = []
     for epsilon in (1e-200, 1e-250, 1e-300):
-        trace = run_until(initial_state(10, 1.0, 2.0), ESParams(1.5, 10), epsilon,
+        trace = run_until(initial_state(10, 1.0, 2.0), 1.5, epsilon,
                           10_000_000, derive_stream(5, 0), record_every=10_000_000)
         assert 0.0 < trace.norms[-1] <= epsilon
         hits.append(trace.hitting_time)
@@ -394,7 +388,7 @@ def test_run_until_hits_targets_below_norm_squared_underflow():
 def test_run_until_records_potential_when_given(rng_for, constants_for):
     # the run driver's potential column: one array call over the trace
     c = constants_for(6)
-    trace = run_until(initial_state(6, 1.0, 2.0), ESParams(1.5, 6), 1e-2,
+    trace = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-2,
                       10_000, rng_for(8))
     potentials = potential_value(trace.norms, trace.sigmas, 6, c.alpha, c.ell, c.u, c.v)
     assert np.all(np.isfinite(potentials))
@@ -410,7 +404,12 @@ def test_initial_state_has_requested_normalized_step():
 def test_state_validation():
     with pytest.raises(ValueError):
         ESState(m=[1.0, 2.0], sigma=0.0)
-    with pytest.raises(ValueError):
-        ESParams(alpha=1.0, d=4)
-    with pytest.raises(ValueError):
-        ESParams(alpha=1.5, d=1)
+    with pytest.raises(ValueError, match="dimension"):
+        ESState(m=[1.0], sigma=0.5)
+    state = initial_state(4, 1.0, 2.0)
+    with pytest.raises(ValueError, match="alpha"):
+        es_step(state, 1.0, derive_stream(0))
+    with pytest.raises(ValueError, match="alpha"):
+        run_until(state, 1.0, 1e-2, 10, derive_stream(0))
+    with pytest.raises(ValueError, match="alpha"):
+        hitting_times([state], 1.0, [1e-2], 10, [derive_stream(0)])

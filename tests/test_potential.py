@@ -49,7 +49,7 @@ def test_derive_constants_minima_cross_checked_by_mc(constants_for, rng_for):
     for rate, target in ((c.r_prime, c.p_prime), (c.r, c.p_star)):
         argmin = float(grid[np.argmin(psucc_exact(10, rate, grid))])
         est = psucc_mc(10, rate, argmin, 300_000, rng_for(0))
-        assert abs(est.value - target) <= 4.0 * est.std_error + 1e-6
+        assert abs(est.mean - target) <= 4.0 * est.std_error + 1e-6
 
 
 def test_derive_constants_at_large_dimension():

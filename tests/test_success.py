@@ -8,36 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, ndtri
+from scipy.special import gammainc, ndtr, ndtri
 
 from es_drift import success
 from es_drift import (ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit,
-                      psucc_mc, std_normal_cdf)
+                      psucc_mc)
 from es_drift.success import MAX_ABS_ERROR, MAX_NONCENTRALITY
 
 ND = NormalDist()
-
-
-# ---------------------------------------------------------------------------
-# standard normal CDF
-# ---------------------------------------------------------------------------
-
-def test_std_normal_cdf_at_zero():
-    assert std_normal_cdf(0.0) == 0.5
-
-
-def test_std_normal_cdf_matches_erf_oracle():
-    # independent oracle: 0.5 * (1 + erf(x / sqrt(2)))
-    for x in (-3.0, -1.0, -0.1, 0.7, 2.5):
-        oracle = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-        assert abs(std_normal_cdf(x) - oracle) < 1e-14
-    assert std_normal_cdf(-1.0) == pytest.approx(0.15865525393145707, abs=1e-12)
-
-
-def test_std_normal_cdf_symmetry(rng_for):
-    xs = rng_for(0).normal(0.0, 2.0, size=500)
-    for x in xs:
-        assert std_normal_cdf(x) + std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +120,7 @@ def test_psucc_exact_many_monotone_in_sigma_bar_and_rate(d, sigma_bars, rates):
 
 def test_psucc_exact_matches_limit_at_high_dimension():
     value = psucc_exact(256, 0.0, 2.0)
-    assert abs(value - std_normal_cdf(-1.0)) < 1e-2
+    assert abs(value - ndtr(-1.0)) < 1e-2
 
 
 def test_psucc_exact_vanishes_as_rate_approaches_one():
@@ -184,6 +162,16 @@ def test_figure_curve_gap_shrinks_with_dimension():
 # limit curve
 # ---------------------------------------------------------------------------
 
+def test_psucc_limit_matches_erf_oracle():
+    # independent oracle: Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) at
+    # x = -rho/sbar - sbar/2
+    for rho, sigma_bar in ((0.0, 6.0), (0.0, 2.0), (0.0, 0.2), (1.0, 0.5), (2.0, 4.0)):
+        x = -rho / sigma_bar - sigma_bar / 2.0
+        oracle = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        assert abs(psucc_limit(rho, sigma_bar) - oracle) < 1e-14
+    assert psucc_limit(0.0, 2.0) == pytest.approx(0.15865525393145707, abs=1e-12)
+
+
 def test_psucc_limit_values():
     assert psucc_limit(0.0, 2.0) == pytest.approx(ND.cdf(-1.0), abs=1e-12)
     assert psucc_limit(0.0, 1e-9) == pytest.approx(0.5, abs=1e-6)
@@ -208,18 +196,18 @@ def test_psucc_limit_pole():
 
 def test_psucc_mc_half_at_vanishing_step(rng_for):
     est = psucc_mc(8, 0.0, 1e-6, 1_000_000, rng_for(2))
-    assert abs(est.value - 0.5) <= 3.0 * est.std_error
+    assert abs(est.mean - 0.5) <= 3.0 * est.std_error
 
 
 def test_psucc_mc_zero_for_deep_target(rng_for):
     est = psucc_mc(8, 0.99, 1e-6, 100_000, rng_for(3))
-    assert est.value == 0.0
+    assert est.mean == 0.0
 
 
 def test_psucc_mc_agrees_with_exact(rng_for):
     est = psucc_mc(64, 0.0, 2.0, 1_000_000, rng_for(4))
     exact = psucc_exact(64, 0.0, 2.0)
-    assert abs(est.value - exact) <= 4.0 * est.std_error
+    assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
 @pytest.mark.parametrize("key, d, r, sigma_bar", [(0, 10, 0.02, 1.5), (1, 64, 0.005, 2.0),
@@ -229,9 +217,9 @@ def test_psucc_mc_agrees_with_exact_at_positive_rate_and_large_step(rng_for, key
                                                                     r, sigma_bar):
     est = psucc_mc(d, r, sigma_bar, 1_000_000, rng_for(5, key))
     exact = psucc_exact(d, r, sigma_bar)
-    se = math.sqrt(exact * (1.0 - exact) / est.n_samples)
-    assert est.value > 0.0
-    assert abs(est.value - exact) <= 5.0 * se
+    se = math.sqrt(exact * (1.0 - exact) / est.n)
+    assert est.mean > 0.0
+    assert abs(est.mean - exact) <= 5.0 * se
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,8 @@ class RunTrace:
 def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:
     """State on the first axis with ||m|| = m0_norm and the given
     normalized step size (isotropy makes the direction irrelevant)."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
     if not (m0_norm > 0.0 and sigma_bar0 > 0.0):
         raise ValueError("m0_norm and sigma_bar0 must be positive")
     m = np.zeros(d)

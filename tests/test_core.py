@@ -401,6 +401,12 @@ def test_initial_state_has_requested_normalized_step():
     assert state.norm == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("d", [1, 0, -1])
+def test_initial_state_rejects_a_dimension_below_two(d):
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        initial_state(d, 1.0, 2.0)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         ESState(m=[1.0, 2.0], sigma=0.0)

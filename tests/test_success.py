@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, ndtr, ndtri
+from scipy.special import chndtr, gammainc, ndtr, ndtri
 
 from es_drift import success
 from es_drift import (ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit,
@@ -74,8 +74,11 @@ ORACLE_POINTS = (
     (2, 0.5, 1.0), (5, 0.5, 4.0),       # small noncentrality
     (256, 0.0, 0.1335),                 # success-curve corner at r = 0
     (1024, 1 / 1024, 0.5),
-    # noncentrality (d / sigma_bar)^2 just below MAX_NONCENTRALITY
-    (2, 0.0, 2.00001e-5), (1000, 0.0, 1.00001e-2),
+    # noncentrality (d / sigma_bar)^2 just below MAX_NONCENTRALITY: chndtr
+    # at d = 2 and 16, the chi form at d = 1000
+    (2, 0.0, 2.00001e-5), (16, 0.0, 1.60001e-4), (1000, 0.0, 1.00001e-2),
+    # the chi form has no ceiling: noncentrality 1e12
+    (1024, 0.0, 1e-3),
 )
 
 
@@ -85,8 +88,41 @@ def test_psucc_exact_matches_mpmath_oracle():
         assert abs(value - _mpmath_psucc(d, r, sigma_bar)) <= MAX_ABS_ERROR, \
             (d, r, sigma_bar)
     assert max((d / s) ** 2 for d, _, s in ORACLE_POINTS) > 0.9999 * MAX_NONCENTRALITY
+    # chndtr, below the chi form's dimensions, keeps its verified ceiling
     with pytest.raises(ConvergenceError):
-        psucc_exact(1000, 0.0, 0.9999e-2)
+        psucc_exact(16, 0.0, 1.5999e-4)
+
+
+def _chndtr_psucc(d, r, sigma_bars):
+    return chndtr(((1.0 - r) * d / sigma_bars) ** 2, d, (d / sigma_bars) ** 2)
+
+
+@pytest.mark.parametrize("d", [32, 64, 1024])
+def test_psucc_exact_chi_form_agrees_with_chndtr_across_the_switch(d):
+    # noncentrality 1e3 to 1e5 on both sides of the switch at 1e4, for
+    # every r*d up to the chi form's limit of 2
+    sigma_bars = d / np.sqrt(np.geomspace(1e3, 1e5, 41))
+    for rate_d in (0.0, 1.0, 2.0):
+        chi = success._psucc_chi(d, rate_d / d, sigma_bars)
+        assert np.all(np.abs(chi - _chndtr_psucc(d, rate_d / d, sigma_bars))
+                      <= MAX_ABS_ERROR), (d, rate_d)
+
+
+def test_psucc_exact_takes_the_chi_form_only_inside_its_region():
+    sigma_bars = np.array([0.05, 0.3])  # noncentrality above 1e4 at d >= 32
+    assert np.array_equal(psucc_exact(32, 2 / 32, sigma_bars),
+                          success._psucc_chi(32, 2 / 32, sigma_bars))
+    for d, r in ((16, 0.0), (32, 2.01 / 32), (64, 0.3)):
+        assert np.array_equal(psucc_exact(d, r, sigma_bars),
+                              _chndtr_psucc(d, r, sigma_bars)), (d, r)
+    assert psucc_exact(32, 0.0, 0.33) == _chndtr_psucc(32, 0.0, 0.33)
+
+
+def test_psucc_exact_is_smooth_in_sigma_bar_at_large_dimension():
+    # chndtr's steps here range from -5.2e-13 to +4.0e-13; the chi form's
+    # fixed-node sum keeps the curve decreasing (steps of -3.4e-14)
+    sigma_bars = 2.5631 + 1e-12 * np.arange(-5, 6)
+    assert np.all(np.diff(psucc_exact(65536, 1.526e-5, sigma_bars)) < 0.0)
 
 
 def test_psucc_exact_many_matches_pointwise():
@@ -97,6 +133,16 @@ def test_psucc_exact_many_matches_pointwise():
         assert value == psucc_exact(12, 0.05, float(s))
     with pytest.raises(ValueError):
         psucc_exact(12, 0.05, np.array([1.0, 0.0]))
+
+
+def test_psucc_exact_many_matches_pointwise_in_the_chi_region():
+    # noncentrality from 4e8 down to 4e2: both forms, split at sbar = 10.24
+    grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 23))
+    assert np.any((1024 / grid) ** 2 >= 1e4) and np.any((1024 / grid) ** 2 < 1e4)
+    values = psucc_exact(1024, 1 / 1024, grid)
+    for k, s in enumerate(grid):
+        assert values[k] == psucc_exact(1024, 1 / 1024, float(s))
+        assert values[k] == psucc_exact(1024, 1 / 1024, grid[k:k + 2])[0]
 
 
 def test_psucc_exact_monotone_in_sigma_bar():
@@ -250,11 +296,6 @@ ROOT_PROBABILITIES = (0.001, 0.1, 0.3, 0.49)
 @pytest.mark.parametrize("d", ROOT_DIMENSIONS)
 def test_psucc0_inverse_matches_brentq_oracle(d):
     for p in ROOT_PROBABILITIES:
-        if (d / (-2.0 * ND.inv_cdf(p))) ** 2 > MAX_NONCENTRALITY:
-            # the root lies below the verified range of psucc_exact
-            with pytest.raises(ConvergenceError):
-                psucc0_inverse(d, p)
-            continue
         root = psucc0_inverse(d, p)
         oracle = brentq(lambda s: psucc_exact(d, 0.0, s) - p, 0.999 * root, 1.001 * root,
                         xtol=1e-15)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -81,7 +82,12 @@ def _format_column(values: tuple) -> list[str]:
     """_format of every value, one string method for a column of one kind."""
     kinds = set(map(type, values))
     if kinds <= {float, np.float64}:
-        return list(map(float.__repr__, values))
+        # each distinct IEEE bit pattern once, so 0.0, -0.0 and NaN keep their own text
+        bits = np.array(values, dtype=float).view(np.uint64)
+        distinct, which = np.unique(bits, return_inverse=True)
+        texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())),
+                         dtype=object)
+        return texts[which].tolist()
     if kinds <= {bool, np.bool_}:
         return ["true" if v else "false" for v in values]
     if kinds <= {int, str}:
@@ -109,11 +115,14 @@ def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
     """Exact vs limit success probabilities on a step-size grid."""
     rows = []
     sigma_bars = CURVE_SIGMA_BARS.tolist()
-    for rho in CURVE_RHO_VALUES:
+    dims = np.array(CURVE_D_VALUES)[:, None]
+    rates = np.array(CURVE_RHO_VALUES)[:, None, None] / dims
+    # one call for the whole (rho, d, sigma_bar) grid
+    exact = psucc_exact(dims, rates, CURVE_SIGMA_BARS).tolist()
+    for rho, exact_by_d in zip(CURVE_RHO_VALUES, exact):
         limits = [psucc_limit(rho, sigma_bar) for sigma_bar in sigma_bars]
-        for d in CURVE_D_VALUES:
-            exact = psucc_exact(d, rho / d, CURVE_SIGMA_BARS).tolist()
-            for sigma_bar, p_exact, limit in zip(sigma_bars, exact, limits):
+        for d, values in zip(CURVE_D_VALUES, exact_by_d):
+            for sigma_bar, p_exact, limit in zip(sigma_bars, values, limits):
                 rows.append((rho, d, sigma_bar, p_exact, limit,
                              abs(p_exact - limit)))
     _write_csv(_out_path(config, "success_curve.csv"),
@@ -128,8 +137,8 @@ def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
 def cmd_drift_map(config: ExperimentConfig) -> list[tuple]:
     """Truncated-drift verification grid for every configured dimension."""
     rows = []
-    for d_index, d in enumerate(config.d_list):
-        constants = derive_constants(d, config.alpha, config.p_u, config.p_l)
+    all_constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
+    for d_index, (d, constants) in enumerate(zip(config.d_list, all_constants)):
         grid = _log_grid(DRIFT_SPAN[0] * constants.ell, DRIFT_SPAN[1] * constants.u,
                          DRIFT_GRID_POINTS)
         rng = derive_stream(config.master_seed, 1, d_index)
@@ -161,8 +170,7 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
     eps_values = config.epsilons
     reps = config.replicates
     # a configuration the bounds reject fails before any chain runs
-    constants = [derive_constants(d, config.alpha, config.p_u, config.p_l)
-                 for d in config.d_list]
+    constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
     # one chain per (d_index, replicate) gives the first passages below
     # every epsilon; the replicates of a d share stream (seed, 2, d_index),
     # each stepped by its own column of that stream's draw blocks
@@ -228,8 +236,8 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
 def cmd_bounds(config: ExperimentConfig) -> dict:
     """Full constant pipeline plus hitting-time bounds, as JSON."""
     entries = []
-    for d in config.d_list:
-        constants = derive_constants(d, config.alpha, config.p_u, config.p_l)
+    all_constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
+    for d, constants in zip(config.d_list, all_constants):
         state0 = initial_state(d, config.m0_norm, config.sigma_bar0)
         lower, upper = hitting_time_bounds(state0, constants, config.epsilon)
         entries.append({
@@ -330,7 +338,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The es-drift argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int, dest="master_seed",

@@ -21,6 +21,7 @@ transitions from each fixed state.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .core import ESState
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ConvergenceError
 from .estimates import MIN_MC_SAMPLES, mean_estimate
 from .success import psucc_exact, psucc0_inverse
 from .theorems import lower_bound_thm2, upper_bound_thm1
@@ -105,8 +106,12 @@ def _require(condition: bool, inequality: str, detail: str = "") -> None:
                                  + (f" ({detail})" if detail else ""))
 
 
-def minimize_psucc_over_band(d: int, r: float, ell: float, u: float) -> float:
+def minimize_psucc_over_band(d, r, ell, u):
     """Minimum of the rate-r success probability over sbar in [ell, u].
+
+    d, r, ell and u broadcast against each other; the result has their
+    broadcast shape (a float when all are scalars), and all the band ends
+    go to one psucc_exact call.
 
     The minimum is the smaller band-end value, because p(d, r, sbar) is
     log-concave in log sbar. Write N = R U with R = ||N|| and U uniform
@@ -123,62 +128,115 @@ def minimize_psucc_over_band(d: int, r: float, ell: float, u: float) -> float:
     marginal theorem (Acta Sci. Math. 1973) makes p log-concave in
     log sbar: it has no interior minimum.
     """
-    if not 0.0 < ell < u:
+    ds, rs, ells, us = np.broadcast_arrays(d, r, ell, u)
+    if not np.all((0.0 < ells) & (ells < us)):
         raise ValueError(f"need 0 < ell < u, got ell={ell}, u={u}")
-    return float(psucc_exact(d, r, [ell, u]).min())
+    ends = np.empty(ells.shape + (2,))
+    ends[..., 0], ends[..., 1] = ells, us
+    minima = np.asarray(psucc_exact(ds[..., None], rs[..., None], ends)).min(axis=-1)
+    return minima if minima.ndim else float(minima)
 
 
-def derive_constants(d: int, alpha: float = 1.5, p_u: float = 0.1,
-                     p_l: float = 0.3) -> DriftConstants:
-    """Derive the full constant set and verify every required inequality.
+def derive_constants(d, alpha: float = 1.5, p_u: float = 0.1, p_l: float = 0.3):
+    """Derive the full constant set and verify every required inequality,
+    for one d or for each d of a sequence.
 
     A = 1/d and v = p'/(2 d log alpha). The pre-estimate rate r' is the
     image of the cap on v; the cap 1/(d log alpha) applies when it is
     below one, otherwise the always-valid cap 1/(2 d log alpha) is used
     (p' < 1 guarantees v stays below it). Raises ConfigurationError
     naming the violated inequality otherwise.
+
+    For a sequence of d, returns one DriftConstants per d, in order, from
+    about 11 psucc_exact calls for the whole list: the band ends of every
+    d come from one psucc0_inverse call and each band minimum from one
+    minimize_psucc_over_band call. Each set is bit-identical to the set
+    derived for its d alone. If some d fails, the call raises what the
+    first failing d in list order raises alone, found by bisecting on
+    prefixes of the list.
     """
-    if d < 2:
-        raise ConfigurationError(f"constraint violated: d >= 2 (got {d})")
+    if np.ndim(d) == 0:
+        return derive_constants([d], alpha, p_u, p_l)[0]
+    ds = [operator.index(k) for k in d]
+    try:
+        return _constant_sets(ds, alpha, p_u, p_l)
+    except (ValueError, ConvergenceError) as exc:
+        if len(ds) == 1:
+            raise
+        failure = exc
+    # The batch stops at the first failing stage, whose d need not be the
+    # first failing d; a prefix of the list fails iff one of its d does.
+    passing, failing = 0, len(ds)
+    while failing - passing > 1:
+        mid = (passing + failing) // 2
+        try:
+            _constant_sets(ds[:mid], alpha, p_u, p_l)
+        except (ValueError, ConvergenceError):
+            failing = mid
+        else:
+            passing = mid
+    _constant_sets([ds[passing]], alpha, p_u, p_l)  # raises that d's error
+    raise failure
+
+
+def _constant_sets(ds: list, alpha: float, p_u: float, p_l: float) -> list:
+    """derive_constants for a list of d, every stage in one call for all d;
+    raises the first violation found, stage by stage."""
+    for d in ds:
+        if d < 2:
+            raise ConfigurationError(f"constraint violated: d >= 2 (got {d})")
     _require(alpha > 1.0, "alpha > 1", f"alpha={alpha}")
     _require(0.0 < p_u < 0.2 < p_l < 0.5, "0 < p_u < 1/5 < p_l < 1/2",
              f"p_u={p_u}, p_l={p_l}")
+    if not ds:
+        return []
 
     log_a = math.log(alpha)
-    ell, u = psucc0_inverse(d, [p_l, p_u]).tolist()
-    _require(u / ell >= alpha ** 1.25, "u / ell >= alpha^(5/4)",
-             f"u/ell={u / ell:.6g}, alpha^(5/4)={alpha ** 1.25:.6g}")
+    dims = np.array(ds)
+    bands = psucc0_inverse(dims[:, None], [p_l, p_u])
+    ells, us = bands.T
+    r_primes = []
+    for d, (ell, u) in zip(ds, bands.tolist()):
+        _require(u / ell >= alpha ** 1.25, "u / ell >= alpha^(5/4)",
+                 f"u/ell={u / ell:.6g}, alpha^(5/4)={alpha ** 1.25:.6g}")
+        if d * log_a > 1.0:
+            r_primes.append(1.0 - math.exp(-log_a / (d * log_a - 1.0)))
+        else:
+            _require(2.0 * d * log_a > 1.0, "2 * d * log(alpha) > 1",
+                     f"d={d}, alpha={alpha}")
+            r_primes.append(1.0 - math.exp(-(1.0 / d) / (1.0 - 1.0 / (2.0 * d * log_a))))
 
-    A = 1.0 / d
-    if d * log_a > 1.0:
-        r_prime = 1.0 - math.exp(-log_a / (d * log_a - 1.0))
-    else:
-        _require(2.0 * d * log_a > 1.0, "2 * d * log(alpha) > 1",
-                 f"d={d}, alpha={alpha}")
-        r_prime = 1.0 - math.exp(-A / (1.0 - 1.0 / (2.0 * d * log_a)))
+    p_primes = minimize_psucc_over_band(dims, r_primes, ells, us).tolist()
+    vs, rs = [], []
+    for d, r_prime, p_prime in zip(ds, r_primes, p_primes):
+        A = 1.0 / d
+        v = p_prime / (2.0 * d * log_a)
+        _require(0.0 < v < min(1.0, A / log_a), "0 < v < min(1, A / log(alpha))",
+                 f"v={v:.6g}")
+        r = 1.0 - math.exp(-A / (1.0 - v))
+        _require(r <= r_prime, "r <= r_prime", f"r={r:.6g}, r_prime={r_prime:.6g}")
+        vs.append(v)
+        rs.append(r)
+    p_stars = minimize_psucc_over_band(dims, rs, ells, us).tolist()
 
-    p_prime = minimize_psucc_over_band(d, r_prime, ell, u)
-    v = p_prime / (2.0 * d * log_a)
-    _require(0.0 < v < min(1.0, A / log_a), "0 < v < min(1, A / log(alpha))",
-             f"v={v:.6g}")
-    r = 1.0 - math.exp(-A / (1.0 - v))
-    _require(r <= r_prime, "r <= r_prime", f"r={r:.6g}, r_prime={r_prime:.6g}")
-    p_star = minimize_psucc_over_band(d, r, ell, u)
-
-    term_mid = A * p_star - 1.25 * v * log_a
-    term_small = v * log_a * (5.0 * p_l - 1.0) / 4.0
-    term_large = v * log_a * (1.0 - 5.0 * p_u) / 4.0
-    B = min(term_mid, term_small, term_large)
-    # term_small/term_large equal (p'/d)*(5 p_l - 1)/8 and (p'/d)*(1 - 5 p_u)/8,
-    # so reusing them keeps L <= B exact in floating point
-    L = min(0.375 * p_prime / d, term_small, term_large)
-    U = (p_star / d) * max(0.375, (5.0 * p_l - 1.0) / 8.0, (1.0 - 5.0 * p_u) / 8.0)
-    _require(B > 0.0, "B > 0", f"B={B:.6g}")
-    _require(L <= B <= U, "L <= B <= U", f"L={L:.6g}, B={B:.6g}, U={U:.6g}")
-
-    return DriftConstants(d=d, alpha=alpha, p_u=p_u, p_l=p_l, ell=ell, u=u,
-                          A=A, v=v, r=r, r_prime=r_prime, p_star=p_star,
-                          p_prime=p_prime, B=B, L=L, U=U)
+    sets = []
+    for d, (ell, u), v, r, r_prime, p_star, p_prime in zip(
+            ds, bands.tolist(), vs, rs, r_primes, p_stars, p_primes):
+        A = 1.0 / d
+        term_mid = A * p_star - 1.25 * v * log_a
+        term_small = v * log_a * (5.0 * p_l - 1.0) / 4.0
+        term_large = v * log_a * (1.0 - 5.0 * p_u) / 4.0
+        B = min(term_mid, term_small, term_large)
+        # term_small/term_large equal (p'/d)*(5 p_l - 1)/8 and (p'/d)*(1 - 5 p_u)/8,
+        # so reusing them keeps L <= B exact in floating point
+        L = min(0.375 * p_prime / d, term_small, term_large)
+        U = (p_star / d) * max(0.375, (5.0 * p_l - 1.0) / 8.0, (1.0 - 5.0 * p_u) / 8.0)
+        _require(B > 0.0, "B > 0", f"B={B:.6g}")
+        _require(L <= B <= U, "L <= B <= U", f"L={L:.6g}, B={B:.6g}, U={U:.6g}")
+        sets.append(DriftConstants(d=d, alpha=alpha, p_u=p_u, p_l=p_l, ell=ell, u=u,
+                                   A=A, v=v, r=r, r_prime=r_prime, p_star=p_star,
+                                   p_prime=p_prime, B=B, L=L, U=U))
+    return sets
 
 
 def potential(state: ESState, c: DriftConstants) -> float:

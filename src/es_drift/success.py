@@ -75,20 +75,37 @@ ROOT_LOG_TOL = 1e-13
 _MAX_ROOT_STEPS = 100
 
 
-def _check(d: int, r: float, sigma_bar: float) -> None:
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"improvement rate must lie in [0, 1), got {r}")
-    if not sigma_bar > 0.0:
-        raise ValueError(f"normalized step size must be positive, got {sigma_bar}")
+def _check(d: np.ndarray, r: np.ndarray, sigma_bar: np.ndarray) -> None:
+    """Raise ValueError for the first invalid d, r or sbar, given as
+    non-empty arrays of any one shape."""
+    if d.dtype.kind not in "iu":
+        raise ValueError(f"dimension must be an integer, got {d.dtype} values")
+    # a NaN fails every comparison
+    if d.min() >= 1 and r.min() >= 0.0 and r.max() < 1.0 and sigma_bar.min() > 0.0:
+        return
+    for ok, message, values in ((d >= 1, "dimension must be positive", d),
+                                ((r >= 0.0) & (r < 1.0),
+                                 "improvement rate must lie in [0, 1)", r),
+                                (sigma_bar > 0.0,
+                                 "normalized step size must be positive", sigma_bar)):
+        if not ok.all():
+            raise ValueError(f"{message}, got {values[~ok][0]}")
+
+
+def _full(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """x broadcast to shape, as a flat array."""
+    if x.shape != shape:
+        full = np.empty(shape, x.dtype)
+        full[...] = x
+        x = full
+    return x.ravel()
 
 
 def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> MeanEstimate:
     """Monte Carlo estimate of the success probability with rate r: the
     mean of the 0/1 success indicator, whose sum of squares is the hit
     count."""
-    _check(d, r, sigma_bar)
+    _check(np.asarray(d), np.asarray(r, dtype=float), np.asarray(sigma_bar, dtype=float))
     if n < 1:
         raise ValueError("sample count must be positive")
     hits = kernels.success_mc_hits(sigma_bar / d, 1.0 - r, d, n, rng)
@@ -124,60 +141,92 @@ def _chi_rule(d: int) -> tuple:
     return (mu + t) ** 2, w / w.sum()
 
 
-def _psucc_chi(d: int, r: float, sbar: np.ndarray) -> np.ndarray:
-    """The chi form of p for an array of sbar with noncentrality at least
-    _CHI_MIN_NONCENTRALITY: one ndtr term per node and point.
+def _psucc_chi(d: np.ndarray, r: np.ndarray, sbar: np.ndarray) -> np.ndarray:
+    """The chi form of p at points (d, r, sbar), flat arrays of one length,
+    each with noncentrality at least _CHI_MIN_NONCENTRALITY: one ndtr term
+    per node and point.
 
     There s <= 0.01, so the lower term Phi(-(sqrt(rho^2 - s^2 chi^2) + 1) / s)
     is at most Phi(-100), which is 0 in double precision, and is left out.
     So is the edge where s^2 chi^2 > rho^2: a < -1/s there, so Phi(a) is
-    0 too. Each point's nodes are summed within its own row, so a value
-    does not depend on the other points of the call.
+    0 too. Each point's nodes are those of its own d's rule and are summed
+    within its own row; points whose rules keep the same number of nodes
+    share one array. So a value does not depend on the other points of
+    the call.
     """
-    chi2, weights = _chi_rule(d)
-    s = (sbar / d)[:, None]
-    s2chi2 = s * s * chi2
-    root = np.sqrt(np.maximum((1.0 - r) ** 2 - s2chi2, 0.0))
-    # rho^2 - 1 = r (r - 2), exact in r
-    a = (r * (r - 2.0) - s2chi2) / ((root + 1.0) * s)
-    return (ndtr(a) * weights).sum(axis=1)
+    kinds = np.unique(d)
+    rules = [_chi_rule(k) for k in kinds.tolist()]
+    which = np.searchsorted(kinds, d)  # each point's kind
+    sizes = np.array([w.size for _, w in rules])
+    # rho^2 by Python's float power, with which every published value was
+    # computed; numpy's square differs from it in the last bit for about 1
+    # rate in 2000
+    rho2 = np.array([(1.0 - x) ** 2 for x in r.tolist()])
+    values = np.empty_like(sbar)
+    for size in set(sizes.tolist()):
+        member = sizes == size
+        at = member[which]
+        rows = (np.cumsum(member) - 1)[which[at]]  # each point's row among the members
+        chi2 = np.array([c for (c, _), m in zip(rules, member) if m])[rows]
+        weights = np.array([w for (_, w), m in zip(rules, member) if m])[rows]
+        s = (sbar[at] / d[at])[:, None]
+        rate = r[at][:, None]
+        s2chi2 = s * s * chi2
+        root = np.sqrt(np.maximum(rho2[at][:, None] - s2chi2, 0.0))
+        # rho^2 - 1 = r (r - 2), exact in r
+        a = (rate * (rate - 2.0) - s2chi2) / ((root + 1.0) * s)
+        values[at] = (ndtr(a) * weights).sum(axis=1)
+    return values
 
 
-def psucc_exact(d: int, r: float, sigma_bars):
+def psucc_exact(d, r, sigma_bars):
     """Success probability p(d, r, sbar), to absolute error MAX_ABS_ERROR.
 
-    Returns an array shaped like ``sigma_bars`` (a float for a scalar).
+    d, r and ``sigma_bars`` broadcast against each other, so one call
+    evaluates any mix of dimensions, rates and step sizes; it returns an
+    array of the broadcast shape (a float when all three are scalars).
     Where d >= 32, r*d <= 2 and the noncentrality (d/sbar)^2 is at least
     1e4, p is the chi form: a 24-node Gauss-Hermite sum of ndtr terms,
     which costs the same at any noncentrality and is smooth in sbar.
-    Every other point is one ``chndtr`` call, whose cost grows like
-    d/sbar; ``chndtr`` is not smooth at the 1e-11 level at large d. A
-    value does not depend on the other points of the call. Raises
-    ConvergenceError if a ``chndtr`` point's noncentrality exceeds
-    MAX_NONCENTRALITY (normalized step sizes near zero at d < 32 or at
-    larger rates) or if a value comes back non-finite or outside [0, 1].
+    Every other point goes to one ``chndtr`` call for the whole array,
+    whose cost grows like d/sbar; ``chndtr`` is not smooth at the 1e-11
+    level at large d. A value does not depend on the other points of the
+    call: it is bit-identical to a one-point call. Raises ConvergenceError,
+    naming the first failing point in flat order, if a ``chndtr`` point's
+    noncentrality exceeds MAX_NONCENTRALITY (normalized step sizes near
+    zero at d < 32 or at larger rates) or if a value comes back
+    non-finite or outside [0, 1].
     """
-    sbar = np.asarray(sigma_bars, dtype=float)
-    _check(d, r, float(sbar.min()))  # validates every sbar
-    lam = (d / sbar) ** 2
-    if d >= _CHI_MIN_D and r * d <= _CHI_MAX_RATE_D and lam.max() >= _CHI_MIN_NONCENTRALITY:
-        chi = lam >= _CHI_MIN_NONCENTRALITY
+    ds, rs, sbar = (np.asarray(d), np.asarray(r, dtype=float),
+                    np.asarray(sigma_bars, dtype=float))
+    shape = np.broadcast(ds, rs, sbar).shape
+    ds, rs, sbar = _full(ds, shape), _full(rs, shape), _full(sbar, shape)
+    _check(ds, rs, sbar)
+    lam = (ds / sbar) ** 2
+    chi = lam >= _CHI_MIN_NONCENTRALITY
+    if chi.any():
+        chi &= (ds >= _CHI_MIN_D) & (rs * ds <= _CHI_MAX_RATE_D)
+    if chi.any():
         values = np.empty_like(sbar)
-        values[chi] = _psucc_chi(d, r, sbar[chi])
-        lam = lam[~chi]  # the ceiling binds the chndtr points only
-        values[~chi] = chndtr(((1.0 - r) * d / sbar[~chi]) ** 2, d, lam)
+        values[chi] = _psucc_chi(ds[chi], rs[chi], sbar[chi])
+        plain = ~chi
+        values[plain] = chndtr(((1.0 - rs[plain]) * ds[plain] / sbar[plain]) ** 2,
+                               ds[plain], lam[plain])
     else:
-        values = chndtr(((1.0 - r) * d / sbar) ** 2, d, lam)
-
-    def where() -> str:
-        return f"(d={d}, r={r:.6g}, sigma_bar in [{sbar.min():.6g}, {sbar.max():.6g}])"
-
-    if (lam > MAX_NONCENTRALITY).any():
-        raise ConvergenceError(f"noncentrality {lam.max():.4g} above the verified "
-                               f"{MAX_NONCENTRALITY:.0e} of chndtr {where()}")
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise ConvergenceError(f"success probability outside [0, 1] or not finite {where()}")
-    return values if values.ndim else float(values)
+        plain = True
+        values = chndtr(((1.0 - rs) * ds / sbar) ** 2, ds, lam)
+    # the ceiling binds the chndtr points only; a NaN fails every comparison
+    if not (values.min() >= 0.0 and values.max() <= 1.0
+            and lam.max(where=plain, initial=0.0) <= MAX_NONCENTRALITY):
+        over = plain & (lam > MAX_NONCENTRALITY)
+        k = int((over | ~((values >= 0.0) & (values <= 1.0))).argmax())
+        where = f"(d={ds[k]}, r={rs[k]:.6g}, sigma_bar={sbar[k]:.6g})"
+        if over[k]:
+            raise ConvergenceError(f"noncentrality {lam[k]:.4g} above the verified "
+                                   f"{MAX_NONCENTRALITY:.0e} of chndtr {where}")
+        raise ConvergenceError(f"success probability {values[k]!r} outside [0, 1] "
+                               f"or not finite {where}")
+    return values.reshape(shape) if shape else float(values[0])
 
 
 def psucc_limit(rho: float, sigma_bar: float) -> float:
@@ -189,9 +238,9 @@ def psucc_limit(rho: float, sigma_bar: float) -> float:
     return float(ndtr(-rho / sigma_bar - sigma_bar / 2.0))
 
 
-def psucc0_inverse(d: int, p):
+def psucc0_inverse(d, p):
     """Normalized step size sbar with psucc_exact(d, 0, sbar) = p, to within
-    MAX_ROOT_MISS, for a scalar or an array of p.
+    MAX_ROOT_MISS, for every pair of the broadcast of d and p.
 
     Defined for p in (0, 1/2), the image of the rate-zero success curve,
     which decreases from 1/2 to 0 as sbar grows. Each root starts from
@@ -200,68 +249,67 @@ def psucc0_inverse(d: int, p):
     and the lower end halves until the bracket holds. Then the Illinois
     variant of regula falsi (Dowell & Jarratt, BIT 1971) shrinks every
     bracket on log sbar, with one psucc_exact call per step for all roots
-    still open, until the bracket on log sbar is narrower than
-    ROOT_LOG_TOL. Returns an array shaped like ``p`` (a float for a scalar).
+    of all d still open, until the bracket on log sbar is narrower than
+    ROOT_LOG_TOL. A root does not depend on the other roots of the call.
+    Returns an array of the broadcast shape (a float when d and p are
+    scalars).
     """
-    ps = np.asarray(p, dtype=float)
-    if not np.all((ps > 0.0) & (ps < 0.5)):
+    ds, targets = np.asarray(d), np.asarray(p, dtype=float)
+    if not ((targets > 0.0) & (targets < 0.5)).all():
         raise ValueError(f"p must lie in (0, 1/2), the image of the rate-0 curve; got {p}")
-    targets = ps.ravel().tolist()
-    n = len(targets)
-
-    def excess(sbars: list, ks: list) -> list:
-        values = np.atleast_1d(psucc_exact(d, 0.0, sbars)).tolist()
-        return [v - targets[k] for v, k in zip(values, ks)]
+    shape = np.broadcast(ds, targets).shape
+    ds, targets = _full(ds, shape), _full(targets, shape)
+    n = targets.size
 
     # bracket: f(lo) > 0 > f(hi) for every root
-    lo = [-2.0 * s for s in ndtri(ps.ravel()).tolist()]
-    hi = [2.0 * s for s in lo]
+    lo = -2.0 * ndtri(targets)
+    hi = 2.0 * lo
+    both_ds, both_targets = np.concatenate([ds, ds]), np.concatenate([targets, targets])
     while True:
-        f = excess(lo + hi, list(range(n)) * 2)
+        f = psucc_exact(both_ds, 0.0, np.concatenate([lo, hi])) - both_targets
         f_lo, f_hi = f[:n], f[n:]
-        held = True
-        for k in range(n):
-            if f_hi[k] >= 0.0:
-                hi[k] *= 2.0
-                held = False
-            if f_lo[k] <= 0.0:
-                lo[k] *= 0.5
-                held = False
-        if held:
+        grow, shrink = f_hi >= 0.0, f_lo <= 0.0
+        if not (grow | shrink).any():
             break
+        hi[grow] *= 2.0
+        lo[shrink] *= 0.5
 
     # Illinois on x = log sbar; b is the latest iterate and f_b its excess,
     # a the retained end, whose excess is halved each time it is kept twice.
     # As in brentq, a step is never shorter than half the tolerance, so a
     # secant that lands next to the root closes the bracket one step on.
-    a = [math.log(s) for s in lo]
-    b = [math.log(s) for s in hi]
+    # Logs and exps are math's: numpy's SIMD loops differ from them in the
+    # last bit for some arguments, and so would move the published roots.
+    a = np.array([math.log(s) for s in lo.tolist()])
+    b = np.array([math.log(s) for s in hi.tolist()])
     f_a, f_b = f_lo, f_hi
-    open_ks = list(range(n))
+    # the state arrays hold the open roots only; ks are their positions
+    ks, dims, wanted = np.arange(n), ds, targets
+    final_b, final_f = np.empty(n), np.empty(n)
     for _ in range(_MAX_ROOT_STEPS):
-        if not open_ks:
-            break
-        xs = []
-        for k in open_ks:
-            step = f_b[k] * (b[k] - a[k]) / (f_b[k] - f_a[k])
-            x = b[k] - math.copysign(max(abs(step), 0.5 * ROOT_LOG_TOL), b[k] - a[k])
-            if not min(a[k], b[k]) < x < max(a[k], b[k]):
-                x = 0.5 * (a[k] + b[k])  # rounding put the secant on an end
-            xs.append(x)
-        still_open = []
-        for k, x, v in zip(open_ks, xs, excess([math.exp(x) for x in xs], open_ks)):
-            if (v > 0.0) == (f_b[k] > 0.0):
-                f_a[k] *= 0.5
-            else:
-                a[k], f_a[k] = b[k], f_b[k]
-            b[k], f_b[k] = x, v
-            if v != 0.0 and abs(b[k] - a[k]) >= ROOT_LOG_TOL:
-                still_open.append(k)
-        open_ks = still_open
+        step = f_b * (b - a) / (f_b - f_a)
+        x = b - np.copysign(np.maximum(np.abs(step), 0.5 * ROOT_LOG_TOL), b - a)
+        # rounding may put the secant on an end
+        x = np.where((np.minimum(a, b) < x) & (x < np.maximum(a, b)), x, 0.5 * (a + b))
+        v = psucc_exact(dims, 0.0, np.array([math.exp(t) for t in x.tolist()])) - wanted
+        kept = (v > 0.0) == (f_b > 0.0)
+        f_a = np.where(kept, 0.5 * f_a, f_b)
+        a = np.where(kept, a, b)
+        b, f_b = x, v
+        still = (v != 0.0) & (np.abs(b - a) >= ROOT_LOG_TOL)
+        if not still.all():
+            done = ~still
+            final_b[ks[done]], final_f[ks[done]] = b[done], f_b[done]
+            ks, dims, wanted, a, b, f_a, f_b = (
+                z[still] for z in (ks, dims, wanted, a, b, f_a, f_b))
+            if not ks.size:
+                break
+    final_b[ks], final_f[ks] = b, f_b
 
-    roots = [math.exp(x) for x in b]
-    for root, miss, target in zip(roots, map(abs, f_b), targets):
-        if not miss <= MAX_ROOT_MISS:
-            raise ConvergenceError(f"root sigma_bar={root!r} misses p={target} by "
-                                   f"{miss:.3e}")
-    return np.reshape(roots, ps.shape) if ps.ndim else roots[0]
+    roots = [math.exp(x) for x in final_b.tolist()]
+    misses = np.abs(final_f)
+    if not np.all(misses <= MAX_ROOT_MISS):
+        k = int((~(misses <= MAX_ROOT_MISS)).argmax())
+        raise ConvergenceError(f"root sigma_bar={roots[k]!r} at d={ds[k]} misses "
+                               f"p={targets[k].item()} by {misses[k]:.3e}")
+    return np.reshape(roots, shape) if shape else roots[0]

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from es_drift import derive_constants, derive_stream, hitting_times, initial_state
-from es_drift.cli import (_format, _write_csv, cmd_bounds, cmd_drift_map,
-                          cmd_har_check, cmd_hitting_scaling, cmd_run,
-                          cmd_success_curve, main)
+from es_drift import cli, derive_constants, derive_stream, hitting_times, initial_state
+from es_drift.cli import (_format, _write_csv, build_parser, cmd_bounds,
+                          cmd_drift_map, cmd_har_check, cmd_hitting_scaling,
+                          cmd_run, cmd_success_curve, main)
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
 from es_drift.estimates import MIN_MC_SAMPLES
@@ -327,6 +327,8 @@ _CSV_COLUMNS = [
     ["small_sigma", "a", "", "b", "c", "d", "e", "f"],
     [np.int64(5), 2, 3.5, True, np.float32(0.1), "x", np.bool_(False), -1],
     [1, 2.0, 3, 4.0, 5, 6.0, 7, 8.0],
+    # repeats, each formatted once by its bit pattern
+    [0.5, -0.0, 0.0, math.nan, -math.inf, math.inf, np.float64(-0.0), 0.5],
 ]
 
 
@@ -392,6 +394,26 @@ def test_main_success(tmp_path, capsys):
     code = main(["bounds", "--d", "8", "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def test_parser_is_built_once_and_each_main_call_parses_its_own_arguments(
+        tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    seen = {}
+    monkeypatch.setitem(cli._COMMANDS, "run", lambda config: seen.setdefault("run", config))
+    monkeypatch.setitem(cli._COMMANDS, "bounds",
+                        lambda config: seen.setdefault("bounds", config))
+    assert main(["run", "--d", "6", "--record-every", "3", "--max-iter", "50",
+                 "--sigma-bar0", "0.5", "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["bounds", "--alpha", "1.4", "--epsilon", "1e-3",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    defaults = ExperimentConfig()
+    run, bounds = seen["run"], seen["bounds"]
+    assert (run.d_list, run.record_every, run.max_iter, run.sigma_bar0) == ((6,), 3, 50, 0.5)
+    assert (run.alpha, run.epsilon) == (defaults.alpha, defaults.epsilon)
+    assert (bounds.alpha, bounds.epsilon) == (1.4, 1e-3)
+    assert (bounds.d_list, bounds.record_every, bounds.max_iter, bounds.sigma_bar0) == (
+        defaults.d_list, defaults.record_every, defaults.max_iter, defaults.sigma_bar0)
 
 
 def test_main_configuration_error_names_inequality(tmp_path, capsys):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import chndtr
 from scipy.stats import ncx2
 
-from es_drift import (ConfigurationError, kernels, ESState, Z99,
+from es_drift import (ConfigurationError, ConvergenceError, kernels, ESState, Z99,
                       derive_constants, derive_stream, drift_map,
                       hitting_time_bounds, initial_state,
                       minimize_psucc_over_band, potential, psucc_exact,
@@ -60,6 +60,41 @@ def test_derive_constants_at_large_dimension():
     for sigma_bar, p in ((c.ell, c.p_l), (c.u, c.p_u)):
         assert abs(chndtr((d / sigma_bar) ** 2, d, (d / sigma_bar) ** 2) - p) <= 1e-8
     assert 0.0 < c.L <= c.B <= c.U
+
+
+@pytest.mark.parametrize("dims", [list(range(2, 1025)),
+                                  [64, 3, 1024, 3, 17, 2],
+                                  [4096, 8192, 16384, 32768, 65536]])
+def test_derive_constants_over_a_list_equals_per_d_calls(dims):
+    sets = derive_constants(dims)
+    assert len(sets) == len(dims)
+    for d, c in zip(dims, sets):
+        assert astuple(c) == astuple(derive_constants(d)), d
+    assert derive_constants([]) == []
+
+
+@pytest.mark.parametrize("dims, kwargs, first_failing", [
+    # d = 3 fails u / ell >= alpha^(5/4); the batch meets d = 1 first
+    ([5, 8, 3, 1], {"alpha": 2.0}, 3),
+    # d = 2 fails v > 0 after the band ends, and d = 10 fails before, in
+    # psucc0_inverse
+    ([2, 10], {"p_l": 0.49999}, 2),
+    ([10, 2], {"p_l": 0.49999}, 10),
+])
+def test_derive_constants_list_raises_the_first_failing_d_error(dims, kwargs,
+                                                                 first_failing):
+    expected = _error(lambda: derive_constants(first_failing, **kwargs))
+    assert expected is not None
+    assert _error(lambda: [derive_constants(d, **kwargs) for d in dims]) == expected
+    assert _error(lambda: derive_constants(dims, **kwargs)) == expected
+
+
+def _error(call):
+    try:
+        call()
+    except (ConfigurationError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def test_derive_constants_rejects_oversized_alpha():

@@ -93,6 +93,12 @@ def test_psucc_exact_matches_mpmath_oracle():
         psucc_exact(16, 0.0, 1.5999e-4)
 
 
+def _chi_psucc(d, r, sigma_bars):
+    """success._psucc_chi at one (d, r) for an array of sigma_bars."""
+    d, r, sigma_bars = np.broadcast_arrays(d, float(r), sigma_bars)
+    return success._psucc_chi(d, r, sigma_bars)
+
+
 def _chndtr_psucc(d, r, sigma_bars):
     return chndtr(((1.0 - r) * d / sigma_bars) ** 2, d, (d / sigma_bars) ** 2)
 
@@ -103,7 +109,7 @@ def test_psucc_exact_chi_form_agrees_with_chndtr_across_the_switch(d):
     # every r*d up to the chi form's limit of 2
     sigma_bars = d / np.sqrt(np.geomspace(1e3, 1e5, 41))
     for rate_d in (0.0, 1.0, 2.0):
-        chi = success._psucc_chi(d, rate_d / d, sigma_bars)
+        chi = _chi_psucc(d, rate_d / d, sigma_bars)
         assert np.all(np.abs(chi - _chndtr_psucc(d, rate_d / d, sigma_bars))
                       <= MAX_ABS_ERROR), (d, rate_d)
 
@@ -111,7 +117,7 @@ def test_psucc_exact_chi_form_agrees_with_chndtr_across_the_switch(d):
 def test_psucc_exact_takes_the_chi_form_only_inside_its_region():
     sigma_bars = np.array([0.05, 0.3])  # noncentrality above 1e4 at d >= 32
     assert np.array_equal(psucc_exact(32, 2 / 32, sigma_bars),
-                          success._psucc_chi(32, 2 / 32, sigma_bars))
+                          _chi_psucc(32, 2 / 32, sigma_bars))
     for d, r in ((16, 0.0), (32, 2.01 / 32), (64, 0.3)):
         assert np.array_equal(psucc_exact(d, r, sigma_bars),
                               _chndtr_psucc(d, r, sigma_bars)), (d, r)
@@ -143,6 +149,42 @@ def test_psucc_exact_many_matches_pointwise_in_the_chi_region():
     for k, s in enumerate(grid):
         assert values[k] == psucc_exact(1024, 1 / 1024, float(s))
         assert values[k] == psucc_exact(1024, 1 / 1024, grid[k:k + 2])[0]
+
+
+MIXED_DIMENSIONS = (2, 3, 31, 32, 33, 40, 45, 64, 1000, 1024, 65536)
+
+
+def test_psucc_exact_array_d_matches_pointwise_calls_bit_for_bit(rng_for):
+    # a random mix of dimensions on both sides of the chi form's d >= 32,
+    # rates r*d of 0 and 1, and noncentralities 1e3 to 1e5 around its
+    # switch at 1e4, in one call
+    rng = rng_for(7)
+    d = rng.choice(MIXED_DIMENSIONS, 400)
+    r = rng.integers(0, 2, 400) / d
+    sigma_bars = d / np.sqrt(np.exp(rng.uniform(math.log(1e3), math.log(1e5), 400)))
+    values = psucc_exact(d, r, sigma_bars)
+    chi = (d >= 32) & ((d / sigma_bars) ** 2 >= 1e4)
+    assert chi.any() and (~chi).any()
+    for k in range(400):
+        assert values[k] == psucc_exact(int(d[k]), float(r[k]), float(sigma_bars[k])), k
+    # d broadcasts like r and sigma_bars
+    grid = np.array([0.05, 0.5, 5.0])
+    table = psucc_exact(np.array(MIXED_DIMENSIONS)[:, None], 0.0, grid)
+    assert table.shape == (len(MIXED_DIMENSIONS), 3)
+    for row, dim in zip(table, MIXED_DIMENSIONS):
+        assert np.array_equal(row, psucc_exact(dim, 0.0, grid)), dim
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        psucc_exact([4, 0], 0.0, 1.0)
+
+
+def test_psucc_exact_array_error_names_the_failing_point():
+    # noncentrality just above the ceiling at d = 16 only; d = 64 takes the
+    # chi form and d = 8 stays below the ceiling
+    with pytest.raises(ConvergenceError, match=r"\(d=16, r=0, sigma_bar=0.00015999\)"):
+        psucc_exact([64, 16, 8], 0.0, 1.5999e-4)
+    # the root at d = 2 needs a step size far below chndtr's verified range
+    with pytest.raises(ConvergenceError, match=r"\(d=2, r=0, sigma_bar="):
+        psucc0_inverse([64, 2], 0.4999999)
 
 
 def test_psucc_exact_monotone_in_sigma_bar():
@@ -312,6 +354,18 @@ def test_psucc0_inverse_vector_equals_scalar_calls():
     assert isinstance(psucc0_inverse(10, 0.3), float)
     with pytest.raises(ValueError):
         psucc0_inverse(10, [0.3, 0.5])
+
+
+def test_psucc0_inverse_array_d_equals_per_d_calls():
+    # unsorted, with a repeat, across both forms and chndtr's whole range
+    dims = np.array([1024, 2, 33, 10, 65536, 2, 3])
+    ps = np.array([0.49, 0.3, 0.1, 0.001])
+    roots = psucc0_inverse(dims[:, None], ps)
+    assert roots.shape == (dims.size, ps.size)
+    for d, row in zip(dims.tolist(), roots):
+        assert row.tolist() == [psucc0_inverse(d, p) for p in ps.tolist()], d
+    # one p per d
+    assert np.array_equal(psucc0_inverse(dims, 0.3), roots[:, 1])
 
 
 def test_psucc0_inverse_halves_a_lower_end_above_the_root(monkeypatch):

@@ -171,20 +171,17 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
     reps = config.replicates
     # a configuration the bounds reject fails before any chain runs
     constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
-    # one chain per (d_index, replicate) gives the first passages below
-    # every epsilon; the replicates of a d share stream (seed, 2, d_index),
-    # each stepped by its own column of that stream's draw blocks
+    # one chain per replicate gives the first passages below every epsilon;
+    # the replicates of a d share stream (seed, 2, d_index), each stepped by
+    # its own column of that stream's draw blocks
+    states = [initial_state(d, config.m0_norm, config.sigma_bar0) for d in config.d_list]
     results = hitting_times(
-        [initial_state(d, config.m0_norm, config.sigma_bar0)
-         for d in config.d_list for _ in range(reps)],
-        config.alpha, eps_values, config.max_iter,
-        [rng for d_index in range(len(config.d_list))
-         for rng in [derive_stream(config.master_seed, 2, d_index)] * reps])
+        states, reps, config.alpha, eps_values, config.max_iter,
+        [derive_stream(config.master_seed, 2, d_index)
+         for d_index in range(len(config.d_list))])
 
     reports = []
-    for d_index, (d, c) in enumerate(zip(config.d_list, constants)):
-        state0 = initial_state(d, config.m0_norm, config.sigma_bar0)
-        runs = results[d_index * reps:(d_index + 1) * reps]
+    for d, c, state0, runs in zip(config.d_list, constants, states, results):
         for j, eps in enumerate(eps_values):
             times = [run[j] for run in runs]
             censored = times.count(None)

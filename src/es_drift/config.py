@@ -88,6 +88,11 @@ class ExperimentConfig:
         if any(e < tiny for e in (self.epsilon, *eps_list)):
             raise ConfigurationError(f"epsilon and eps_list entries must be at least "
                                      f"the smallest normal float {tiny:.6g}")
+        # so too for the start step size of initial_state, smallest at the
+        # largest d
+        if self.sigma_bar0 * self.m0_norm / max(self.d_list) < tiny:
+            raise ConfigurationError(f"the start step size sigma_bar0 * m0_norm / d must "
+                                     f"be at least the smallest normal float {tiny:.6g}")
 
     @property
     def epsilons(self) -> tuple[float, ...]:

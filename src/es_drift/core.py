@@ -43,7 +43,17 @@ class ESState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.m))
+        # the plain 2-norm squares the coordinates, so it under- or
+        # overflows beyond about 1e-154 and 1e154; out there, scale by the
+        # largest coordinate first, which is exact on an axis
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.m))
+        if 1e-150 < norm < 1e150:
+            return norm
+        scale = float(np.abs(self.m).max())
+        if not 0.0 < scale < math.inf:
+            return scale
+        return scale * float(np.linalg.norm(self.m / scale))
 
 
 @dataclass(frozen=True)
@@ -141,26 +151,32 @@ def run_until(state0: ESState, alpha: float, epsilon: float, max_iter: int,
                     iterations=t_final, n_success=int(n_success))
 
 
-def hitting_times(states: Sequence[ESState], alpha: float,
+def hitting_times(states: Sequence[ESState], replicates: int, alpha: float,
                   epsilons: Sequence[float], max_iter: int,
-                  rngs: Sequence) -> list[list[Optional[int]]]:
-    """First passages of independent runs below shared thresholds, all
-    stepped together.
+                  rngs: Sequence) -> list[list[list[Optional[int]]]]:
+    """First passages of groups of independent runs below shared
+    thresholds, all stepped together.
 
-    Run i starts from states[i] and draws from rngs[i]. Runs given the same
-    Generator object share its stream and must share d: at every 64-step
-    block the group draws one block of normals, then one of chi-squared
-    values, for all its runs, and each run reads its own column (see
-    ``kernels.es_hitting_times``). Run i gets a list with one entry per
-    threshold, in the order of ``epsilons`` (any order, duplicates
-    allowed), None where the budget ran out. For a run alone on its
-    generator, entry j equals ``run_until(states[i], alpha, epsilons[j],
-    max_iter, rngs[i]).hitting_time``; a run in a group equals run_until
-    fed its column of the group's blocks. A run's entries do not depend on
-    the other runs, the other thresholds or max_iter.
+    Group g is ``replicates`` runs from states[g], all drawing from
+    rngs[g], a Generator no other group is given: at every 64-step block
+    the group draws one block of normals, then one of chi-squared values,
+    for all its runs, and each run reads its own column (see
+    ``kernels.es_hitting_times``). Returns one list per group, holding one
+    list per replicate, holding one entry per threshold in the order of
+    ``epsilons`` (any order, duplicates allowed), None where the budget
+    ran out. For a group of one, entry j equals ``run_until(states[g],
+    alpha, epsilons[j], max_iter, rngs[g]).hitting_time``; a replicate of
+    a larger group equals run_until fed its column of the group's blocks.
+    A run's entries do not depend on the other groups, the other
+    thresholds or max_iter.
     """
     if len(states) != len(rngs):
         raise ValueError(f"got {len(states)} states and {len(rngs)} streams")
+    if len(set(map(id, rngs))) < len(rngs):
+        raise ValueError("each group needs its own Generator: groups given the "
+                         "same one would interleave their draws")
+    if replicates < 1:
+        raise ValueError("replicates must be positive")
     _check_alpha(alpha)
     if not len(epsilons):
         raise ValueError("need at least one epsilon")
@@ -172,6 +188,6 @@ def hitting_times(states: Sequence[ESState], alpha: float,
     order = np.argsort(-eps, kind="stable")
     times = kernels.es_hitting_times(
         [state.norm for state in states], [state.sigma for state in states],
-        [state.d for state in states], alpha, eps[order], max_iter, rngs)
-    times = times[:, np.argsort(order)].tolist()
-    return [[None if t < 0 else t for t in row] for row in times]
+        [state.d for state in states], replicates, alpha, eps[order], max_iter, rngs)
+    times = times[..., np.argsort(order)].tolist()
+    return [[[None if t < 0 else t for t in run] for run in group] for group in times]

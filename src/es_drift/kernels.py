@@ -29,8 +29,9 @@ draws with vectorized numpy, which bounds peak memory. The ES run is
 sequential, one offspring per iteration; es_hitting_times steps many
 independent runs together, one array operation per iteration for all of
 them, and records each run's first passage below every threshold of a
-shared list. Its runs on one generator share that stream: one draw per
-block for all of them, one column of the block each. Every kernel takes
+shared list. Its runs come in groups of replicates, one start state and
+one stream per group: one draw per block for the whole group, one column
+of the block per run. Every kernel takes
 explicit ``numpy.random.Generator`` streams, so a given seed yields the
 same sample sequence on every call.
 """
@@ -42,10 +43,10 @@ import numpy as np
 # samples per chunk in the Monte Carlo samplers (bounds peak memory)
 _CHUNK = 1 << 20
 # offspring drawn at a time per run by es_run and es_hitting_times, always
-# a full block whatever the budget, so a run alone on its generator
-# consumes it identically in both and a run's draws do not depend on
+# a full block whatever the budget, so a group of one consumes its
+# generator identically in both and a run's draws do not depend on
 # max_iter. es_hitting_times keeps the blocks of all runs in two
-# (_ES_CHUNK, n) arrays, one column per run, refilled per generator at each
+# (_ES_CHUNK, n) arrays, one column per run, refilled per group at each
 # block boundary, so a step reads one contiguous row: 2 * 8 * _ES_CHUNK
 # bytes per run, 1 MB for 1,000 runs at 64 steps, where 1024 steps would
 # take 16 MB
@@ -263,21 +264,20 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
         t += 1
 
 
-def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
-    """First passages of many es_run chains below shared thresholds,
+def es_hitting_times(norm0, sigma0, d, replicates, alpha, epsilons, max_iter, rngs):
+    """First passages of groups of es_run chains below shared thresholds,
     stepped in lockstep.
 
-    Run i starts at (norm0[i], sigma0[i]) in dimension d[i]; ``norm0``,
-    ``sigma0`` and ``d`` broadcast to ``len(rngs)``. Runs given the same
-    Generator object form a group, which must share d (ValueError
-    otherwise): at every _ES_CHUNK-step block boundary a group with a live
-    run draws _ES_CHUNK * m normals, then as many chi2, for its m runs,
-    each reshaped to (_ES_CHUNK, m), and column j steps the group's j-th
-    run in ``rngs`` order. A run alone on its generator so draws exactly
-    as es_run does. ``epsilons`` is one non-increasing vector of k
-    thresholds shared by every run. Returns an (n, k) int64 array: entry
-    (i, j) is the first t with ||m|| <= epsilons[j] on run i, or -1 where
-    run i used up max_iter first.
+    Group g has ``replicates`` runs, all starting at (norm0[g], sigma0[g])
+    in dimension d[g] and drawing from rngs[g]; its runs sit in columns
+    g * replicates to (g + 1) * replicates - 1. At every _ES_CHUNK-step
+    block boundary a group with a live run draws _ES_CHUNK * replicates
+    normals, then as many chi2, each reshaped to (_ES_CHUNK, replicates),
+    and column j steps its j-th run. A group of one so draws exactly as
+    es_run does. ``epsilons`` is one non-increasing vector of k thresholds
+    shared by every run. Returns a (groups, replicates, k) int64 array:
+    entry (g, i, j) is the first t with ||m|| <= epsilons[j] on run i of
+    group g, or -1 where that run used up max_iter first.
 
     Each run keeps its next threshold as its target, and one step may pass
     several. A run that has passed its last threshold is frozen: sigma = 0
@@ -286,27 +286,13 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
     blocks whichever of its runs are frozen, so a run's draws and first
     passages do not depend on other runs, on the other thresholds or on
     max_iter. The cost of that: frozen runs stay in every step's array
-    operations until the whole call ends, so with one generator per run
-    (many small groups) a batch whose runs finish at very different times
-    steps slower than it would if finished runs were dropped.
+    operations until the whole call ends.
     """
-    n = len(rngs)
-    norm, sigma = (np.array(np.broadcast_to(np.asarray(x, np.float64), (n,)))
+    groups = len(rngs)
+    n = groups * replicates
+    norm, sigma = (np.repeat(np.asarray(x, np.float64), replicates)
                    for x in (norm0, sigma0))
-    ds = np.broadcast_to(d, (n,)).tolist()
-    members = {}
-    for i, rng in enumerate(rngs):
-        members.setdefault(id(rng), []).append(i)
-    groups = []               # (generator, d, size, columns) per group
-    group_of = np.empty(n, np.intp)
-    for g, runs in enumerate(members.values()):
-        group_d = {ds[i] for i in runs}
-        if len(group_d) > 1:
-            raise ValueError("runs sharing a generator must share d, got d = "
-                             f"{sorted(group_d)}")
-        groups.append((rngs[runs[0]], ds[runs[0]], len(runs), np.array(runs)))
-        group_of[runs] = g
-    live = [size for _, _, size, _ in groups]   # unfrozen runs per group
+    live = [replicates] * groups   # unfrozen runs per group
     active = n
     # -inf past the last threshold, which no norm reaches
     thresholds = np.append(np.asarray(epsilons, np.float64), -np.inf)
@@ -335,17 +321,18 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
                 target[r] = thresholds[j]
                 if j == k:
                     sigma[r] = 0.0
-                    live[group_of[r]] -= 1
+                    live[r // replicates] -= 1
                     active -= 1
         if t >= max_iter or not active:
             break
         step = t % _ES_CHUNK
         if step == 0:
-            for (rng, group_d, size, columns), group_live in zip(groups, live):
-                if group_live:
-                    z0, chi2 = _draw(group_d, _ES_CHUNK * size, rng)
-                    z0s[:, columns] = z0.reshape(_ES_CHUNK, size)
-                    chi2s[:, columns] = chi2.reshape(_ES_CHUNK, size)
+            for g, (rng, group_d) in enumerate(zip(rngs, d)):
+                if live[g]:
+                    columns = slice(g * replicates, (g + 1) * replicates)
+                    z0, chi2 = _draw(group_d, _ES_CHUNK * replicates, rng)
+                    z0s[:, columns] = z0.reshape(_ES_CHUNK, replicates)
+                    chi2s[:, columns] = chi2.reshape(_ES_CHUNK, replicates)
         np.divide(sigma, norm, out=q)
         ratio_sq = _ratio_sq(q, z0s[step], chi2s[step])
         np.less_equal(ratio_sq, 1.0, out=success)
@@ -353,4 +340,4 @@ def es_hitting_times(norm0, sigma0, d, alpha, epsilons, max_iter, rngs):
         norm *= np.sqrt(ratio_sq, out=ratio_sq)
         sigma *= factor.take(success, out=sigma_factor)
         t += 1
-    return times
+    return times.reshape(groups, replicates, k)

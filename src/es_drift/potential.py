@@ -152,8 +152,8 @@ def derive_constants(d, alpha: float = 1.5, p_u: float = 0.1, p_l: float = 0.3):
     d come from one psucc0_inverse call and each band minimum from one
     minimize_psucc_over_band call. Each set is bit-identical to the set
     derived for its d alone. If some d fails, the call raises what the
-    first failing d in list order raises alone, found by bisecting on
-    prefixes of the list.
+    first failing d in list order raises alone, found by deriving each d
+    alone in list order.
     """
     if np.ndim(d) == 0:
         return derive_constants([d], alpha, p_u, p_l)[0]
@@ -161,21 +161,11 @@ def derive_constants(d, alpha: float = 1.5, p_u: float = 0.1, p_l: float = 0.3):
     try:
         return _constant_sets(ds, alpha, p_u, p_l)
     except (ValueError, ConvergenceError) as exc:
-        if len(ds) == 1:
-            raise
         failure = exc
-    # The batch stops at the first failing stage, whose d need not be the
-    # first failing d; a prefix of the list fails iff one of its d does.
-    passing, failing = 0, len(ds)
-    while failing - passing > 1:
-        mid = (passing + failing) // 2
-        try:
-            _constant_sets(ds[:mid], alpha, p_u, p_l)
-        except (ValueError, ConvergenceError):
-            failing = mid
-        else:
-            passing = mid
-    _constant_sets([ds[passing]], alpha, p_u, p_l)  # raises that d's error
+    # the batch stops at the first failing stage, whose d need not be the
+    # first failing d; alone, each d raises its own error
+    for k in ds:
+        _constant_sets([k], alpha, p_u, p_l)
     raise failure
 
 
@@ -192,13 +182,17 @@ def _constant_sets(ds: list, alpha: float, p_u: float, p_l: float) -> list:
         return []
 
     log_a = math.log(alpha)
+    try:
+        band_ratio = alpha ** 1.25
+    except OverflowError:  # alpha above about 1e247
+        band_ratio = math.inf
     dims = np.array(ds)
     bands = psucc0_inverse(dims[:, None], [p_l, p_u])
     ells, us = bands.T
     r_primes = []
     for d, (ell, u) in zip(ds, bands.tolist()):
-        _require(u / ell >= alpha ** 1.25, "u / ell >= alpha^(5/4)",
-                 f"u/ell={u / ell:.6g}, alpha^(5/4)={alpha ** 1.25:.6g}")
+        _require(u / ell >= band_ratio, "u / ell >= alpha^(5/4)",
+                 f"u/ell={u / ell:.6g}, alpha^(5/4)={band_ratio:.6g}")
         if d * log_a > 1.0:
             r_primes.append(1.0 - math.exp(-log_a / (d * log_a - 1.0)))
         else:

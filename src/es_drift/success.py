@@ -203,18 +203,13 @@ def psucc_exact(d, r, sigma_bars):
     ds, rs, sbar = _full(ds, shape), _full(rs, shape), _full(sbar, shape)
     _check(ds, rs, sbar)
     lam = (ds / sbar) ** 2
-    chi = lam >= _CHI_MIN_NONCENTRALITY
+    chi = ((lam >= _CHI_MIN_NONCENTRALITY) & (ds >= _CHI_MIN_D)
+           & (rs * ds <= _CHI_MAX_RATE_D))
+    values = np.empty_like(sbar)
     if chi.any():
-        chi &= (ds >= _CHI_MIN_D) & (rs * ds <= _CHI_MAX_RATE_D)
-    if chi.any():
-        values = np.empty_like(sbar)
         values[chi] = _psucc_chi(ds[chi], rs[chi], sbar[chi])
-        plain = ~chi
-        values[plain] = chndtr(((1.0 - rs[plain]) * ds[plain] / sbar[plain]) ** 2,
-                               ds[plain], lam[plain])
-    else:
-        plain = True
-        values = chndtr(((1.0 - rs) * ds / sbar) ** 2, ds, lam)
+    plain = ~chi
+    chndtr(((1.0 - rs) * ds / sbar) ** 2, ds, lam, out=values, where=plain)
     # the ceiling binds the chndtr points only; a NaN fails every comparison
     if not (values.min() >= 0.0 and values.max() <= 1.0
             and lam.max(where=plain, initial=0.0) <= MAX_NONCENTRALITY):

@@ -33,9 +33,8 @@ def _mean_hitting_time(d, epsilons, replicates, scope):
     """(mean, 99% half-width) of the hitting time to each epsilon, all
     first passages of one chain per replicate; the replicates share stream
     (SEED, scope, d), one column of its draw blocks each."""
-    rngs = [derive_stream(SEED, scope, d)] * replicates
-    runs = hitting_times([initial_state(d, 1.0, 2.0)] * replicates, 1.5,
-                         epsilons, 10_000_000, rngs)
+    (runs,) = hitting_times([initial_state(d, 1.0, 2.0)], replicates, 1.5,
+                            epsilons, 10_000_000, [derive_stream(SEED, scope, d)])
     estimates = []
     for times in zip(*runs):
         assert None not in times

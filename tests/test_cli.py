@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -81,6 +81,10 @@ def test_config_validation():
         with pytest.raises(ConfigurationError, match="smallest normal float"):
             ExperimentConfig(**bad).validate()
     ExperimentConfig(epsilon=tiny, eps_list=(tiny,)).validate()
+    # so must the start step size sigma_bar0 * m0_norm / d, at every d
+    with pytest.raises(ConfigurationError, match="start step size"):
+        ExperimentConfig(d_list=(2, 4), m0_norm=tiny, sigma_bar0=2.0).validate()
+    ExperimentConfig(d_list=(2, 4), m0_norm=tiny, sigma_bar0=4.0).validate()
 
 
 _POSITIVE = st.floats(1e-300, 1e300)
@@ -90,7 +94,7 @@ _MC_COUNT = st.integers(MIN_MC_SAMPLES, 2 ** 31)
 
 @st.composite
 def _configs(draw):
-    return ExperimentConfig(
+    config = ExperimentConfig(
         d_list=tuple(draw(st.lists(st.integers(2, 2 ** 20), min_size=1, max_size=5))),
         eps_list=draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=4,
                                            unique=True).map(tuple)),
@@ -100,6 +104,10 @@ def _configs(draw):
         mc_samples=draw(_MC_COUNT),
         output_path=draw(st.none() | st.text("abc019._-/", min_size=1, max_size=20)),
         max_iter=draw(_COUNT), record_every=draw(_COUNT), workers=draw(_COUNT))
+    # a valid config also has a normal start step size sigma_bar0 * m0_norm / d
+    assume(config.sigma_bar0 * config.m0_norm / max(config.d_list)
+           >= np.finfo(float).tiny)
+    return config
 
 
 def _config_line(name, value):
@@ -206,9 +214,9 @@ def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
     # chain each for both epsilons; a budget of 260 censors exactly those
     # whose uncensored time to 1e-4 exceeds it, and a mean of the finished
     # runs alone would be biased low
-    uncensored = [times[1] for times in hitting_times(
-        [initial_state(4, 1.0, 2.0)] * 10, 1.5, [1e-2, 1e-4], 10 ** 7,
-        [derive_stream(20180715, 2, 0)] * 10)]
+    (runs,) = hitting_times([initial_state(4, 1.0, 2.0)], 10, 1.5, [1e-2, 1e-4],
+                            10 ** 7, [derive_stream(20180715, 2, 0)])
+    uncensored = [times[1] for times in runs]
     over_budget = sum(t > 260 for t in uncensored)
     assert 0 < over_budget < 10
     cfg = tmp_path / "partly.cfg"
@@ -236,6 +244,21 @@ def test_run_reaches_targets_below_norm_squared_underflow(tmp_path):
     norm_m, sigma, sigma_bar = (float(v) for v in raw[-1][1:4])
     assert 0.0 < norm_m <= 1e-300
     assert sigma_bar == pytest.approx(10 * sigma / norm_m, rel=1e-12)
+
+
+@pytest.mark.parametrize("m0_norm, epsilon", [("1e-200", "1e-250"), ("1e200", "1e150")])
+def test_run_starts_from_norms_whose_square_under_or_overflows(tmp_path, m0_norm,
+                                                               epsilon):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--d", "8", "--m0-norm", m0_norm, "--epsilon", epsilon,
+                 "--out", str(out)]) == 0
+    _, raw, comments = _read_csv(out)
+    assert float(raw[0][1]) == float(m0_norm)
+    assert all(math.isfinite(float(row[5])) for row in raw)
+    (hitting_time,) = (int(c.removeprefix("# hitting_time=")) for c in comments
+                       if c.startswith("# hitting_time="))
+    assert hitting_time == len(raw) - 1 > 0
+    assert 0.0 < float(raw[-1][1]) <= float(epsilon)
 
 
 def test_bounds_json(tmp_path):
@@ -425,6 +448,10 @@ def test_main_configuration_error_names_inequality(tmp_path, capsys):
     assert main(["hitting-scaling", "--alpha", "1.0",
                  "--out", str(tmp_path / "hs_alpha.csv")]) == 2
     assert "alpha > 1" in capsys.readouterr().err
+    # alpha^(5/4) overflows a float here, and the band check still fails
+    assert main(["bounds", "--d", "8", "--alpha", "1e300",
+                 "--out", str(tmp_path / "huge_alpha.json")]) == 2
+    assert "u / ell >= alpha^(5/4)" in capsys.readouterr().err
     # a bad flag value exits like the same value in a config file
     cfg = tmp_path / "bad_eps.cfg"
     cfg.write_text("eps_list = abc\n")
@@ -479,9 +506,11 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
      "eps_list entries must be distinct"),
     (["hitting-scaling", "--d", "4"], "eps_list = 1e-2, 1e-3, 1e-2\n",
      "eps_list entries must be distinct"),
+    (["run", "--d", "8", "--m0-norm", "5e-324", "--sigma-bar0", "0.1"], None,
+     "smallest normal float"),
 ], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
         "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
-        "eps_list_repeated_in_config_file"])
+        "eps_list_repeated_in_config_file", "start_sigma_underflows"])
 def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
                                                     config_text, message):
     # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal

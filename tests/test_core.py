@@ -163,11 +163,12 @@ def test_run_until_steps_the_norm_sigma_chain_exactly():
 
 
 def test_hitting_times_steps_each_run_exactly():
-    # run 1 (d = 3) fails then succeeds to ||m|| = 0.75 at t = 2 and stays
-    # there; run 2 is the chain above, ||m|| = 1, 0.5, 0.5, 0.5, 0.25: a
-    # hit on the budget's last step counts, 0.2 is never reached, and one
-    # step may pass two thresholds (0.75 and 0.6 at t = 1, 0.3 and 0.26 at
-    # t = 4); entries follow the caller's threshold order, duplicates too
+    # two groups of one: run 1 (d = 3) fails then succeeds to ||m|| = 0.75
+    # at t = 2 and stays there; run 2 is the chain above, ||m|| = 1, 0.5,
+    # 0.5, 0.5, 0.25: a hit on the budget's last step counts, 0.2 is never
+    # reached, and one step may pass two thresholds (0.75 and 0.6 at t = 1,
+    # 0.3 and 0.26 at t = 4); entries follow the caller's threshold order,
+    # duplicates too
     alpha = 16.0
     runs = [(ESState(m=[1.0, 0.0, 0.0], sigma=0.5),
              FixedSphereDraw(3, [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])),
@@ -175,11 +176,11 @@ def test_hitting_times_steps_each_run_exactly():
              FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
                              [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16]))]
     states, draws = zip(*runs)
-    assert hitting_times(states, alpha, [0.75, 0.3, 0.2], 4, draws) == [
-        [2, None, None], [1, 4, None]]
-    assert hitting_times(states, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4,
-                         draws) == [[None, 2, None, None, 2, None],
-                                    [4, 1, 1, 4, 1, None]]
+    assert hitting_times(states, 1, alpha, [0.75, 0.3, 0.2], 4, draws) == [
+        [[2, None, None]], [[1, 4, None]]]
+    assert hitting_times(states, 1, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4,
+                         draws) == [[[None, 2, None, None, 2, None]],
+                                    [[4, 1, 1, 4, 1, None]]]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -190,18 +191,18 @@ def test_hitting_times_steps_each_run_exactly():
 @example(runs=[(2 + i % 9, i) for i in range(40)],
          powers=[3, 0, 8, 3, 5, 1, 300], max_iter=4999)
 def test_hitting_times_equal_run_until_run_for_run(runs, powers, max_iter):
-    # same streams, same draws: every first passage equals run_until's
-    # hitting time for that threshold, with thresholds unsorted and
-    # repeated, immediate hits (epsilon = 1), censored runs and budgets
-    # that end inside a block; the explicit example finishes runs in many
-    # different blocks
+    # groups of one on the same streams draw the same: every first passage
+    # equals run_until's hitting time for that threshold, with thresholds
+    # unsorted and repeated, immediate hits (epsilon = 1), censored runs and
+    # budgets that end inside a block; the explicit example finishes runs in
+    # many different blocks
     states = [initial_state(d, 1.0, 2.0) for d, _ in runs]
     epsilons = [10.0 ** -k for k in powers]
-    lockstep = hitting_times(states, 1.5, epsilons, max_iter,
+    lockstep = hitting_times(states, 1, 1.5, epsilons, max_iter,
                              [derive_stream(seed) for _, seed in runs])
-    single = [[run_until(state, 1.5, epsilon, max_iter,
-                         derive_stream(seed), record_every=max_iter).hitting_time
-               for epsilon in epsilons]
+    single = [[[run_until(state, 1.5, epsilon, max_iter,
+                          derive_stream(seed), record_every=max_iter).hitting_time
+                for epsilon in epsilons]]
               for state, (_, seed) in zip(states, runs)]
     assert lockstep == single
 
@@ -221,19 +222,19 @@ def test_hitting_time_does_not_depend_on_the_budget(max_iter):
 
 def test_hitting_times_memory_does_not_grow_with_max_iter():
     # one draw block of kernels._ES_CHUNK steps per live run, whatever the
-    # budget, and one first-passage slot per threshold
+    # budget, and one first-passage slot per threshold; 1,000 groups of one
     n, d = 1000, 8
     rngs = [derive_stream(11, i) for i in range(n)]
     tracemalloc.start()
     try:
-        times = es_hitting_times(1.0, 2.0 / d, d, 1.5, [1e-2, 1e-3, 1e-4], 10 ** 9,
-                                 rngs)
+        times = es_hitting_times([1.0] * n, [2.0 / d] * n, [d] * n, 1, 1.5,
+                                 [1e-2, 1e-3, 1e-4], 10 ** 9, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert times.shape == (n, 3)
+    assert times.shape == (n, 1, 3)
     assert np.all(times > 0)
-    assert np.all(np.diff(times, axis=1) >= 0)
+    assert np.all(np.diff(times, axis=2) >= 0)
     assert peak < 4 * 2 ** 20
 
 
@@ -243,14 +244,14 @@ def test_hitting_times_memory_with_one_shared_generator():
     n, d = 1000, 8
     tracemalloc.start()
     try:
-        times = es_hitting_times(1.0, 2.0 / d, d, 1.5, [1e-2, 1e-3, 1e-4], 10 ** 9,
-                                 [derive_stream(11)] * n)
+        times = es_hitting_times([1.0], [2.0 / d], [d], n, 1.5, [1e-2, 1e-3, 1e-4],
+                                 10 ** 9, [derive_stream(11)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert times.shape == (n, 3)
+    assert times.shape == (1, n, 3)
     assert np.all(times > 0)
-    assert np.all(np.diff(times, axis=1) >= 0)
+    assert np.all(np.diff(times, axis=2) >= 0)
     assert peak < 4 * 2 ** 20
 
 
@@ -275,81 +276,70 @@ class GroupColumnDraw:
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(groups=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 2 ** 32 - 1)),
+@given(groups=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 2 ** 32 - 1),
+                                 st.floats(0.25, 16.0)),
                        min_size=1, max_size=3),
-       members=st.lists(st.tuples(st.integers(0, 2), st.floats(0.25, 16.0)),
-                        min_size=1, max_size=12),
+       replicates=st.integers(1, 6),
        powers=st.lists(st.integers(0, 300), min_size=1, max_size=4),
        max_iter=st.integers(1, 3000))
-@example(groups=[(3, 1), (10, 2)],
-         members=[(i % 3, 2.0 ** (i % 5 - 1)) for i in range(30)],
+@example(groups=[(3, 1, 0.5), (10, 2, 4.0)], replicates=15,
          powers=[4, 0, 8, 4, 300], max_iter=4999)
 def test_hitting_times_group_equals_run_until_column_for_column(
-        groups, members, powers, max_iter):
-    # runs on one generator object, interleaved with other groups in the
-    # caller's order, each equal run for run and threshold for threshold to
-    # run_until fed that run's column of the group's blocks from a fresh
-    # copy of the stream
-    member_groups = [g % len(groups) for g, _ in members]
-    states = [initial_state(groups[g][0], 1.0, sigma_bar)
-              for g, (_, sigma_bar) in zip(member_groups, members)]
-    shared = [derive_stream(seed) for _, seed in groups]
+        groups, replicates, powers, max_iter):
+    # each group's replicates start together at its own d and step size and
+    # share its generator; replicate i equals, threshold for threshold,
+    # run_until fed column i of the group's blocks from a fresh copy of the
+    # stream
+    states = [initial_state(d, 1.0, sigma_bar) for d, _, sigma_bar in groups]
     epsilons = [10.0 ** -k for k in powers]
-    lockstep = hitting_times(states, 1.5, epsilons, max_iter,
-                             [shared[g] for g in member_groups])
-    single = []
-    for i, (state, g) in enumerate(zip(states, member_groups)):
-        column = member_groups[:i].count(g)
-        single.append([run_until(
-            state, 1.5, epsilon, max_iter,
-            GroupColumnDraw(derive_stream(groups[g][1]), member_groups.count(g), column),
-            record_every=max_iter).hitting_time for epsilon in epsilons])
+    lockstep = hitting_times(states, replicates, 1.5, epsilons, max_iter,
+                             [derive_stream(seed) for _, seed, _ in groups])
+    single = [[[run_until(state, 1.5, epsilon, max_iter,
+                          GroupColumnDraw(derive_stream(seed), replicates, i),
+                          record_every=max_iter).hitting_time for epsilon in epsilons]
+               for i in range(replicates)]
+              for state, (_, seed, _) in zip(states, groups)]
     assert lockstep == single
 
 
 def test_hitting_times_of_a_run_do_not_depend_on_the_rest_of_the_call():
     # a group of 6 runs at d = 8; budget 400 censors some at 1e-4
-    def group():
-        return [initial_state(8, 1.0, 2.0)] * 6, [derive_stream(31)] * 6
-
-    states, rngs = group()
-    base = hitting_times(states, 1.5, [1e-2, 1e-4], 400, rngs)
+    state = initial_state(8, 1.0, 2.0)
+    (base,) = hitting_times([state], 6, 1.5, [1e-2, 1e-4], 400, [derive_stream(31)])
     assert 0 < sum(times[1] is None for times in base) < 6
     # more thresholds, interleaved with the first two
-    states, rngs = group()
-    more = hitting_times(states, 1.5, [1e-3, 1e-2, 1e-6, 1e-4], 400, rngs)
+    (more,) = hitting_times([state], 6, 1.5, [1e-3, 1e-2, 1e-6, 1e-4], 400,
+                            [derive_stream(31)])
     assert [[times[1], times[3]] for times in more] == base
     # a larger budget only uncensors runs, each past the smaller budget
-    states, rngs = group()
-    longer = hitting_times(states, 1.5, [1e-2, 1e-4], 10 ** 7, rngs)
+    (longer,) = hitting_times([state], 6, 1.5, [1e-2, 1e-4], 10 ** 7,
+                              [derive_stream(31)])
     assert [[t if t <= 400 else None for t in times] for times in longer] == base
-    # another group joins, before and after, at another d
-    states, rngs = group()
-    other = [initial_state(16, 1.0, 2.0)] * 3
-    joined = hitting_times(other + states + other, 1.5, [1e-2, 1e-4], 400,
-                           [derive_stream(32)] * 3 + rngs + [derive_stream(32)] * 3)
-    assert joined[3:9] == base
-
-
-def test_hitting_times_group_must_share_dimension():
-    rng = derive_stream(0)
-    with pytest.raises(ValueError, match="share d"):
-        hitting_times([initial_state(4, 1.0, 2.0), initial_state(8, 1.0, 2.0)],
-                      1.5, [1e-2], 10, [rng, rng])
+    # other groups join, before and after, at other starts
+    other = [initial_state(16, 1.0, 2.0), initial_state(4, 1.0, 0.5)]
+    joined = hitting_times([other[0], state, other[1]], 6, 1.5, [1e-2, 1e-4], 400,
+                           [derive_stream(32), derive_stream(31), derive_stream(33)])
+    assert joined[1] == base
 
 
 def test_hitting_times_validates_inputs():
     state = initial_state(4, 1.0, 2.0)
     with pytest.raises(ValueError, match="epsilon"):
-        hitting_times([state], 1.5, [0.0], 10, [derive_stream(0)])
+        hitting_times([state], 1, 1.5, [0.0], 10, [derive_stream(0)])
     with pytest.raises(ValueError, match="max_iter"):
-        hitting_times([state], 1.5, [1e-2], 0, [derive_stream(0)])
+        hitting_times([state], 1, 1.5, [1e-2], 0, [derive_stream(0)])
     with pytest.raises(ValueError, match="alpha"):
-        hitting_times([state], 1.0, [1e-2], 10, [derive_stream(0)])
+        hitting_times([state], 1, 1.0, [1e-2], 10, [derive_stream(0)])
     with pytest.raises(ValueError, match="streams"):
-        hitting_times([state, state], 1.5, [1e-2], 10, [derive_stream(0)])
+        hitting_times([state, state], 1, 1.5, [1e-2], 10, [derive_stream(0)])
     with pytest.raises(ValueError, match="epsilon"):
-        hitting_times([state], 1.5, [], 10, [derive_stream(0)])
+        hitting_times([state], 1, 1.5, [], 10, [derive_stream(0)])
+    with pytest.raises(ValueError, match="replicates"):
+        hitting_times([state], 0, 1.5, [1e-2], 10, [derive_stream(0)])
+    # two groups on one Generator would interleave their draws
+    rng = derive_stream(0)
+    with pytest.raises(ValueError, match="its own Generator"):
+        hitting_times([state, state], 2, 1.5, [1e-2], 10, [rng, rng])
 
 
 def test_run_until_thinning_keeps_hit_and_final(rng_for):
@@ -401,6 +391,20 @@ def test_initial_state_has_requested_normalized_step():
     assert state.norm == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("d", [2, 10, 65536])
+def test_state_norm_is_exact_on_an_axis_at_any_scale(d):
+    # squaring the coordinates would give 0 below about 1.5e-154 and inf
+    # above about 1.3e154; sigma_bar0 = d keeps sigma = ||m|| positive
+    for x in (5e-324, 1e-310, 1e-200, 1.4e-154, 1e-150, 0.7, 1e150, 1.3e154, 1e200,
+              1e300):
+        assert initial_state(d, x, float(d)).norm == x
+    # off an axis too: a 3-4-5 triangle at both ends of the range
+    for x in (1e-200, 1e200, 1e300):
+        m = np.zeros(d)
+        m[:2] = 3.0 * x, 4.0 * x
+        assert ESState(m=m, sigma=1.0).norm == pytest.approx(5.0 * x, rel=1e-15)
+
+
 @pytest.mark.parametrize("d", [1, 0, -1])
 def test_initial_state_rejects_a_dimension_below_two(d):
     with pytest.raises(ValueError, match="dimension must be at least 2"):
@@ -418,4 +422,4 @@ def test_state_validation():
     with pytest.raises(ValueError, match="alpha"):
         run_until(state, 1.0, 1e-2, 10, derive_stream(0))
     with pytest.raises(ValueError, match="alpha"):
-        hitting_times([state], 1.0, [1e-2], 10, [derive_stream(0)])
+        hitting_times([state], 1, 1.0, [1e-2], 10, [derive_stream(0)])

@@ -102,6 +102,13 @@ def test_derive_constants_rejects_oversized_alpha():
         derive_constants(64, alpha=3.0)
 
 
+@pytest.mark.parametrize("alpha", [1e200, 1e247, 1e300])
+def test_derive_constants_rejects_an_alpha_whose_band_ratio_overflows(alpha):
+    # alpha^(5/4) overflows a float from about 1e247 on
+    with pytest.raises(ConfigurationError, match=r"u / ell >= alpha\^\(5/4\)"):
+        derive_constants(8, alpha=alpha)
+
+
 def test_derive_constants_rejects_bad_probabilities():
     with pytest.raises(ConfigurationError, match="p_u"):
         derive_constants(8, p_u=0.25, p_l=0.3)

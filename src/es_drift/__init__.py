@@ -11,7 +11,7 @@ from .hitandrun import (HarSample, expected_log_progress_exact,
 from .kernels import LOG_PROGRESS_CAP
 from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
                         drift_map, hitting_time_bounds,
-                        minimize_psucc_over_band, potential)
+                        minimize_psucc_over_band)
 from .streams import derive_stream
 from .success import psucc0_inverse, psucc_exact, psucc_limit, psucc_mc
 from .theorems import (TruncatedSeries, first_hitting_time, lower_bound_thm2,
@@ -29,7 +29,7 @@ __all__ = [
     "HarSample", "expected_log_progress_exact", "expected_log_progress_mc",
     "har_step", "optimal_gamma", "sample_angle",
     "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
-    "hitting_time_bounds", "minimize_psucc_over_band", "potential",
+    "hitting_time_bounds", "minimize_psucc_over_band",
     "derive_stream",
     "psucc0_inverse", "psucc_exact", "psucc_limit", "psucc_mc",
     "TruncatedSeries", "first_hitting_time", "lower_bound_thm2",

@@ -30,7 +30,7 @@ from .core import hitting_times, initial_state, run_until
 from .errors import ConfigurationError
 from .estimates import mean_estimate
 from .hitandrun import expected_log_progress_exact, expected_log_progress_mc
-from .potential import derive_constants, drift_map, hitting_time_bounds, potential
+from .potential import derive_constants, drift_map, hitting_time_bounds
 from .streams import derive_stream
 from .success import psucc_exact, psucc_limit
 
@@ -240,7 +240,7 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
         entries.append({
             "d": d,
             "constants": constants.as_dict(),
-            "potential_at_start": potential(state0, constants),
+            "potential_at_start": constants.potential_of(state0.norm, state0.sigma),
             "lower_bound": lower,
             "upper_bound": upper,
         })

@@ -10,8 +10,8 @@ chosen around the 1/5 target:
 From (d, alpha, p_u, p_l) the pipeline derives the full constant set:
 a truncation depth A = 1/d, a penalty weight v, improvement rates
 r' >= r with band-minimal success probabilities p' <= p*, the drift
-bound B as the minimum over the three step-size regimes, and the
-envelope L <= B <= U with d*B bounded between positive constants.
+bound B = L, the smaller outer-regime term (the lemma of derive_constants),
+and U >= B, with d*B bounded between positive constants.
 
 The expected one-step potential change, truncated below at -A, is then
 at most -B at every state. By scale invariance that drift depends on the
@@ -147,6 +147,15 @@ def derive_constants(d, alpha: float = 1.5, p_u: float = 0.1, p_l: float = 0.3):
     (p' < 1 guarantees v stays below it). Raises ConfigurationError
     naming the violated inequality otherwise.
 
+    The paper's B is the least of three regime terms: A p* - 1.25 v log(alpha)
+    in the band, v log(alpha) (5 p_l - 1)/4 below it and v log(alpha) (1 - 5 p_u)/4
+    above it; L = min(0.375 p'/d, the outer terms) and
+    U = (p*/d) max(0.375, (5 p_l - 1)/8, (1 - 5 p_u)/8). Lemma: for every
+    accepted input B = L = p' min(5 p_l - 1, 1 - 5 p_u)/(8d) and U = 0.375 p*/d.
+    Proof: r <= r' gives p* >= p', so with v log(alpha) = p'/(2d) the in-band
+    term (p* - 0.625 p')/d >= 0.375 p'/d exceeds both outer terms, each below
+    0.1875 p'/d. So the in-band term is not computed.
+
     For a sequence of d, returns one DriftConstants per d, in order, from
     about 11 psucc_exact calls for the whole list: the band ends of every
     d come from one psucc0_inverse call and each band minimum from one
@@ -216,28 +225,15 @@ def _constant_sets(ds: list, alpha: float, p_u: float, p_l: float) -> list:
     sets = []
     for d, (ell, u), v, r, r_prime, p_star, p_prime in zip(
             ds, bands.tolist(), vs, rs, r_primes, p_stars, p_primes):
-        A = 1.0 / d
-        term_mid = A * p_star - 1.25 * v * log_a
-        term_small = v * log_a * (5.0 * p_l - 1.0) / 4.0
-        term_large = v * log_a * (1.0 - 5.0 * p_u) / 4.0
-        B = min(term_mid, term_small, term_large)
-        # term_small/term_large equal (p'/d)*(5 p_l - 1)/8 and (p'/d)*(1 - 5 p_u)/8,
-        # so reusing them keeps L <= B exact in floating point
-        L = min(0.375 * p_prime / d, term_small, term_large)
-        U = (p_star / d) * max(0.375, (5.0 * p_l - 1.0) / 8.0, (1.0 - 5.0 * p_u) / 8.0)
+        B = v * log_a * min(5.0 * p_l - 1.0, 1.0 - 5.0 * p_u) / 4.0
+        L = B
+        U = (p_star / d) * 0.375
         _require(B > 0.0, "B > 0", f"B={B:.6g}")
         _require(L <= B <= U, "L <= B <= U", f"L={L:.6g}, B={B:.6g}, U={U:.6g}")
         sets.append(DriftConstants(d=d, alpha=alpha, p_u=p_u, p_l=p_l, ell=ell, u=u,
-                                   A=A, v=v, r=r, r_prime=r_prime, p_star=p_star,
+                                   A=1.0 / d, v=v, r=r, r_prime=r_prime, p_star=p_star,
                                    p_prime=p_prime, B=B, L=L, U=U))
     return sets
-
-
-def potential(state: ESState, c: DriftConstants) -> float:
-    """Potential V at an algorithm state; undefined at the optimum."""
-    if state.d != c.d:
-        raise ValueError(f"state dimension {state.d} != constants dimension {c.d}")
-    return c.potential_of(state.norm, state.sigma)
 
 
 def drift_map(c: DriftConstants, sigma_bar_grid, n: int,
@@ -284,6 +280,8 @@ def hitting_time_bounds(state0: ESState, c: DriftConstants,
     upper = ``upper_bound_thm1(V(state0), log eps, A, B)``.
     A start already inside the target yields vacuous values and a warning.
     """
+    if state0.d != c.d:
+        raise ValueError(f"state dimension {state0.d} != constants dimension {c.d}")
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     norm0 = state0.norm
@@ -292,5 +290,5 @@ def hitting_time_bounds(state0: ESState, c: DriftConstants,
                       stacklevel=2)
     log_eps = math.log(epsilon)
     lower = lower_bound_thm2(math.log(norm0), log_eps, 1.0 / c.d)
-    upper = upper_bound_thm1(potential(state0, c), log_eps, c.A, c.B)
+    upper = upper_bound_thm1(c.potential_of(norm0, state0.sigma), log_eps, c.A, c.B)
     return lower, upper

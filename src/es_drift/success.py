@@ -131,13 +131,16 @@ def _chi_rule(d: int) -> tuple:
     log(g(chi) / g(mu)) = mu^2 log(chi / mu) - t (2 mu + t) / 2, and the
     weights are normalized to sum to 1, which leaves out the normalizing
     constant of g and its cancellation at large d. Nodes at chi <= 0,
-    where the density is about 0, are dropped.
+    where the density is about 0, keep their place with weight 0, so
+    every d has all 24 nodes.
     """
     mu = math.sqrt(d - 2.0)
     t, w = _hermite_rule()
     keep = t > -mu
-    t, w = t[keep], w[keep]
-    w = w * np.exp(t * t + mu * mu * np.log1p(t / mu) - t * (2.0 * mu + t) / 2.0)
+    # log1p is -inf or NaN at t/mu <= -1, and 0 * NaN is NaN
+    log_ratio = np.log1p(np.where(keep, t / mu, 0.0))
+    w = np.where(keep, w * np.exp(t * t + mu * mu * log_ratio - t * (2.0 * mu + t) / 2.0),
+                 0.0)
     return (mu + t) ** 2, w / w.sum()
 
 
@@ -149,34 +152,25 @@ def _psucc_chi(d: np.ndarray, r: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     There s <= 0.01, so the lower term Phi(-(sqrt(rho^2 - s^2 chi^2) + 1) / s)
     is at most Phi(-100), which is 0 in double precision, and is left out.
     So is the edge where s^2 chi^2 > rho^2: a < -1/s there, so Phi(a) is
-    0 too. Each point's nodes are those of its own d's rule and are summed
-    within its own row; points whose rules keep the same number of nodes
-    share one array. So a value does not depend on the other points of
+    0 too. Each point's row of the node table is its own d's rule, summed
+    within that row, so a value does not depend on the other points of
     the call.
     """
-    kinds = np.unique(d)
+    kinds, which = np.unique(d, return_inverse=True)
     rules = [_chi_rule(k) for k in kinds.tolist()]
-    which = np.searchsorted(kinds, d)  # each point's kind
-    sizes = np.array([w.size for _, w in rules])
+    chi2 = np.array([c for c, _ in rules])[which]
+    weights = np.array([w for _, w in rules])[which]
     # rho^2 by Python's float power, with which every published value was
     # computed; numpy's square differs from it in the last bit for about 1
     # rate in 2000
     rho2 = np.array([(1.0 - x) ** 2 for x in r.tolist()])
-    values = np.empty_like(sbar)
-    for size in set(sizes.tolist()):
-        member = sizes == size
-        at = member[which]
-        rows = (np.cumsum(member) - 1)[which[at]]  # each point's row among the members
-        chi2 = np.array([c for (c, _), m in zip(rules, member) if m])[rows]
-        weights = np.array([w for (_, w), m in zip(rules, member) if m])[rows]
-        s = (sbar[at] / d[at])[:, None]
-        rate = r[at][:, None]
-        s2chi2 = s * s * chi2
-        root = np.sqrt(np.maximum(rho2[at][:, None] - s2chi2, 0.0))
-        # rho^2 - 1 = r (r - 2), exact in r
-        a = (rate * (rate - 2.0) - s2chi2) / ((root + 1.0) * s)
-        values[at] = (ndtr(a) * weights).sum(axis=1)
-    return values
+    s = (sbar / d)[:, None]
+    rate = r[:, None]
+    s2chi2 = s * s * chi2
+    root = np.sqrt(np.maximum(rho2[:, None] - s2chi2, 0.0))
+    # rho^2 - 1 = r (r - 2), exact in r
+    a = (rate * (rate - 2.0) - s2chi2) / ((root + 1.0) * s)
+    return (ndtr(a) * weights).sum(axis=1)
 
 
 def psucc_exact(d, r, sigma_bars):

@@ -85,6 +85,13 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="start step size"):
         ExperimentConfig(d_list=(2, 4), m0_norm=tiny, sigma_bar0=2.0).validate()
     ExperimentConfig(d_list=(2, 4), m0_norm=tiny, sigma_bar0=4.0).validate()
+    # and finite, with a finite alpha^(1/4) * sigma * d, at every d
+    overflow = r"alpha\^\(1/4\) \* sigma \* d must be finite"
+    for bad in (dict(m0_norm=1e300, sigma_bar0=1e10),
+                dict(m0_norm=1e308, sigma_bar0=1.75)):
+        with pytest.raises(ConfigurationError, match=overflow):
+            ExperimentConfig(d_list=(8, 16), **bad).validate()
+    ExperimentConfig(d_list=(8, 16), m0_norm=1e308, sigma_bar0=1.6).validate()
 
 
 _POSITIVE = st.floats(1e-300, 1e300)
@@ -107,6 +114,10 @@ def _configs(draw):
     # a valid config also has a normal start step size sigma_bar0 * m0_norm / d
     assume(config.sigma_bar0 * config.m0_norm / max(config.d_list)
            >= np.finfo(float).tiny)
+    # and a finite one, with a finite alpha^(1/4) * sigma * d
+    scale = config.alpha ** 0.25
+    assume(all(math.isfinite(scale * (config.sigma_bar0 * config.m0_norm / d) * d)
+               for d in config.d_list))
     return config
 
 
@@ -508,14 +519,20 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
      "eps_list entries must be distinct"),
     (["run", "--d", "8", "--m0-norm", "5e-324", "--sigma-bar0", "0.1"], None,
      "smallest normal float"),
+    (["run", "--d", "8", "--m0-norm", "1e300", "--sigma-bar0", "1e10"], None,
+     "alpha^(1/4) * sigma * d must be finite"),
+    (["bounds", "--d", "8"], "m0_norm = 1e300\nsigma_bar0 = 1e10\n",
+     "alpha^(1/4) * sigma * d must be finite"),
 ], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
         "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
-        "eps_list_repeated_in_config_file", "start_sigma_underflows"])
+        "eps_list_repeated_in_config_file", "start_sigma_underflows",
+        "start_sigma_overflows", "start_sigma_overflows_in_config_file"])
 def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
                                                     config_text, message):
     # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal
-    # float, so the run would stall; a NaN or infinite start or target gives
-    # a run that never moves, or bounds that are not finite
+    # float, so the run would stall; a NaN or infinite start or target, or a
+    # start step size that overflows, gives a run that never moves, or bounds
+    # that are not finite
     if config_text is not None:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config_text)

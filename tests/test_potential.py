@@ -13,7 +13,7 @@ from scipy.stats import ncx2
 from es_drift import (ConfigurationError, ConvergenceError, kernels, ESState, Z99,
                       derive_constants, derive_stream, drift_map,
                       hitting_time_bounds, initial_state,
-                      minimize_psucc_over_band, potential, psucc_exact,
+                      minimize_psucc_over_band, psucc_exact,
                       psucc_limit, psucc_mc)
 from es_drift.potential import Regime
 
@@ -206,14 +206,15 @@ def test_potential_zero_inside_neutral_band(constants_for):
     assert lo == pytest.approx(1.5 * c.ell)
     assert lo < 2.0 < hi
     state = initial_state(10, 1.0, 2.0)
-    assert potential(state, c) == 0.0
+    assert c.potential_of(state.norm, state.sigma) == 0.0
 
 
 def test_potential_equals_log_norm_at_band_edge(constants_for):
     c = constants_for(10)
     norm = 1.7
     state = ESState(m=[norm] + [0.0] * 9, sigma=1.5 * c.ell * norm / 10)
-    assert potential(state, c) == pytest.approx(math.log(norm), abs=1e-12)
+    value = c.potential_of(state.norm, state.sigma)
+    assert value == pytest.approx(math.log(norm), abs=1e-12)
 
 
 def test_potential_penalty_active_exactly_outside_band(constants_for):
@@ -221,10 +222,11 @@ def test_potential_penalty_active_exactly_outside_band(constants_for):
     lo, hi = c.neutral_band()
     for sigma_bar in (lo * 1.0001, math.sqrt(lo * hi), hi * 0.9999):
         state = initial_state(10, 2.0, sigma_bar)
-        assert potential(state, c) - math.log(2.0) == pytest.approx(0.0, abs=1e-12)
+        excess = c.potential_of(state.norm, state.sigma) - math.log(2.0)
+        assert excess == pytest.approx(0.0, abs=1e-12)
     for sigma_bar in (lo * 0.99, hi * 1.01):
         state = initial_state(10, 2.0, sigma_bar)
-        assert potential(state, c) - math.log(2.0) > 1e-7
+        assert c.potential_of(state.norm, state.sigma) - math.log(2.0) > 1e-7
 
 
 def test_potential_dominates_log_norm(constants_for, rng_for):
@@ -234,7 +236,7 @@ def test_potential_dominates_log_norm(constants_for, rng_for):
         norm = float(np.exp(rng.uniform(-5, 3)))
         sigma_bar = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
         state = initial_state(10, norm, sigma_bar)
-        assert potential(state, c) >= math.log(norm) - 1e-12
+        assert c.potential_of(state.norm, state.sigma) >= math.log(norm) - 1e-12
 
 
 def test_potential_pole_at_optimum(constants_for):
@@ -420,6 +422,18 @@ def test_drift_map_rows_and_regime_boundaries(constants_for, rng_for):
         assert row.ci_halfwidth > 0.0
 
 
+def test_drift_map_satisfied_needs_the_whole_interval_below_minus_b(constants_for,
+                                                                   rng_for):
+    # at d = 2 and large step sizes, 1000 transitions give 99% intervals
+    # that straddle -B on this stream; such a row is not satisfied
+    c = constants_for(2)
+    rows = drift_map(c, np.linspace(40.0, 70.0, 16), 1000, rng_for(1))
+    assert any(r.drift_mean - r.ci_halfwidth <= -c.B < r.drift_mean + r.ci_halfwidth
+               for r in rows)
+    for row in rows:
+        assert row.satisfied == (row.drift_mean + row.ci_halfwidth <= -c.B)
+
+
 def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
     # at 10 u the success probability is 7e-9, so all 10^4 samples fail and
     # every increment is the failure's y_fail: no spread, exactly
@@ -484,6 +498,11 @@ def test_hitting_time_bounds_ordering(constants_for):
         assert upper >= lower > 0.0
 
 
+def test_hitting_time_bounds_rejects_a_state_of_another_dimension(constants_for):
+    with pytest.raises(ValueError, match="state dimension 8 != constants dimension 10"):
+        hitting_time_bounds(initial_state(8, 1.0, 2.0), constants_for(10), 1e-8)
+
+
 def test_hitting_time_bounds_trivial_instance_warns(constants_for):
     c = constants_for(4)
     state = initial_state(4, 1.0, 2.0)
@@ -492,5 +511,6 @@ def test_hitting_time_bounds_trivial_instance_warns(constants_for):
     assert lower == pytest.approx(-0.5)
     # a target at or above the start's potential gets Theorem 1's bound 0
     with pytest.warns(UserWarning, match="trivial"):
-        _, upper = hitting_time_bounds(state, c, math.exp(potential(state, c) + 1.0))
+        start = c.potential_of(state.norm, state.sigma)
+        _, upper = hitting_time_bounds(state, c, math.exp(start + 1.0))
     assert upper == 0.0

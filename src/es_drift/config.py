@@ -93,12 +93,10 @@ class ExperimentConfig:
         if self.sigma_bar0 * self.m0_norm / max(self.d_list) < tiny:
             raise ConfigurationError(f"the start step size sigma_bar0 * m0_norm / d must "
                                      f"be at least the smallest normal float {tiny:.6g}")
-        # an infinite start step size, or alpha^(1/4) * sigma * d as
-        # kernels._penalty_logs forms it, makes sigma or the potential inf
-        start = self.sigma_bar0 * self.m0_norm  # start / d is initial_state's sigma
-        if not all(math.isfinite(self.alpha ** 0.25 * (start / d) * d) for d in self.d_list):
+        # and finite, as it is at every d once sigma_bar0 * m0_norm is
+        if not math.isfinite(self.sigma_bar0 * self.m0_norm):
             raise ConfigurationError("the start step size sigma = sigma_bar0 * m0_norm / d "
-                                     "and alpha^(1/4) * sigma * d must be finite")
+                                     "must be finite")
 
     @property
     def epsilons(self) -> tuple[float, ...]:

@@ -23,49 +23,22 @@ from . import kernels
 
 @dataclass(frozen=True)
 class ESState:
-    """Algorithm state: search point m and step size sigma."""
+    """Algorithm state on the sphere: dimension d, norm ||m|| of the search
+    point and step size sigma. By isotropy the direction of m never
+    matters, so the state is (d, ||m||, sigma) alone."""
 
-    m: np.ndarray
+    d: int
+    norm: float
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
-        if self.m.ndim != 1:
-            raise ValueError("m must be a 1-d vector")
-        if self.m.size < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.m.size}")
+        if not isinstance(self.d, (int, np.integer)) or self.d < 2:
+            raise ValueError(f"dimension must be an integer of at least 2, got {self.d!r}")
+        # a NaN fails every comparison
+        if not 0.0 <= self.norm < math.inf:
+            raise ValueError(f"norm must be finite and non-negative, got {self.norm}")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    @property
-    def d(self) -> int:
-        return self.m.size
-
-    @property
-    def norm(self) -> float:
-        # the plain 2-norm squares the coordinates, so it under- or
-        # overflows beyond about 1e-154 and 1e154; out there, scale by the
-        # largest coordinate first, which is exact on an axis
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.m))
-        if 1e-150 < norm < 1e150:
-            return norm
-        scale = float(np.abs(self.m).max())
-        if not 0.0 < scale < math.inf:
-            return scale
-        return scale * float(np.linalg.norm(self.m / scale))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one offspring trial.
-
-    log_progress is log||m_t|| - log||m_{t+1}||, zero on failure.
-    """
-
-    success: bool
-    offspring_norm: float
-    log_progress: float
 
 
 @dataclass
@@ -90,40 +63,17 @@ class RunTrace:
 
 
 def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:
-    """State on the first axis with ||m|| = m0_norm and the given
-    normalized step size (isotropy makes the direction irrelevant)."""
+    """State with ||m|| = m0_norm and normalized step size sigma_bar0."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if not (m0_norm > 0.0 and sigma_bar0 > 0.0):
         raise ValueError("m0_norm and sigma_bar0 must be positive")
-    m = np.zeros(d)
-    m[0] = m0_norm
-    return ESState(m=m, sigma=sigma_bar0 * m0_norm / d)
+    return ESState(d=d, norm=m0_norm, sigma=sigma_bar0 * m0_norm / d)
 
 
 def _check_alpha(alpha: float) -> None:
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-
-
-def es_step(state: ESState, alpha: float, rng) -> tuple[ESState, StepOutcome]:
-    """One offspring trial: sample x ~ m + sigma*N(0, I), keep the better point.
-
-    On success sigma is multiplied by alpha, on failure by alpha^(-1/4).
-    """
-    _check_alpha(alpha)
-    z = rng.standard_normal(state.d)
-    x = state.m + state.sigma * z
-    fx = float(x @ x)
-    fm = float(state.m @ state.m)
-    offspring_norm = math.sqrt(fx)
-    if fx <= fm:
-        log_progress = math.inf if fx == 0.0 else 0.5 * (math.log(fm) - math.log(fx))
-        new = ESState(m=x, sigma=state.sigma * alpha)
-        return new, StepOutcome(success=True, offspring_norm=offspring_norm,
-                                log_progress=log_progress)
-    new = ESState(m=state.m, sigma=state.sigma * alpha ** -0.25)
-    return new, StepOutcome(success=False, offspring_norm=offspring_norm, log_progress=0.0)
 
 
 def run_until(state0: ESState, alpha: float, epsilon: float, max_iter: int,
@@ -145,7 +95,9 @@ def run_until(state0: ESState, alpha: float, epsilon: float, max_iter: int,
         state0.norm, state0.sigma, state0.d, alpha, epsilon, max_iter,
         record_every, rng)
     with np.errstate(divide="ignore"):
-        sigma_bars = state0.d * sigmas / norms  # inf at the optimum
+        # d * sigma would overflow where sigma_bar is O(1) at a norm near the
+        # float ceiling; inf at the optimum
+        sigma_bars = sigmas / norms * state0.d
     return RunTrace(ts=ts, norms=norms, sigmas=sigmas, sigma_bars=sigma_bars,
                     successes=successes, hitting_time=t_final if hit else None,
                     iterations=t_final, n_success=int(n_success))

@@ -15,80 +15,17 @@ is at most 1/d in dimension d >= 2; ``expected_log_progress_exact``
 gives it in closed form and shows the ceiling. Obtuse angles also
 shrink the norm under the unconstrained line minimizer; the acute-angle
 indicator deliberately drops that extra progress, so the expression is
-a conservative accounting of the oracle's progress, and ``har_step``
-reports the unrestricted value.
+a conservative accounting of the oracle's progress. The vector line
+search itself lives with the test references (``tests/reference.py``).
 """
 
-import math
 import warnings
-from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import digamma
 
 from . import kernels
 from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
 from .kernels import LOG_PROGRESS_CAP
-
-
-@dataclass(frozen=True)
-class HarSample:
-    """An angle draw and its acute-angle log progress."""
-
-    theta: float
-    log_progress: float
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "HarSample":
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        if theta > math.pi / 2.0:
-            lp = 0.0
-        elif theta == 0.0:
-            lp = LOG_PROGRESS_CAP
-        else:
-            lp = min(-math.log(math.sin(theta)), LOG_PROGRESS_CAP)
-        return cls(theta=theta, log_progress=lp)
-
-
-def sample_angle(d: int, rng) -> HarSample:
-    """Angle of a standard Gaussian direction to the first axis."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    g = rng.standard_normal(d)
-    theta = math.atan2(float(np.linalg.norm(g[1:])), float(g[0]))
-    return HarSample.from_theta(theta)
-
-
-def optimal_gamma(m, delta) -> float:
-    """Step length minimizing ||m + gamma*delta||^2 along delta."""
-    m = np.asarray(m, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    denom = float(delta @ delta)
-    if denom == 0.0:
-        raise ValueError("degenerate direction: delta must be non-zero")
-    return -float(m @ delta) / denom
-
-
-def har_step(m, sigma: float, rng) -> tuple[np.ndarray, float]:
-    """Sample delta ~ sigma * N(0, I) and move to the line minimizer.
-
-    Returns (x*, log||m|| - log||x*||); the log progress is non-negative
-    and capped at LOG_PROGRESS_CAP on a measure-zero collinear hit.
-    """
-    m = np.asarray(m, dtype=float)
-    norm = float(np.linalg.norm(m))
-    if norm == 0.0:
-        raise ValueError("already at the optimum (||m|| = 0)")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    delta = sigma * rng.standard_normal(m.size)
-    x_star = m + optimal_gamma(m, delta) * delta
-    norm_star = float(np.linalg.norm(x_star))
-    if norm_star == 0.0:
-        return x_star, LOG_PROGRESS_CAP
-    lp = math.log(norm) - math.log(norm_star)
-    return x_star, min(max(lp, 0.0), LOG_PROGRESS_CAP)
 
 
 def expected_log_progress_mc(ds, n: int, rng) -> list[MeanEstimate]:

@@ -58,8 +58,10 @@ LOG_PROGRESS_CAP = 700.0
 
 def _penalty_logs(sigma, d, alpha, ell, u):
     """(lo, hi) at step size sigma: the penalties at log-norm x are x + lo
-    (step size too small) and hi - x (too large)."""
-    return np.log(alpha * ell / (d * sigma)), np.log(alpha ** 0.25 * sigma * d / u)
+    (step size too small) and hi - x (too large). log(sigma) is added
+    apart, since d * sigma overflows at a norm near the float ceiling."""
+    log_sigma = np.log(sigma)
+    return np.log(alpha * ell / d) - log_sigma, np.log(alpha ** 0.25 * d / u) + log_sigma
 
 
 def _log_potential(x, lo, hi, v):
@@ -114,20 +116,6 @@ def _ratio_sq(q, z0, chi2):
     kernel that steps the ES computes it here, so all agree to the bit."""
     x = 1.0 + q * z0
     return x * x + q * q * chi2
-
-
-def success_mc_hits(scale, radius, d, n, rng):
-    """Count samples with ||e1 + scale*N|| < radius, N a d-dim standard normal."""
-    r2 = radius * radius
-
-    def undecided(z0):
-        x = 1.0 + scale * z0
-        return x * x < r2
-
-    hits = 0
-    for _, z0, chi2 in _deciding_draws(d, n, rng, undecided):
-        hits += int(np.count_nonzero(_ratio_sq(scale, z0, chi2) < r2))
-    return hits
 
 
 def truncated_drift_sums(norm_m, sigma, d, alpha, ell, u, v, a_cut, n, rng):

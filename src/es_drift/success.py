@@ -1,4 +1,4 @@
-"""Success probabilities of the sphere step, exact and by Monte Carlo.
+"""Exact success probabilities of the sphere step.
 
 The probability that a Gaussian offspring improves the parent by a
 relative rate r,
@@ -40,9 +40,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import chndtr, ndtr, ndtri
 
-from . import kernels
 from .errors import ConvergenceError
-from .estimates import MeanEstimate, mean_estimate
 
 # The stated accuracy of psucc_exact, checked against an mpmath quadrature
 # of the success probability by
@@ -99,17 +97,6 @@ def _full(x: np.ndarray, shape: tuple) -> np.ndarray:
         full[...] = x
         x = full
     return x.ravel()
-
-
-def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> MeanEstimate:
-    """Monte Carlo estimate of the success probability with rate r: the
-    mean of the 0/1 success indicator, whose sum of squares is the hit
-    count."""
-    _check(np.asarray(d), np.asarray(r, dtype=float), np.asarray(sigma_bar, dtype=float))
-    if n < 1:
-        raise ValueError("sample count must be positive")
-    hits = kernels.success_mc_hits(sigma_bar / d, 1.0 - r, d, n, rng)
-    return mean_estimate(hits, hits, n)
 
 
 @functools.cache

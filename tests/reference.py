@@ -1,0 +1,152 @@
+"""Reference implementations that the tests compare es_drift against.
+
+No driver runs these, so they live with the tests. ``es_step``,
+``sample_angle`` and ``har_step`` draw the full d-vector of a Gaussian
+step where the package's kernels draw only the pair (z0, chi2), so a
+kernel that agrees with them in distribution checks that reduction.
+``psucc_mc`` estimates a success probability as a hit count, the Monte
+Carlo check of ``psucc_exact``.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from es_drift.estimates import MeanEstimate, mean_estimate
+from es_drift.kernels import LOG_PROGRESS_CAP, _deciding_draws, _ratio_sq
+from es_drift.success import _check
+
+# ---------------------------------------------------------------------------
+# the strategy's step on the search point itself
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StepOutcome:
+    """Result of one offspring trial.
+
+    log_progress is log||m_t|| - log||m_{t+1}||, zero on failure.
+    """
+
+    success: bool
+    offspring_norm: float
+    log_progress: float
+
+
+def es_step(m, sigma: float, alpha: float, rng) -> tuple[np.ndarray, float, StepOutcome]:
+    """One offspring trial: sample x ~ m + sigma*N(0, I), keep the better point.
+
+    Returns the next (m, sigma) and the outcome. On success sigma is
+    multiplied by alpha, on failure by alpha^(-1/4).
+    """
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    m = np.asarray(m, dtype=float)
+    z = rng.standard_normal(m.size)
+    x = m + sigma * z
+    fx = float(x @ x)
+    fm = float(m @ m)
+    offspring_norm = math.sqrt(fx)
+    if fx <= fm:
+        log_progress = math.inf if fx == 0.0 else 0.5 * (math.log(fm) - math.log(fx))
+        return x, sigma * alpha, StepOutcome(success=True, offspring_norm=offspring_norm,
+                                             log_progress=log_progress)
+    return m, sigma * alpha ** -0.25, StepOutcome(success=False,
+                                                  offspring_norm=offspring_norm,
+                                                  log_progress=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the line-search oracle on a drawn direction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HarSample:
+    """An angle draw and its acute-angle log progress."""
+
+    theta: float
+    log_progress: float
+
+    @classmethod
+    def from_theta(cls, theta: float) -> "HarSample":
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {theta}")
+        if theta > math.pi / 2.0:
+            lp = 0.0
+        elif theta == 0.0:
+            lp = LOG_PROGRESS_CAP
+        else:
+            lp = min(-math.log(math.sin(theta)), LOG_PROGRESS_CAP)
+        return cls(theta=theta, log_progress=lp)
+
+
+def sample_angle(d: int, rng) -> HarSample:
+    """Angle of a standard Gaussian direction to the first axis."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    g = rng.standard_normal(d)
+    theta = math.atan2(float(np.linalg.norm(g[1:])), float(g[0]))
+    return HarSample.from_theta(theta)
+
+
+def optimal_gamma(m, delta) -> float:
+    """Step length minimizing ||m + gamma*delta||^2 along delta."""
+    m = np.asarray(m, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    denom = float(delta @ delta)
+    if denom == 0.0:
+        raise ValueError("degenerate direction: delta must be non-zero")
+    return -float(m @ delta) / denom
+
+
+def har_step(m, sigma: float, rng) -> tuple[np.ndarray, float]:
+    """Sample delta ~ sigma * N(0, I) and move to the line minimizer.
+
+    Returns (x*, log||m|| - log||x*||); the log progress is non-negative
+    and capped at LOG_PROGRESS_CAP on a measure-zero collinear hit.
+    """
+    m = np.asarray(m, dtype=float)
+    norm = float(np.linalg.norm(m))
+    if norm == 0.0:
+        raise ValueError("already at the optimum (||m|| = 0)")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    delta = sigma * rng.standard_normal(m.size)
+    x_star = m + optimal_gamma(m, delta) * delta
+    norm_star = float(np.linalg.norm(x_star))
+    if norm_star == 0.0:
+        return x_star, LOG_PROGRESS_CAP
+    lp = math.log(norm) - math.log(norm_star)
+    return x_star, min(max(lp, 0.0), LOG_PROGRESS_CAP)
+
+
+# ---------------------------------------------------------------------------
+# the success probability as a sample mean
+# ---------------------------------------------------------------------------
+
+
+def success_mc_hits(scale, radius, d, n, rng):
+    """Count samples with ||e1 + scale*N|| < radius, N a d-dim standard normal."""
+    r2 = radius * radius
+
+    def undecided(z0):
+        x = 1.0 + scale * z0
+        return x * x < r2
+
+    hits = 0
+    for _, z0, chi2 in _deciding_draws(d, n, rng, undecided):
+        hits += int(np.count_nonzero(_ratio_sq(scale, z0, chi2) < r2))
+    return hits
+
+
+def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> MeanEstimate:
+    """Monte Carlo estimate of the success probability with rate r: the
+    mean of the 0/1 success indicator, whose sum of squares is the hit
+    count."""
+    _check(np.asarray(d), np.asarray(r, dtype=float), np.asarray(sigma_bar, dtype=float))
+    if n < 1:
+        raise ValueError("sample count must be positive")
+    hits = success_mc_hits(sigma_bar / d, 1.0 - r, d, n, rng)
+    return mean_estimate(hits, hits, n)

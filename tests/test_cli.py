@@ -85,13 +85,11 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="start step size"):
         ExperimentConfig(d_list=(2, 4), m0_norm=tiny, sigma_bar0=2.0).validate()
     ExperimentConfig(d_list=(2, 4), m0_norm=tiny, sigma_bar0=4.0).validate()
-    # and finite, with a finite alpha^(1/4) * sigma * d, at every d
-    overflow = r"alpha\^\(1/4\) \* sigma \* d must be finite"
-    for bad in (dict(m0_norm=1e300, sigma_bar0=1e10),
-                dict(m0_norm=1e308, sigma_bar0=1.75)):
-        with pytest.raises(ConfigurationError, match=overflow):
+    # and finite at every d
+    for bad in (dict(m0_norm=1e300, sigma_bar0=1e10), dict(m0_norm=1e308, sigma_bar0=2.0)):
+        with pytest.raises(ConfigurationError, match=r"sigma_bar0 \* m0_norm / d must be finite"):
             ExperimentConfig(d_list=(8, 16), **bad).validate()
-    ExperimentConfig(d_list=(8, 16), m0_norm=1e308, sigma_bar0=1.6).validate()
+    ExperimentConfig(d_list=(8, 16), m0_norm=1e308, sigma_bar0=1.75).validate()
 
 
 _POSITIVE = st.floats(1e-300, 1e300)
@@ -114,10 +112,8 @@ def _configs(draw):
     # a valid config also has a normal start step size sigma_bar0 * m0_norm / d
     assume(config.sigma_bar0 * config.m0_norm / max(config.d_list)
            >= np.finfo(float).tiny)
-    # and a finite one, with a finite alpha^(1/4) * sigma * d
-    scale = config.alpha ** 0.25
-    assume(all(math.isfinite(scale * (config.sigma_bar0 * config.m0_norm / d) * d)
-               for d in config.d_list))
+    # and a finite one
+    assume(math.isfinite(config.sigma_bar0 * config.m0_norm))
     return config
 
 
@@ -270,6 +266,20 @@ def test_run_starts_from_norms_whose_square_under_or_overflows(tmp_path, m0_norm
                        if c.startswith("# hitting_time="))
     assert hitting_time == len(raw) - 1 > 0
     assert 0.0 < float(raw[-1][1]) <= float(epsilon)
+
+
+@pytest.mark.parametrize("d, alpha", [("8", "2"), ("2", "1.5")])
+def test_run_keeps_sigma_bar_and_the_potential_finite_near_the_float_ceiling(
+        tmp_path, d, alpha):
+    # sigma_bar climbs from 1e-3 to O(1) at norms near 1e308, where d * sigma
+    # overflows; every written value must stay finite
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--d", d, "--alpha", alpha, "--m0-norm", "1e308",
+                 "--sigma-bar0", "1e-3", "--epsilon", "1e300", "--max-iter", "3000",
+                 "--out", str(out)]) == 0
+    _, raw, _ = _read_csv(out)
+    assert max(float(row[3]) for row in raw) > 1.0
+    assert all(math.isfinite(float(v)) for row in raw for i, v in enumerate(row) if i != 4)
 
 
 def test_bounds_json(tmp_path):
@@ -520,9 +530,9 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
     (["run", "--d", "8", "--m0-norm", "5e-324", "--sigma-bar0", "0.1"], None,
      "smallest normal float"),
     (["run", "--d", "8", "--m0-norm", "1e300", "--sigma-bar0", "1e10"], None,
-     "alpha^(1/4) * sigma * d must be finite"),
+     "sigma_bar0 * m0_norm / d must be finite"),
     (["bounds", "--d", "8"], "m0_norm = 1e300\nsigma_bar0 = 1e10\n",
-     "alpha^(1/4) * sigma * d must be finite"),
+     "sigma_bar0 * m0_norm / d must be finite"),
 ], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
         "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
         "eps_list_repeated_in_config_file", "start_sigma_underflows",

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import es_drift
-from es_drift import (LOG_PROGRESS_CAP, HarSample, expected_log_progress_exact,
-                      expected_log_progress_mc, har_step, optimal_gamma,
-                      sample_angle)
+from es_drift import LOG_PROGRESS_CAP, expected_log_progress_exact, expected_log_progress_mc
+from reference import HarSample, har_step, optimal_gamma, sample_angle
 
 HALF_LOG_TWO = math.log(2.0) / 2.0
 
@@ -197,9 +196,10 @@ def test_exact_log_progress_rejects_dimension_one():
         expected_log_progress_exact(1)
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize", "scipy.linalg",
+                                    "scipy.stats"])
 def test_import_leaves_out_scipy_module(module):
-    # a fresh interpreter, since other test modules import both modules
+    # a fresh interpreter, since other test modules import these modules
     src = str(Path(es_drift.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

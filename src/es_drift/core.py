@@ -83,6 +83,7 @@ def run_until(state0: ESState, alpha: float, epsilon: float, max_iter: int,
     hitting_time is the first t with ||m_t|| <= epsilon, or None if the
     iteration budget ran out (reported in the trace, not an error).
     ``record_every`` thins the trace; the final state is always kept.
+    Raises ConvergenceError if the step size overflows, which stalls the run.
     """
     _check_alpha(alpha)
     if not epsilon > 0.0:
@@ -105,7 +106,7 @@ def run_until(state0: ESState, alpha: float, epsilon: float, max_iter: int,
 
 def hitting_times(states: Sequence[ESState], replicates: int, alpha: float,
                   epsilons: Sequence[float], max_iter: int,
-                  rngs: Sequence) -> list[list[list[Optional[int]]]]:
+                  rngs: Sequence) -> np.ndarray:
     """First passages of groups of independent runs below shared
     thresholds, all stepped together.
 
@@ -113,14 +114,14 @@ def hitting_times(states: Sequence[ESState], replicates: int, alpha: float,
     rngs[g], a Generator no other group is given: at every 64-step block
     the group draws one block of normals, then one of chi-squared values,
     for all its runs, and each run reads its own column (see
-    ``kernels.es_hitting_times``). Returns one list per group, holding one
-    list per replicate, holding one entry per threshold in the order of
-    ``epsilons`` (any order, duplicates allowed), None where the budget
-    ran out. For a group of one, entry j equals ``run_until(states[g],
-    alpha, epsilons[j], max_iter, rngs[g]).hitting_time``; a replicate of
-    a larger group equals run_until fed its column of the group's blocks.
-    A run's entries do not depend on the other groups, the other
-    thresholds or max_iter.
+    ``kernels.es_hitting_times``). Returns an int64 array of shape
+    (groups, replicates, len(epsilons)), in the order of ``epsilons`` (any
+    order, duplicates allowed), with -1 where the budget ran out. For a
+    group of one, entry (g, 0, j) equals ``run_until(states[g], alpha,
+    epsilons[j], max_iter, rngs[g]).hitting_time``, -1 for None; a replicate
+    of a larger group equals run_until fed its column of the group's
+    blocks. A run's entries do not depend on the other groups, the other
+    thresholds or max_iter. Raises ConvergenceError as run_until does.
     """
     if len(states) != len(rngs):
         raise ValueError(f"got {len(states)} states and {len(rngs)} streams")
@@ -141,5 +142,4 @@ def hitting_times(states: Sequence[ESState], replicates: int, alpha: float,
     times = kernels.es_hitting_times(
         [state.norm for state in states], [state.sigma for state in states],
         [state.d for state in states], replicates, alpha, eps[order], max_iter, rngs)
-    times = times[..., np.argsort(order)].tolist()
-    return [[[None if t < 0 else t for t in run] for run in group] for group in times]
+    return times[..., np.argsort(order)]

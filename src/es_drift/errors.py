@@ -10,4 +10,4 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A tolerance-controlled numerical routine cannot meet its tolerance."""
+    """A numerical routine cannot meet its tolerance, or a run leaves the floats."""

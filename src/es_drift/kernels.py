@@ -40,6 +40,8 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 # samples per chunk in the Monte Carlo samplers (bounds peak memory)
 _CHUNK = 1 << 20
 # offspring drawn at a time per run by es_run and es_hitting_times, always
@@ -215,7 +217,8 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
     long before ||m||, is never formed. Records the state every ``every``
     iterations plus the final state. The success flag stored with a
     record belongs to the step taken from the recorded state (False on
-    the final record).
+    the final record). Raises ConvergenceError once sigma overflows: from
+    sigma = inf every step fails and leaves it inf, so the run would stall.
     Returns (ts, norms, sigmas, successes, hit, t_final, n_success).
     """
     ts, norms, sigmas, successes = [], [], [], []
@@ -246,12 +249,15 @@ def es_run(norm0, sigma0, d, alpha, epsilon, max_iter, every, rng):
         if success:
             norm *= math.sqrt(ratio_sq)
             sigma *= alpha
+            if sigma == math.inf:
+                raise ConvergenceError(f"sigma overflowed at iteration {t + 1}")
             n_success += 1
         else:
             sigma *= sigma_down
         t += 1
 
 
+@np.errstate(over="ignore")
 def es_hitting_times(norm0, sigma0, d, replicates, alpha, epsilons, max_iter, rngs):
     """First passages of groups of es_run chains below shared thresholds,
     stepped in lockstep.
@@ -275,6 +281,8 @@ def es_hitting_times(norm0, sigma0, d, replicates, alpha, epsilons, max_iter, rn
     passages do not depend on other runs, on the other thresholds or on
     max_iter. The cost of that: frozen runs stay in every step's array
     operations until the whole call ends.
+    Overflow warnings are off: an infinite q or ratio is a failure, and an
+    infinite sigma raises ConvergenceError at the next block boundary or end.
     """
     groups = len(rngs)
     n = groups * replicates
@@ -311,9 +319,11 @@ def es_hitting_times(norm0, sigma0, d, replicates, alpha, epsilons, max_iter, rn
                     sigma[r] = 0.0
                     live[r // replicates] -= 1
                     active -= 1
+        step = t % _ES_CHUNK
+        if (step == 0 or t >= max_iter) and np.isinf(sigma).any():
+            raise ConvergenceError(f"sigma overflowed by iteration {t}")
         if t >= max_iter or not active:
             break
-        step = t % _ES_CHUNK
         if step == 0:
             for g, (rng, group_d) in enumerate(zip(rngs, d)):
                 if live[g]:

@@ -36,13 +36,11 @@ def _mean_hitting_time(d, epsilons, replicates, scope):
     (SEED, scope, d), one column of its draw blocks each."""
     (runs,) = hitting_times([initial_state(d, 1.0, 2.0)], replicates, 1.5,
                             epsilons, 10_000_000, [derive_stream(SEED, scope, d)])
-    estimates = []
-    for times in zip(*runs):
-        assert None not in times
-        times = np.array(times, dtype=float)
-        est = mean_estimate(float(times.sum()), float((times * times).sum()), replicates)
-        estimates.append((est.mean, est.half_width))
-    return estimates
+    assert np.all(runs >= 0)
+    # one contiguous row of replicates per epsilon
+    times = np.ascontiguousarray(runs.T, dtype=float)
+    est = mean_estimate(times.sum(axis=1), (times * times).sum(axis=1), replicates)
+    return list(zip(est.mean.tolist(), est.half_width.tolist()))
 
 
 def test_criterion_01_hitting_time_sandwich(constants_for):

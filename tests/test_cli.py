@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import fields
 
@@ -9,13 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from es_drift import cli, derive_constants, derive_stream, hitting_times, initial_state
-from es_drift.cli import (_format, _write_csv, build_parser, cmd_bounds,
+from es_drift import (cli, derive_constants, derive_stream, hitting_time_bounds,
+                      hitting_times, initial_state)
+from es_drift.cli import (_format, _linear_fit, _write_csv, build_parser, cmd_bounds,
                           cmd_drift_map, cmd_har_check, cmd_hitting_scaling,
                           cmd_run, cmd_success_curve, main)
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
-from es_drift.estimates import MIN_MC_SAMPLES
+from es_drift.estimates import MIN_MC_SAMPLES, mean_estimate
 
 
 def _read_csv(path):
@@ -74,6 +77,9 @@ def test_config_validation():
         ExperimentConfig(replicates=0).validate()
     with pytest.raises(ConfigurationError):
         ExperimentConfig(d_list=(1,)).validate()
+    # a repeated d would give duplicate rows, and a singular hitting-scaling fit
+    with pytest.raises(ConfigurationError, match="d_list entries must be distinct"):
+        ExperimentConfig(d_list=(4, 8, 4)).validate()
     ExperimentConfig().validate()
     # epsilon and eps_list entries must be normal floats
     tiny = np.finfo(float).tiny
@@ -100,7 +106,8 @@ _MC_COUNT = st.integers(MIN_MC_SAMPLES, 2 ** 31)
 @st.composite
 def _configs(draw):
     config = ExperimentConfig(
-        d_list=tuple(draw(st.lists(st.integers(2, 2 ** 20), min_size=1, max_size=5))),
+        d_list=tuple(draw(st.lists(st.integers(2, 2 ** 20), min_size=1, max_size=5,
+                                   unique=True))),
         eps_list=draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=4,
                                            unique=True).map(tuple)),
         alpha=draw(_POSITIVE), p_u=draw(_POSITIVE), p_l=draw(_POSITIVE),
@@ -180,13 +187,15 @@ def test_hitting_scaling_report(tmp_path):
     out = tmp_path / "hs.csv"
     config = ExperimentConfig(output_path=str(out), d_list=(4, 8),
                               eps_list=(1e-2, 1e-3, 1e-4), replicates=10)
-    reports = cmd_hitting_scaling(config)
-    assert len(reports) == 6
-    for report in reports:
-        assert report.censored_runs == 0
-        assert report.mean_T_lower == report.mean_T
-        assert report.within_bounds
-    _, _, comments = _read_csv(out)
+    rows = cmd_hitting_scaling(config)
+    header, raw, comments = _read_csv(out)
+    assert len(rows) == len(raw) == 6
+    for row in rows:
+        report = dict(zip(header, row))
+        assert report["censored_runs"] == 0
+        assert report["mean_T_lower"] == report["mean_T"]
+        assert report["within_bounds"]
+    assert [list(map(_format, row)) for row in rows] == raw
     fit_lines = [c for c in comments if c.startswith("# fit")]
     assert len(fit_lines) == 2
     assert all("r_squared=" in line for line in fit_lines)
@@ -242,6 +251,84 @@ def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
     assert math.isnan(float(partly["ci_halfwidth"]))
     assert float(partly["mean_T_lower"]) == sum(min(t, 260) for t in uncensored) / 10
     assert partly["within_bounds"] == "false"
+
+
+def _hitting_scaling_text(config, times):
+    """The hitting-scaling file for the array ``times`` of hitting_times,
+    formed cell by cell (a 1-d sum per cell, mean_estimate on floats): the
+    reference the driver's whole-array reduction must match to the bit."""
+    rows, comments, means = [], [], {}
+    constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
+    for i, (d, c) in enumerate(zip(config.d_list, constants)):
+        state0 = initial_state(d, config.m0_norm, config.sigma_bar0)
+        for j, eps in enumerate(config.epsilons):
+            cell = times[i, :, j].tolist()
+            censored = sum(t < 0 for t in cell)
+            capped = np.array([config.max_iter if t < 0 else t for t in cell], dtype=float)
+            total = float(capped.sum())
+            mean = halfwidth = math.nan
+            if not censored:
+                est = mean_estimate(total, float((capped * capped).sum()), len(cell))
+                mean, halfwidth = est.mean, float(est.half_width)
+            means[d, eps] = mean
+            lower, upper = hitting_time_bounds(state0, c, eps)
+            rows.append((d, eps, len(cell), mean, halfwidth, total / len(cell), lower,
+                         upper, lower <= mean - halfwidth and mean + halfwidth <= upper,
+                         censored))
+    if len(config.epsilons) >= 3:
+        x = np.log(1.0 / np.array(config.epsilons))
+        for d in config.d_list:
+            fit = _linear_fit(x, np.array([means[d, eps] for eps in config.epsilons]))
+            comments.append("# fit d={}: slope={!r} intercept={!r} r_squared={!r}"
+                            .format(d, *fit))
+    if len(config.d_list) >= 2:
+        for eps in config.epsilons:
+            per_d = np.array([means[d, eps] / d for d in config.d_list])
+            comments.append(f"# rate_band epsilon={eps!r}:"
+                            f" max_over_min_T_per_d={float(per_d.max() / per_d.min())!r}")
+    header = ("d,epsilon,replicates,mean_T,ci_halfwidth,mean_T_lower,lower_bound,"
+              "upper_bound,within_bounds,censored_runs")
+    lines = ["# schema_version=1", header,
+             *(",".join(map(_format, row)) for row in rows), *comments]
+    return "\n".join(lines) + "\n"
+
+
+def test_hitting_scaling_cells_equal_the_per_cell_formula(tmp_path, monkeypatch):
+    # times near 2**27 have squares near 2**54, so a cell's sum of squares
+    # rounds and its value depends on the summation order: only a reduction
+    # over a contiguous replicate axis sums each cell in the pairwise order
+    # of a 1-d sum. Some times are -1 (censored), one is 0 (an immediate hit)
+    rng = np.random.default_rng(24)
+    max_iter = 2 ** 28
+    times = rng.integers(2 ** 26, max_iter, size=(2, 40, 3))
+    times[0, [3, 17, 30], 2] = -1
+    times[1, 5, 0] = 0
+    # a strided reduction adds the replicates one by one, which differs here
+    squares = times.astype(float) ** 2
+    assert any(float(squares[i, :, j].sum()) != functools.reduce(
+        operator.add, squares[i, :, j].tolist()) for i in range(2) for j in range(3))
+    monkeypatch.setattr("es_drift.cli.hitting_times", lambda *args: times.copy())
+    out = tmp_path / "hs.csv"
+    config = ExperimentConfig(output_path=str(out), d_list=(4, 16), replicates=40,
+                              eps_list=(1e-2, 1e-4, 1e-6), max_iter=max_iter)
+    rows = cmd_hitting_scaling(config)
+    assert out.read_text() == _hitting_scaling_text(config, times)
+    assert [row[-1] for row in rows] == [0, 0, 3, 0, 0, 0]
+    assert math.isnan(rows[2][3]) and not math.isnan(rows[3][3])
+
+
+def test_hitting_scaling_partly_censored_run_matches_its_array(tmp_path):
+    # a budget of 300 censors some runs at 1e-4 (not all), and every line of
+    # the file is what the per-cell formula gives from hitting_times itself
+    out = tmp_path / "hs.csv"
+    config = ExperimentConfig(output_path=str(out), d_list=(4, 6),
+                              eps_list=(1e-2, 1e-3, 1e-4), replicates=12, max_iter=300)
+    cmd_hitting_scaling(config)
+    states = [initial_state(d, 1.0, 2.0) for d in config.d_list]
+    times = hitting_times(states, 12, 1.5, config.eps_list, 300,
+                          [derive_stream(config.master_seed, 2, i) for i in range(2)])
+    assert 0 < np.count_nonzero(times < 0) < times[..., 2].size
+    assert out.read_text() == _hitting_scaling_text(config, times)
 
 
 def test_run_reaches_targets_below_norm_squared_underflow(tmp_path):
@@ -533,10 +620,15 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
      "sigma_bar0 * m0_norm / d must be finite"),
     (["bounds", "--d", "8"], "m0_norm = 1e300\nsigma_bar0 = 1e10\n",
      "sigma_bar0 * m0_norm / d must be finite"),
+    (["drift-map", "--mc-samples", "1000"], "d_list = 4, 8, 4\n",
+     "d_list entries must be distinct"),
+    (["hitting-scaling", "--replicates", "5", "--eps-list", "1e-2,1e-3,1e-4"],
+     "d_list = 8, 8\n", "d_list entries must be distinct"),
 ], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
         "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
         "eps_list_repeated_in_config_file", "start_sigma_underflows",
-        "start_sigma_overflows", "start_sigma_overflows_in_config_file"])
+        "start_sigma_overflows", "start_sigma_overflows_in_config_file",
+        "d_list_repeated", "d_list_repeated_in_config_file"])
 def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
                                                     config_text, message):
     # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal
@@ -549,6 +641,26 @@ def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
         args = [*args, "--config", str(cfg)]
     assert main([*args, "--out", str(tmp_path / "out.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config_text", [
+    (["run", "--d", "2", "--m0-norm", "1e308", "--sigma-bar0", "1.7", "--epsilon",
+      "1e300", "--max-iter", "3000", "--seed", "4"], None),
+    (["hitting-scaling", "--replicates", "20", "--eps-list", "1e300,1e299,1e298",
+      "--seed", "1"], "d_list = 2\nm0_norm = 1e308\nsigma_bar0 = 1.7\n"),
+], ids=["run", "hitting-scaling"])
+def test_a_step_size_overflow_is_a_runtime_error_that_writes_no_file(
+        tmp_path, capsys, args, config_text):
+    # sigma = 1.7e308 / 2 overflows at the first success; the run would stall
+    # at sigma = inf, so the command stops with exit 1 and no file
+    if config_text is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_text)
+        args = [*args, "--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    assert "sigma overflowed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_runtime_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from es_drift import ESState, derive_stream, hitting_times, initial_state, run_until
+from es_drift import (ConvergenceError, ESState, derive_stream, hitting_times,
+                      initial_state, run_until)
 from es_drift.kernels import es_hitting_times, potential_value
 from reference import es_step
 
@@ -166,7 +167,8 @@ def test_hitting_times_steps_each_run_exactly():
     # 0.5, 0.5, 0.25: a hit on the budget's last step counts, 0.2 is never
     # reached, and one step may pass two thresholds (0.75 and 0.6 at t = 1,
     # 0.3 and 0.26 at t = 4); entries follow the caller's threshold order,
-    # duplicates too
+    # duplicates too, in an int64 array of shape (groups, replicates,
+    # thresholds) with -1 where the budget ran out
     alpha = 16.0
     runs = [(ESState(d=3, norm=1.0, sigma=0.5),
              FixedSphereDraw(3, [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])),
@@ -174,11 +176,16 @@ def test_hitting_times_steps_each_run_exactly():
              FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
                              [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16]))]
     states, draws = zip(*runs)
-    assert hitting_times(states, 1, alpha, [0.75, 0.3, 0.2], 4, draws) == [
-        [[2, None, None]], [[1, 4, None]]]
-    assert hitting_times(states, 1, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4,
-                         draws) == [[[None, 2, None, None, 2, None]],
-                                    [[4, 1, 1, 4, 1, None]]]
+    times = hitting_times(states, 1, alpha, [0.75, 0.3, 0.2], 4, draws)
+    assert isinstance(times, np.ndarray) and times.dtype == np.int64
+    assert times.tolist() == [[[2, -1, -1]], [[1, 4, -1]]]
+    times = hitting_times(states, 1, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4, draws)
+    assert times.tolist() == [[[-1, 2, -1, -1, 2, -1]], [[4, 1, 1, 4, 1, -1]]]
+
+
+def _time(trace):
+    """run_until's hitting time as hitting_times gives it: -1 for None."""
+    return -1 if trace.hitting_time is None else trace.hitting_time
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -198,11 +205,12 @@ def test_hitting_times_equal_run_until_run_for_run(runs, powers, max_iter):
     epsilons = [10.0 ** -k for k in powers]
     lockstep = hitting_times(states, 1, 1.5, epsilons, max_iter,
                              [derive_stream(seed) for _, seed in runs])
-    single = [[[run_until(state, 1.5, epsilon, max_iter,
-                          derive_stream(seed), record_every=max_iter).hitting_time
+    single = [[[_time(run_until(state, 1.5, epsilon, max_iter,
+                                derive_stream(seed), record_every=max_iter))
                 for epsilon in epsilons]]
               for state, (_, seed) in zip(states, runs)]
-    assert lockstep == single
+    assert lockstep.shape == (len(runs), 1, len(epsilons))
+    assert lockstep.tolist() == single
 
 
 @pytest.mark.parametrize("max_iter", [260, 300, 10 ** 7])
@@ -292,32 +300,60 @@ def test_hitting_times_group_equals_run_until_column_for_column(
     epsilons = [10.0 ** -k for k in powers]
     lockstep = hitting_times(states, replicates, 1.5, epsilons, max_iter,
                              [derive_stream(seed) for _, seed, _ in groups])
-    single = [[[run_until(state, 1.5, epsilon, max_iter,
-                          GroupColumnDraw(derive_stream(seed), replicates, i),
-                          record_every=max_iter).hitting_time for epsilon in epsilons]
+    single = [[[_time(run_until(state, 1.5, epsilon, max_iter,
+                                GroupColumnDraw(derive_stream(seed), replicates, i),
+                                record_every=max_iter)) for epsilon in epsilons]
                for i in range(replicates)]
               for state, (_, seed, _) in zip(states, groups)]
-    assert lockstep == single
+    assert lockstep.shape == (len(groups), replicates, len(epsilons))
+    assert lockstep.tolist() == single
 
 
 def test_hitting_times_of_a_run_do_not_depend_on_the_rest_of_the_call():
     # a group of 6 runs at d = 8; budget 400 censors some at 1e-4
     state = initial_state(8, 1.0, 2.0)
     (base,) = hitting_times([state], 6, 1.5, [1e-2, 1e-4], 400, [derive_stream(31)])
-    assert 0 < sum(times[1] is None for times in base) < 6
+    assert 0 < np.count_nonzero(base[:, 1] < 0) < 6
     # more thresholds, interleaved with the first two
     (more,) = hitting_times([state], 6, 1.5, [1e-3, 1e-2, 1e-6, 1e-4], 400,
                             [derive_stream(31)])
-    assert [[times[1], times[3]] for times in more] == base
+    assert more[:, [1, 3]].tolist() == base.tolist()
     # a larger budget only uncensors runs, each past the smaller budget
     (longer,) = hitting_times([state], 6, 1.5, [1e-2, 1e-4], 10 ** 7,
                               [derive_stream(31)])
-    assert [[t if t <= 400 else None for t in times] for times in longer] == base
+    assert np.all(longer >= 0)
+    assert np.where(longer <= 400, longer, -1).tolist() == base.tolist()
     # other groups join, before and after, at other starts
     other = [initial_state(16, 1.0, 2.0), initial_state(4, 1.0, 0.5)]
     joined = hitting_times([other[0], state, other[1]], 6, 1.5, [1e-2, 1e-4], 400,
                            [derive_stream(32), derive_stream(31), derive_stream(33)])
-    assert joined[1] == base
+    assert joined[1].tolist() == base.tolist()
+
+
+@pytest.mark.parametrize("max_iter, found_at", [(3000, 64), (30, 30)])
+def test_a_step_size_overflow_stops_run_until_and_a_group_of_one(max_iter, found_at):
+    # sigma = 1.7e308 / 2 at d = 2: the first success, at iteration 6 on
+    # this stream, makes sigma infinite, and from there every step would
+    # fail and leave it so. run_until raises at that iteration; the lockstep
+    # raises at the next block boundary, or at the end of a shorter budget.
+    # No RuntimeWarning may come out (Tier-1 makes them errors).
+    state = initial_state(2, 1e308, 1.7)
+    with pytest.raises(ConvergenceError, match="sigma overflowed at iteration 6$"):
+        run_until(state, 1.5, 1e300, max_iter, derive_stream(4, 4, 0))
+    with pytest.raises(ConvergenceError, match=f"sigma overflowed by iteration {found_at}$"):
+        hitting_times([state], 1, 1.5, [1e300], max_iter, [derive_stream(4, 4, 0)])
+
+
+def test_a_huge_start_step_size_fails_without_warnings_as_in_run_until():
+    # q = sigma / ||m|| = 2.5e199 makes q * q overflow to inf, a failure in
+    # both kernels, until sigma has shrunk; Tier-1 makes a RuntimeWarning an
+    # error
+    state = initial_state(4, 1e-100, 1e200)
+    (runs,) = hitting_times([state], 1, 1.5, [1e-101, 1e-103], 10 ** 5, [derive_stream(5)])
+    assert np.all(runs > 0)
+    assert runs.tolist() == [[_time(run_until(state, 1.5, epsilon, 10 ** 5, derive_stream(5),
+                                              record_every=10 ** 5))
+                              for epsilon in (1e-101, 1e-103)]]
 
 
 def test_hitting_times_validates_inputs():

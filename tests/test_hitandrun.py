@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
 import pytest
 
 import es_drift
-from es_drift import LOG_PROGRESS_CAP, expected_log_progress_exact, expected_log_progress_mc
+from es_drift import (LOG_PROGRESS_CAP, Z99, expected_log_progress_exact,
+                      expected_log_progress_mc)
 from reference import HarSample, har_step, optimal_gamma, sample_angle
 
 HALF_LOG_TWO = math.log(2.0) / 2.0
@@ -196,17 +198,33 @@ def test_exact_log_progress_rejects_dimension_one():
         expected_log_progress_exact(1)
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize", "scipy.linalg",
-                                    "scipy.stats"])
-def test_import_leaves_out_scipy_module(module):
-    # a fresh interpreter, since other test modules import these modules
+def _loaded_by_cli_import(modules):
+    """Those of ``modules`` that ``import es_drift.cli`` loads, in a fresh
+    interpreter, since other test modules import them."""
     src = str(Path(es_drift.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, es_drift.cli; print({module!r} in sys.modules)"
+    code = f"import sys, es_drift.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize", "scipy.linalg",
+                                    "scipy.stats"])
+def test_import_leaves_out_scipy_module(module):
+    assert _loaded_by_cli_import([module]) == "[]"
+
+
+def test_import_leaves_out_statistics_and_the_exact_number_modules():
+    # Z99 is a literal, so nothing loads statistics and, with it, fractions
+    # and decimal
+    assert _loaded_by_cli_import(["statistics", "_statistics", "fractions", "decimal",
+                                  "_decimal"]) == "[]"
+
+
+def test_z99_is_the_two_sided_99_percent_normal_quantile_to_the_bit():
+    assert Z99 == NormalDist().inv_cdf(0.995)
 
 
 def test_quadrature_agrees_with_mc(rng_for):

@@ -372,6 +372,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        # found before any work; ExperimentConfig.validate reads no file system
+        out = Path(config.output_path or ".")
+        if config.output_path and (out.is_dir() or not out.parent.is_dir()):
+            raise ConfigurationError(f"--out {out} names no file in an existing directory")
         _COMMANDS[args.command](config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

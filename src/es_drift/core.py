@@ -113,10 +113,12 @@ def hitting_times(states: Sequence[ESState], replicates: int, alpha: float,
     Group g is ``replicates`` runs from states[g], all drawing from
     rngs[g], a Generator no other group is given: at every 64-step block
     the group draws one block of normals, then one of chi-squared values,
-    for all its runs, and each run reads its own column (see
-    ``kernels.es_hitting_times``). Returns an int64 array of shape
-    (groups, replicates, len(epsilons)), in the order of ``epsilons`` (any
-    order, duplicates allowed), with -1 where the budget ran out. For a
+    for all its runs, and each run reads its own column. No step raises
+    ||m||, so first passages are read once per block from the norms at
+    its two ends (see ``kernels.es_hitting_times``), for the thresholds as
+    given. Returns an int64 array of shape (groups, replicates,
+    len(epsilons)), in the order of ``epsilons`` (any order, duplicates
+    allowed), with -1 where the budget ran out. For a
     group of one, entry (g, 0, j) equals ``run_until(states[g], alpha,
     epsilons[j], max_iter, rngs[g]).hitting_time``, -1 for None; a replicate
     of a larger group equals run_until fed its column of the group's
@@ -137,9 +139,6 @@ def hitting_times(states: Sequence[ESState], replicates: int, alpha: float,
         raise ValueError("epsilon must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    eps = np.asarray(epsilons, np.float64)
-    order = np.argsort(-eps, kind="stable")
-    times = kernels.es_hitting_times(
+    return kernels.es_hitting_times(
         [state.norm for state in states], [state.sigma for state in states],
-        [state.d for state in states], replicates, alpha, eps[order], max_iter, rngs)
-    return times[..., np.argsort(order)]
+        [state.d for state in states], replicates, alpha, epsilons, max_iter, rngs)

@@ -47,11 +47,10 @@ _CHUNK = 1 << 20
 # offspring drawn at a time per run by es_run and es_hitting_times, always
 # a full block whatever the budget, so a group of one consumes its
 # generator identically in both and a run's draws do not depend on
-# max_iter. es_hitting_times keeps the blocks of all runs in two
-# (_ES_CHUNK, n) arrays, one column per run, refilled per group at each
-# block boundary, so a step reads one contiguous row: 2 * 8 * _ES_CHUNK
-# bytes per run, 1 MB for 1,000 runs at 64 steps, where 1024 steps would
-# take 16 MB
+# max_iter. es_hitting_times keeps a block's draws and states for all runs
+# in four (_ES_CHUNK [+ 1], n) arrays, one column per run, so a step reads
+# and writes contiguous rows: about 4 * 8 * _ES_CHUNK bytes per run, 2 MB
+# for 1,000 runs at 64 steps, where 1024 steps would take 32 MB
 _ES_CHUNK = 64
 
 # stand-in for an infinite log-progress on a measure-zero collinear hit
@@ -265,77 +264,69 @@ def es_hitting_times(norm0, sigma0, d, replicates, alpha, epsilons, max_iter, rn
     Group g has ``replicates`` runs, all starting at (norm0[g], sigma0[g])
     in dimension d[g] and drawing from rngs[g]; its runs sit in columns
     g * replicates to (g + 1) * replicates - 1. At every _ES_CHUNK-step
-    block boundary a group with a live run draws _ES_CHUNK * replicates
-    normals, then as many chi2, each reshaped to (_ES_CHUNK, replicates),
-    and column j steps its j-th run. A group of one so draws exactly as
-    es_run does. ``epsilons`` is one non-increasing vector of k thresholds
-    shared by every run. Returns a (groups, replicates, k) int64 array:
-    entry (g, i, j) is the first t with ||m|| <= epsilons[j] on run i of
-    group g, or -1 where that run used up max_iter first.
+    block boundary a group with a run not yet done draws _ES_CHUNK *
+    replicates normals, then as many chi2, each reshaped to (_ES_CHUNK,
+    replicates), and column j steps its j-th run. A group of one so draws
+    exactly as es_run does. ``epsilons`` holds k thresholds shared by every
+    run, in any order, repeats allowed. Returns a (groups, replicates, k)
+    int64 array: entry (g, i, j) is the first t with ||m|| <= epsilons[j]
+    on run i of group g, or -1 where that run used up max_iter first.
 
-    Each run keeps its next threshold as its target, and one step may pass
-    several. A run that has passed its last threshold is frozen: sigma = 0
-    makes its ratio exactly 1, so it stays put in the state arrays, and a
-    group whose runs are all frozen stops drawing. A group draws the same
-    blocks whichever of its runs are frozen, so a run's draws and first
-    passages do not depend on other runs, on the other thresholds or on
-    max_iter. The cost of that: frozen runs stay in every step's array
-    operations until the whole call ends.
+    Row j of ``norm`` and ``sigma`` holds every run's state j steps into
+    the block. No step raises ||m||, so a run passes a threshold in the
+    block whose first row is above it and whose last is not, at the first
+    row at or below it. A run whose block starts at or below every
+    threshold is done: sigma = 0 makes its ratio exactly 1, so it stays
+    put, and a group whose runs are all done stops drawing. A group draws
+    the same blocks whichever of its runs are done, so a run's draws and
+    first passages do not depend on other runs, on the other thresholds
+    or on max_iter; done runs stay in every step's array operations.
     Overflow warnings are off: an infinite q or ratio is a failure, and an
-    infinite sigma raises ConvergenceError at the next block boundary or end.
+    infinite sigma raises ConvergenceError at the next block boundary or
+    at the end, unless its run is done by then.
     """
     groups = len(rngs)
     n = groups * replicates
-    norm, sigma = (np.repeat(np.asarray(x, np.float64), replicates)
-                   for x in (norm0, sigma0))
-    live = [replicates] * groups   # unfrozen runs per group
-    active = n
-    # -inf past the last threshold, which no norm reaches
-    thresholds = np.append(np.asarray(epsilons, np.float64), -np.inf)
-    k = thresholds.size - 1
-    times = np.full((n, k), -1, np.int64)
-    nxt = np.zeros(n, np.intp)        # index of each run's next threshold
-    target = np.full(n, thresholds[0])
-    # one column of draws per run in the block, refilled at every boundary
-    z0s = np.empty((_ES_CHUNK, n))
-    chi2s = np.empty((_ES_CHUNK, n))
+    eps = np.asarray(epsilons, np.float64)
+    norm = np.empty((_ES_CHUNK + 1, n))
+    sigma = np.empty((_ES_CHUNK + 1, n))
+    norm[0], sigma[0] = (np.repeat(np.asarray(x, np.float64), replicates)
+                         for x in (norm0, sigma0))
+    times = np.where(norm[0, :, None] <= eps, 0, -1).astype(np.int64)
+    # zeros until a group's first draw: a group done from the start never
+    # draws, and its frozen runs step on these
+    z0s = np.zeros((_ES_CHUNK, n))
+    chi2s = np.zeros((_ES_CHUNK, n))
     q = np.empty(n)
-    hit = np.empty(n, np.bool_)
     success = np.empty(n, np.bool_)
-    sigma_factor = np.empty(n)
     factor = np.array([alpha ** -0.25, alpha])   # failure, success
     t = 0
     while True:
-        np.less_equal(norm, target, out=hit)
-        if np.count_nonzero(hit):
-            for r in np.flatnonzero(hit).tolist():
-                first = j = int(nxt[r])
-                while norm[r] <= thresholds[j]:
-                    j += 1
-                times[r, first:j] = t
-                nxt[r] = j
-                target[r] = thresholds[j]
-                if j == k:
-                    sigma[r] = 0.0
-                    live[r // replicates] -= 1
-                    active -= 1
-        step = t % _ES_CHUNK
-        if (step == 0 or t >= max_iter) and np.isinf(sigma).any():
+        done = norm[0] <= eps.min()
+        sigma[0, done] = 0.0
+        if np.isinf(sigma[0]).any():
             raise ConvergenceError(f"sigma overflowed by iteration {t}")
-        if t >= max_iter or not active:
+        if t >= max_iter or done.all():
             break
-        if step == 0:
-            for g, (rng, group_d) in enumerate(zip(rngs, d)):
-                if live[g]:
-                    columns = slice(g * replicates, (g + 1) * replicates)
-                    z0, chi2 = _draw(group_d, _ES_CHUNK * replicates, rng)
-                    z0s[:, columns] = z0.reshape(_ES_CHUNK, replicates)
-                    chi2s[:, columns] = chi2.reshape(_ES_CHUNK, replicates)
-        np.divide(sigma, norm, out=q)
-        ratio_sq = _ratio_sq(q, z0s[step], chi2s[step])
-        np.less_equal(ratio_sq, 1.0, out=success)
-        np.minimum(ratio_sq, 1.0, out=ratio_sq)
-        norm *= np.sqrt(ratio_sq, out=ratio_sq)
-        sigma *= factor.take(success, out=sigma_factor)
-        t += 1
-    return times.reshape(groups, replicates, k)
+        for g, (rng, group_d) in enumerate(zip(rngs, d)):
+            columns = slice(g * replicates, (g + 1) * replicates)
+            if not done[columns].all():
+                z0, chi2 = _draw(group_d, _ES_CHUNK * replicates, rng)
+                z0s[:, columns] = z0.reshape(_ES_CHUNK, replicates)
+                chi2s[:, columns] = chi2.reshape(_ES_CHUNK, replicates)
+        steps = min(_ES_CHUNK, max_iter - t)
+        # z0s[:steps] ends the zip; each step writes row j + 1 from row j
+        for z0, chi2, norm_0, norm_1, sigma_0, sigma_1 in zip(
+                z0s[:steps], chi2s, norm, norm[1:], sigma, sigma[1:]):
+            np.divide(sigma_0, norm_0, out=q)
+            ratio_sq = _ratio_sq(q, z0, chi2)
+            np.less_equal(ratio_sq, 1.0, out=success)
+            np.minimum(ratio_sq, 1.0, out=ratio_sq)
+            np.multiply(norm_0, np.sqrt(ratio_sq, out=ratio_sq), out=norm_1)
+            factor.take(success, out=sigma_1)
+            sigma_1 *= sigma_0
+        runs, passed = np.nonzero((norm[0, :, None] > eps) & (norm[steps, :, None] <= eps))
+        times[runs, passed] = t + 1 + np.argmax(norm[1:steps + 1, runs] <= eps[passed], axis=0)
+        norm[0], sigma[0] = norm[steps], sigma[steps]
+        t += steps
+    return times.reshape(groups, replicates, eps.size)

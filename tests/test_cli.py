@@ -624,23 +624,45 @@ def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
      "d_list entries must be distinct"),
     (["hitting-scaling", "--replicates", "5", "--eps-list", "1e-2,1e-3,1e-4"],
      "d_list = 8, 8\n", "d_list entries must be distinct"),
+    (["bounds", "--d", "8", "--out", "{tmp}/missing_dir/b.json"], None,
+     "missing_dir/b.json names no file in an existing directory"),
+    (["hitting-scaling", "--d", "8", "--replicates", "20", "--eps-list",
+      "1e-2,1e-4,1e-6", "--out", "{tmp}"], None, "names no file in an existing directory"),
 ], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
         "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
         "eps_list_repeated_in_config_file", "start_sigma_underflows",
         "start_sigma_overflows", "start_sigma_overflows_in_config_file",
-        "d_list_repeated", "d_list_repeated_in_config_file"])
+        "d_list_repeated", "d_list_repeated_in_config_file",
+        "out_in_missing_directory", "out_is_a_directory"])
 def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
                                                     config_text, message):
     # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal
     # float, so the run would stall; a NaN or infinite start or target, or a
     # start step size that overflows, gives a run that never moves, or bounds
-    # that are not finite
+    # that are not finite; an output path that cannot name a new file is
+    # found before any work. No case writes a file.
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    if "--out" not in args:
+        args = [*args, "--out", str(tmp_path / "out.csv")]
     if config_text is not None:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config_text)
         args = [*args, "--config", str(cfg)]
-    assert main([*args, "--out", str(tmp_path / "out.csv")]) == 2
+    assert main(args) == 2
     assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config_text else [])
+
+
+@pytest.mark.parametrize("out", ["missing_dir/hs.csv", "."])
+def test_a_bad_output_path_runs_no_command_work(tmp_path, capsys, monkeypatch, out):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("hitting_times ran before the output path was checked")
+
+    monkeypatch.setattr("es_drift.cli.hitting_times", no_chains)
+    assert main(["hitting-scaling", "--d", "8", "--replicates", "20", "--eps-list",
+                 "1e-2,1e-4,1e-6", "--out", str(tmp_path / out)]) == 2
+    assert "names no file in an existing directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args, config_text", [
@@ -664,10 +686,13 @@ def test_a_step_size_overflow_is_a_runtime_error_that_writes_no_file(
 
 
 def test_main_runtime_error(tmp_path, capsys):
-    # unwritable output directory surfaces as a runtime failure
+    # an output path the file system refuses surfaces as a runtime failure,
+    # here a file name longer than 255 bytes; a missing directory is a
+    # configuration error instead (test_subnormal_epsilon_is_a_configuration_error)
     code = main(["bounds", "--d", "8",
-                 "--out", str(tmp_path / "missing_dir" / "x.json")])
+                 "--out", str(tmp_path / ("x" * 300 + ".json"))])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_flag_overrides(tmp_path):

@@ -213,6 +213,53 @@ def test_hitting_times_equal_run_until_run_for_run(runs, powers, max_iter):
     assert lockstep.tolist() == single
 
 
+def test_thresholds_in_any_order_equal_the_sorted_call_column_for_column():
+    # unsorted and repeated thresholds, in the kernel and through
+    # hitting_times; a budget of 400 censors some runs at 1e-6
+    epsilons = [1e-3, 1e-1, 1e-6, 1e-3, 1e-2, 1e-1]
+    ordered = sorted(set(epsilons), reverse=True)
+    columns = [ordered.index(epsilon) for epsilon in epsilons]
+
+    def kernel(thresholds):
+        return es_hitting_times([1.0, 1.0], [0.5, 0.2], [4, 9], 7, 1.5, thresholds, 400,
+                                [derive_stream(5, 0), derive_stream(5, 1)])
+
+    def through_core(thresholds):
+        return hitting_times([initial_state(6, 1.0, 2.0), initial_state(3, 1.0, 0.5)], 5,
+                             1.5, thresholds, 400, [derive_stream(6, 0), derive_stream(6, 1)])
+
+    for call in (kernel, through_core):
+        unsorted, by_size = call(epsilons), call(ordered)
+        assert np.any(unsorted < 0) and np.any(unsorted > 0)
+        assert unsorted.tolist() == by_size[..., columns].tolist()
+
+
+@pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 100, 128])
+def test_hitting_times_find_passages_at_both_block_edges(max_iter):
+    # on this stream a success lands on each marked t (alpha = 1.05 from a
+    # small step size keeps the success rate near 1/2), so the norm at t is
+    # first reached at t: passages at the start, the last and the first step
+    # of a block and on the budget's last step are found there, and those
+    # past the budget are -1
+    state = initial_state(8, 1.0, 0.01)
+    marks = [0, 1, 63, 64, 65, 100, 128]
+    norms = run_until(state, 1.05, 1e-300, 200, derive_stream(137)).norms
+    assert all(norms[t] < norms[t - 1] for t in marks[1:])
+    (times,) = hitting_times([state], 1, 1.05, norms[marks].tolist(), max_iter,
+                             [derive_stream(137)])
+    assert times.tolist() == [[t if t <= max_iter else -1 for t in marks]]
+
+
+def test_sixty_thresholds_equal_sixty_run_until_calls():
+    state = initial_state(6, 1.0, 2.0)
+    epsilons = np.logspace(-0.5, -12, 60).tolist()
+    (times,) = hitting_times([state], 1, 1.5, epsilons, 1000, [derive_stream(41)])
+    assert np.any(times < 0) and np.any(times > 0)
+    assert times.tolist() == [[_time(run_until(state, 1.5, epsilon, 1000, derive_stream(41),
+                                               record_every=1000))
+                               for epsilon in epsilons]]
+
+
 @pytest.mark.parametrize("max_iter", [260, 300, 10 ** 7])
 def test_hitting_time_does_not_depend_on_the_budget(max_iter):
     # every run draws full blocks, so a smaller budget only cuts the run
@@ -342,6 +389,17 @@ def test_a_step_size_overflow_stops_run_until_and_a_group_of_one(max_iter, found
         run_until(state, 1.5, 1e300, max_iter, derive_stream(4, 4, 0))
     with pytest.raises(ConvergenceError, match=f"sigma overflowed by iteration {found_at}$"):
         hitting_times([state], 1, 1.5, [1e300], max_iter, [derive_stream(4, 4, 0)])
+
+
+def test_a_run_done_mid_block_is_frozen_before_its_step_size_overflows():
+    # on this stream the first success, at t = 1, passes epsilon, and the
+    # third, at t = 6 in the same block, would make sigma infinite; the run
+    # was done by then, so the call returns its time and raises nothing
+    state = initial_state(2, 1e308, 1.7)
+    epsilon = 0.999e308
+    assert run_until(state, 1.5, epsilon, 3000, derive_stream(4, 4, 0)).hitting_time == 1
+    times = hitting_times([state], 1, 1.5, [epsilon], 3000, [derive_stream(4, 4, 0)])
+    assert times.tolist() == [[[1]]]
 
 
 def test_a_huge_start_step_size_fails_without_warnings_as_in_run_until():

@@ -7,13 +7,10 @@ from .estimates import MeanEstimate, Z99
 from .hitandrun import expected_log_progress_exact, expected_log_progress_mc
 from .kernels import LOG_PROGRESS_CAP
 from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
-                        drift_map, hitting_time_bounds,
-                        minimize_psucc_over_band)
+                        drift_map, hitting_time_bounds, lower_bound_thm2,
+                        minimize_psucc_over_band, upper_bound_thm1)
 from .streams import derive_stream
 from .success import psucc0_inverse, psucc_exact, psucc_limit
-from .theorems import (TruncatedSeries, first_hitting_time, lower_bound_thm2,
-                       simulate_jump_process, truncate_series,
-                       upper_bound_thm1)
 
 __version__ = "0.1.0"
 
@@ -24,9 +21,8 @@ __all__ = [
     "MeanEstimate",
     "expected_log_progress_exact", "expected_log_progress_mc",
     "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
-    "hitting_time_bounds", "minimize_psucc_over_band",
+    "hitting_time_bounds", "lower_bound_thm2", "minimize_psucc_over_band",
+    "upper_bound_thm1",
     "derive_stream",
     "psucc0_inverse", "psucc_exact", "psucc_limit",
-    "TruncatedSeries", "first_hitting_time", "lower_bound_thm2",
-    "simulate_jump_process", "truncate_series", "upper_bound_thm1",
 ]

@@ -37,8 +37,8 @@ class ESState:
         # a NaN fails every comparison
         if not 0.0 <= self.norm < math.inf:
             raise ValueError(f"norm must be finite and non-negative, got {self.norm}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 @dataclass
@@ -57,9 +57,6 @@ class RunTrace:
     hitting_time: Optional[int]
     iterations: int
     n_success: int
-
-    def __len__(self) -> int:
-        return len(self.ts)
 
 
 def initial_state(d: int, m0_norm: float, sigma_bar0: float) -> ESState:

@@ -18,6 +18,20 @@ at most -B at every state. By scale invariance that drift depends on the
 normalized step size alone, so ``drift_map`` verifies it empirically at
 ||m|| = 1 across a grid of step sizes, by resampling one-step
 transitions from each fixed state.
+
+Truncation is what makes that drift bound a hitting-time bound. A
+process whose potential can fall arbitrarily far in one step admits no
+hitting-time bound from its drift alone. Cutting single-step moves at
+-A fixes this; the truncated process Y satisfies Y_0 = X_0,
+
+    Y_{t+1} - Y_t = max(X_{t+1} - X_t, -A)  >= -A,     X_t <= Y_t,
+
+so a drift bound of -B on Y yields E[T] <= (x0 - beta + A) / B for the
+first time X reaches (-inf, beta] (``upper_bound_thm1``). For
+non-increasing processes with one-step drift at least -C the matching
+lower bound is (x0 - beta) / (4C) - 1/2 (``lower_bound_thm2``).
+Callers supplying their own processes are responsible for integrability
+of the truncated process; the calculators only check the constants.
 """
 
 import math
@@ -33,7 +47,6 @@ from .core import ESState
 from .errors import ConfigurationError, ConvergenceError
 from .estimates import MIN_MC_SAMPLES, mean_estimate
 from .success import psucc_exact, psucc0_inverse
-from .theorems import lower_bound_thm2, upper_bound_thm1
 
 
 class Regime(str, Enum):
@@ -72,10 +85,6 @@ class DriftConstants:
             raise ValueError("sigma must be positive")
         return float(kernels.potential_value(
             norm_m, sigma, self.d, self.alpha, self.ell, self.u, self.v))
-
-    def neutral_band(self) -> tuple[float, float]:
-        """Normalized step sizes with zero penalty: [alpha*ell, alpha^(-1/4)*u]."""
-        return self.alpha * self.ell, self.alpha ** -0.25 * self.u
 
     def classify(self, sigma_bar: float) -> Regime:
         if sigma_bar < self.ell:
@@ -253,8 +262,8 @@ def drift_map(c: DriftConstants, sigma_bar_grid, n: int,
     grid = [float(s) for s in sigma_bar_grid]
     if not grid:
         raise ValueError("sigma_bar_grid must be non-empty")
-    if not all(s > 0.0 for s in grid):
-        raise ValueError("sigma_bar_grid entries must be positive")
+    if not all(0.0 < s < math.inf for s in grid):
+        raise ValueError("sigma_bar_grid entries must be finite and positive")
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} transitions for a "
                          "stable estimate")
@@ -270,6 +279,33 @@ def drift_map(c: DriftConstants, sigma_bar_grid, n: int,
             drift_mean=mean, ci_halfwidth=shifted.half_width, bound_B=c.B,
             satisfied=bool(mean + shifted.half_width <= -c.B)))
     return rows
+
+
+def upper_bound_thm1(x0: float, beta: float, A: float, B: float) -> float:
+    """(x0 - beta + A) / B, the truncated-drift expected-hitting-time bound.
+
+    Requires a truncated drift of at most -B at truncation depth A and
+    an integrable truncated process. A start at or below beta is a
+    trivial instance with bound 0.
+    """
+    if not A > 0.0:
+        raise ValueError("truncation depth A must be positive")
+    if not B > 0.0:
+        raise ValueError("drift bound B must be positive")
+    if beta >= x0:
+        return 0.0
+    return (x0 - beta + A) / B
+
+
+def lower_bound_thm2(x0: float, beta: float, C: float) -> float:
+    """(x0 - beta) / (4C) - 1/2 for non-increasing processes with drift >= -C.
+
+    The monotonicity and drift conditions are asserted by the caller.
+    Vacuous (possibly negative) when beta >= x0.
+    """
+    if not C > 0.0:
+        raise ValueError("drift magnitude C must be positive")
+    return (x0 - beta) / (4.0 * C) - 0.5
 
 
 def hitting_time_bounds(state0: ESState, c: DriftConstants,

@@ -5,11 +5,17 @@ No driver runs these, so they live with the tests. ``es_step``,
 step where the package's kernels draw only the pair (z0, chi2), so a
 kernel that agrees with them in distribution checks that reduction.
 ``psucc_mc`` estimates a success probability as a hit count, the Monte
-Carlo check of ``psucc_exact``.
+Carlo check of ``psucc_exact``. ``truncate_series``,
+``first_hitting_time`` and ``simulate_jump_process`` illustrate the
+truncation that ``es_drift.potential``'s upper bound rests on: the
+truncated companion of a series and its invariants, and the rare-jump
+process whose drift alone bounds no hitting time. Only the tests and
+the acceptance criteria on truncation run them.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -150,3 +156,62 @@ def psucc_mc(d: int, r: float, sigma_bar: float, n: int, rng) -> MeanEstimate:
         raise ValueError("sample count must be positive")
     hits = success_mc_hits(sigma_bar / d, 1.0 - r, d, n, rng)
     return mean_estimate(hits, hits, n)
+
+
+# ---------------------------------------------------------------------------
+# truncated companion processes and the rare-jump process
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TruncatedSeries:
+    """A realized series together with its truncation at depth A."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    A: float
+
+
+def truncate_series(xs, A: float) -> TruncatedSeries:
+    """Build the truncated companion of a series: cut drops below -A."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("xs must be a non-empty 1-d sequence")
+    if not A > 0.0:
+        raise ValueError("truncation depth A must be positive")
+    increments = np.maximum(np.diff(xs), -A)
+    ys = np.concatenate(([xs[0]], xs[0] + np.cumsum(increments)))
+    return TruncatedSeries(xs=xs, ys=ys, A=float(A))
+
+
+def first_hitting_time(series, beta: float) -> Optional[int]:
+    """Smallest index t with series[t] <= beta, or None."""
+    hits = np.nonzero(np.asarray(series, dtype=float) <= beta)[0]
+    return int(hits[0]) if hits.size else None
+
+
+def simulate_jump_process(p: float, x0: float, beta: float, rng,
+                          max_horizon: int = 10_000_000) -> Optional[int]:
+    """Hitting time of the rare-jump process: stay put, or drop 1/p w.p. p.
+
+    The untruncated drift is exactly -1 per step, yet each jump waits a
+    geometric time with mean 1/p, which is why drift alone cannot bound
+    hitting times on unbounded domains. The k jumps needed to reach beta
+    take k geometric waits, whose sum is k plus one negative-binomial
+    draw of the failures before the k-th success. Returns None when that
+    sum exceeds the horizon (censored).
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"jump probability must lie in (0, 1], got {p}")
+    jump = 1.0 / p
+    x = float(x0)
+    k = 0
+    while x > beta:
+        if k == max_horizon:  # each jump takes at least one step
+            return None
+        x -= jump
+        k += 1
+    if k == 0:
+        return 0
+    t = k + int(rng.negative_binomial(k, p))
+    return t if t <= max_horizon else None

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from es_drift import (drift_map, expected_log_progress_exact,
-                      expected_log_progress_mc, first_hitting_time,
-                      hitting_time_bounds, hitting_times, initial_state,
-                      psucc_exact, psucc_limit, simulate_jump_process,
-                      truncate_series, upper_bound_thm1)
+                      expected_log_progress_mc, hitting_time_bounds,
+                      hitting_times, initial_state, psucc_exact, psucc_limit,
+                      upper_bound_thm1)
 from es_drift.estimates import mean_estimate
 from es_drift.streams import derive_stream
-from reference import psucc_mc
+from reference import (first_hitting_time, psucc_mc, simulate_jump_process,
+                       truncate_series)
 
 SEED = 20180715
 

@@ -73,7 +73,7 @@ def test_run_until_immediate_hit(rng_for):
     trace = run_until(state, 1.5, epsilon=1.0, max_iter=100,
                       rng=rng_for(9))
     assert trace.hitting_time == 0
-    assert len(trace) == 1
+    assert len(trace.ts) == 1
     assert trace.iterations == 0
 
 
@@ -490,8 +490,12 @@ def test_initial_state_rejects_a_dimension_below_two(d):
 
 
 def test_state_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        ESState(d=2, norm=1.0, sigma=0.0)
+    for sigma in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            ESState(d=2, norm=1.0, sigma=sigma)
+    # a step size that overflows to inf is no state
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        initial_state(4, 1e300, 1e10)
     for d in (1, 2.0, 4.5):
         with pytest.raises(ValueError, match="dimension"):
             ESState(d=d, norm=1.0, sigma=0.5)

@@ -202,7 +202,7 @@ def test_minimize_large_d_unimodal_limit_endpoints():
 
 def test_potential_zero_inside_neutral_band(constants_for):
     c = constants_for(10)
-    lo, hi = c.neutral_band()
+    lo, hi = c.alpha * c.ell, c.alpha ** -0.25 * c.u
     assert lo == pytest.approx(1.5 * c.ell)
     assert lo < 2.0 < hi
     state = initial_state(10, 1.0, 2.0)
@@ -219,7 +219,7 @@ def test_potential_equals_log_norm_at_band_edge(constants_for):
 
 def test_potential_penalty_active_exactly_outside_band(constants_for):
     c = constants_for(10)
-    lo, hi = c.neutral_band()
+    lo, hi = c.alpha * c.ell, c.alpha ** -0.25 * c.u
     for sigma_bar in (lo * 1.0001, math.sqrt(lo * hi), hi * 0.9999):
         state = initial_state(10, 2.0, sigma_bar)
         excess = c.potential_of(state.norm, state.sigma) - math.log(2.0)
@@ -454,7 +454,7 @@ def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
 
 
 def test_drift_map_rejects_non_positive_grid_points(constants_for, rng_for):
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             drift_map(constants_for(10), [1.0, bad], 2000, rng_for(14))
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
-from es_drift import (first_hitting_time, lower_bound_thm2,
-                      simulate_jump_process, truncate_series,
-                      upper_bound_thm1)
+from es_drift import lower_bound_thm2, upper_bound_thm1
+from reference import first_hitting_time, simulate_jump_process, truncate_series
 
 
 # ---------------------------------------------------------------------------

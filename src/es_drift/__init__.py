@@ -6,8 +6,8 @@ from .errors import ConfigurationError, ConvergenceError
 from .estimates import MeanEstimate, Z99
 from .hitandrun import expected_log_progress_exact, expected_log_progress_mc
 from .kernels import LOG_PROGRESS_CAP
-from .potential import (DriftConstants, DriftMapRow, Regime, derive_constants,
-                        drift_map, hitting_time_bounds, lower_bound_thm2,
+from .potential import (DriftConstants, Regime, derive_constants, drift_map,
+                        hitting_time_bounds, lower_bound_thm2,
                         minimize_psucc_over_band, upper_bound_thm1)
 from .streams import derive_stream
 from .success import psucc0_inverse, psucc_exact, psucc_limit
@@ -20,7 +20,7 @@ __all__ = [
     "ESState", "RunTrace", "hitting_times", "initial_state", "run_until",
     "MeanEstimate",
     "expected_log_progress_exact", "expected_log_progress_mc",
-    "DriftConstants", "DriftMapRow", "Regime", "derive_constants", "drift_map",
+    "DriftConstants", "Regime", "derive_constants", "drift_map",
     "hitting_time_bounds", "lower_bound_thm2", "minimize_psucc_over_band",
     "upper_bound_thm1",
     "derive_stream",

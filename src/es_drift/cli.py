@@ -7,7 +7,10 @@ regimes, ``hitting-scaling`` compares empirical hitting times with the
 theoretical sandwich, ``bounds`` dumps the derived constant pipeline,
 ``har-check`` validates the line-search progress ceiling, and ``run``
 traces a single strategy run. Outputs are CSV/JSON with a schema_version
-marker; identical configs and seeds give byte-identical files.
+marker; identical configs and seeds give byte-identical files. A CSV
+table is an ordered dict of named columns from the driver to the file,
+and each column holds one kind of value: floats, bools, or ints and
+strings. The writer raises TypeError on a column that mixes kinds.
 ``--workers`` has no effect; it goes once the benchmark stops passing it.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
@@ -49,16 +52,8 @@ DRIFT_GRID_POINTS = 32
 HAR_D_VALUES = (2, 4, 8, 16, 32, 64, 128)
 
 
-def _format(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(int(value)) if isinstance(value, np.integer) else str(value)
-
-
-def _format_column(values: tuple) -> list[str]:
-    """_format of every value, one string method for a column of one kind."""
+def _format_column(values) -> list[str]:
+    """The text of every value of a column of one kind."""
     kinds = set(map(type, values))
     if kinds <= {float, np.float64}:
         # each distinct IEEE bit pattern once, so 0.0, -0.0 and NaN keep their own text
@@ -71,15 +66,22 @@ def _format_column(values: tuple) -> list[str]:
         return ["true" if v else "false" for v in values]
     if kinds <= {int, str}:
         return list(map(str, values))
-    return list(map(_format, values))
+    raise TypeError("a CSV column mixes "
+                    + ", ".join(sorted(kind.__name__ for kind in kinds)))
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[tuple],
-               trailing_comments: Optional[list[str]] = None) -> None:
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
-    lines.extend(map(",".join, zip(*map(_format_column, zip(*rows)))))
-    lines.extend(trailing_comments or [])
+def _write_csv(path: Path, table: dict[str, list],
+               comments: Optional[list[str]] = None) -> None:
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(table)]
+    lines.extend(map(",".join, zip(*map(_format_column, table.values()))))
+    lines.extend(comments or [])
     path.write_text("\n".join(lines) + "\n")
+
+
+def _table(names, *columns) -> dict[str, list]:
+    """Named columns from arrays broadcast together, each flattened in C order."""
+    return {name: column.ravel().tolist()
+            for name, column in zip(names, np.broadcast_arrays(*columns), strict=True)}
 
 
 def _out_path(config: ExperimentConfig, default_name: str) -> Path:
@@ -90,44 +92,45 @@ def _out_path(config: ExperimentConfig, default_name: str) -> Path:
 # success-curve
 # ---------------------------------------------------------------------------
 
-def cmd_success_curve(config: ExperimentConfig) -> list[tuple]:
+def cmd_success_curve(config: ExperimentConfig) -> dict[str, list]:
     """Exact vs limit success probabilities on a step-size grid."""
-    rows = []
-    sigma_bars = CURVE_SIGMA_BARS.tolist()
+    rhos = np.array(CURVE_RHO_VALUES)[:, None, None]
     dims = np.array(CURVE_D_VALUES)[:, None]
-    rates = np.array(CURVE_RHO_VALUES)[:, None, None] / dims
     # one call for the whole (rho, d, sigma_bar) grid
-    exact = psucc_exact(dims, rates, CURVE_SIGMA_BARS).tolist()
-    for rho, exact_by_d in zip(CURVE_RHO_VALUES, exact):
-        limits = [psucc_limit(rho, sigma_bar) for sigma_bar in sigma_bars]
-        for d, values in zip(CURVE_D_VALUES, exact_by_d):
-            for sigma_bar, p_exact, limit in zip(sigma_bars, values, limits):
-                rows.append((rho, d, sigma_bar, p_exact, limit,
-                             abs(p_exact - limit)))
-    _write_csv(_out_path(config, "success_curve.csv"),
-               ["rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"], rows)
-    return rows
+    exact = psucc_exact(dims, rhos / dims, CURVE_SIGMA_BARS)
+    limits = np.array([[psucc_limit(rho, s) for s in CURVE_SIGMA_BARS.tolist()]
+                       for rho in CURVE_RHO_VALUES])[:, None]
+    table = _table(("rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"),
+                   rhos, dims, CURVE_SIGMA_BARS, exact, limits, np.abs(exact - limits))
+    _write_csv(_out_path(config, "success_curve.csv"), table)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # drift-map
 # ---------------------------------------------------------------------------
 
-def cmd_drift_map(config: ExperimentConfig) -> list[tuple]:
+def cmd_drift_map(config: ExperimentConfig) -> dict[str, list]:
     """Truncated-drift verification grid for every configured dimension."""
-    rows = []
     all_constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
-    for d_index, (d, constants) in enumerate(zip(config.d_list, all_constants)):
-        grid = _log_grid(DRIFT_SPAN[0] * constants.ell, DRIFT_SPAN[1] * constants.u,
-                         DRIFT_GRID_POINTS)
-        rng = derive_stream(config.master_seed, 1, d_index)
-        for row in drift_map(constants, grid, config.mc_samples, rng):
-            rows.append((d, row.sigma_bar, row.regime, row.drift_mean,
-                         row.ci_halfwidth, row.bound_B, row.satisfied))
-    _write_csv(_out_path(config, "drift_map.csv"),
-               ["d", "sigma_bar", "regime", "drift_mean", "ci_halfwidth",
-                "bound_B", "satisfied"], rows)
-    return rows
+    grids, regimes, means, halfwidths = [], [], [], []
+    for d_index, c in enumerate(all_constants):
+        grid = _log_grid(DRIFT_SPAN[0] * c.ell, DRIFT_SPAN[1] * c.u, DRIFT_GRID_POINTS)
+        est = drift_map(c, grid, config.mc_samples,
+                        derive_stream(config.master_seed, 1, d_index))
+        grids.append(grid)
+        regimes.append([c.classify(sigma_bar).value for sigma_bar in grid.tolist()])
+        means.append(est.mean)
+        halfwidths.append(est.half_width)
+    # one row of the (d, sigma_bar) grid per d
+    means, halfwidths = np.array(means), np.array(halfwidths)
+    bounds = np.array([c.B for c in all_constants])[:, None]
+    table = _table(("d", "sigma_bar", "regime", "drift_mean", "ci_halfwidth",
+                    "bound_B", "satisfied"),
+                   np.array(config.d_list)[:, None], np.array(grids), np.array(regimes),
+                   means, halfwidths, bounds, means + halfwidths <= -bounds)
+    _write_csv(_out_path(config, "drift_map.csv"), table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r_squared
 
 
-def cmd_hitting_scaling(config: ExperimentConfig) -> list[tuple]:
+def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
     """Replicated hitting times per (d, epsilon) against the sandwich bounds;
     mean_T_lower = mean(min(T, max_iter)) is the one mean a censored cell has."""
     eps_values = config.epsilons
@@ -170,15 +173,15 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[tuple]:
     # a mean of the finished runs alone would be biased low
     est = mean_estimate(np.where(censored > 0, math.nan, total),
                         (capped * capped).sum(axis=2), reps)
-    rows = []
-    for d, c, state0, *cells in zip(config.d_list, constants, states, est.mean.tolist(),
-                                    est.half_width.tolist(), (total / reps).tolist(),
-                                    censored.tolist()):
-        for eps, mean, halfwidth, mean_lower, n_censored in zip(eps_values, *cells):
-            lower, upper = hitting_time_bounds(state0, c, eps)
-            within = bool(lower <= mean - halfwidth and mean + halfwidth <= upper)
-            rows.append((d, eps, reps, mean, halfwidth, mean_lower, lower, upper,
-                         within, n_censored))
+    bounds = np.array([[hitting_time_bounds(state0, c, eps) for eps in eps_values]
+                       for state0, c in zip(states, constants)])
+    lower, upper = bounds[..., 0], bounds[..., 1]
+    within = (lower <= est.mean - est.half_width) & (est.mean + est.half_width <= upper)
+    table = _table(("d", "epsilon", "replicates", "mean_T", "ci_halfwidth",
+                    "mean_T_lower", "lower_bound", "upper_bound", "within_bounds",
+                    "censored_runs"),
+                   np.array(config.d_list)[:, None], np.array(eps_values), reps, est.mean,
+                   est.half_width, total / reps, lower, upper, within, censored)
 
     comments = []
     # a line through fewer than 3 epsilons is exact or singular
@@ -192,11 +195,8 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> list[tuple]:
         per_d = est.mean / np.array(config.d_list)[:, None]
         for eps, band in zip(eps_values, (per_d.max(axis=0) / per_d.min(axis=0)).tolist()):
             comments.append(f"# rate_band epsilon={eps!r}: max_over_min_T_per_d={band!r}")
-    _write_csv(_out_path(config, "hitting_scaling.csv"),
-               ["d", "epsilon", "replicates", "mean_T", "ci_halfwidth",
-                "mean_T_lower", "lower_bound", "upper_bound", "within_bounds",
-                "censored_runs"], rows, comments)
-    return rows
+    _write_csv(_out_path(config, "hitting_scaling.csv"), table, comments)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
 # har-check
 # ---------------------------------------------------------------------------
 
-def cmd_har_check(config: ExperimentConfig) -> list[tuple]:
+def cmd_har_check(config: ExperimentConfig) -> dict[str, list]:
     """Line-search progress ceiling 1/d: Monte Carlo and closed form per d.
 
     Every d of HAR_D_VALUES scores one pool of draws from stream
@@ -245,29 +245,28 @@ def cmd_har_check(config: ExperimentConfig) -> list[tuple]:
     goes in the column named ``quadrature``, the name the file has always
     used.
     """
-    rows = []
-    estimates = expected_log_progress_mc(HAR_D_VALUES, config.mc_samples,
-                                         derive_stream(config.master_seed, 3, 0))
-    for d, mc in zip(HAR_D_VALUES, estimates):
-        exact = expected_log_progress_exact(d)
-        bound = 1.0 / d
-        sigma = mc.std_error
-        gap_sigmas = abs(mc.mean - exact) / sigma if sigma > 0.0 else 0.0
-        passed = bool(mc.mean - mc.half_width <= bound
-                      and exact <= bound and gap_sigmas < 4.0)
-        rows.append((d, mc.mean, mc.half_width, exact, bound,
-                     gap_sigmas, passed))
-    _write_csv(_out_path(config, "har_check.csv"),
-               ["d", "mc_mean", "mc_ci_halfwidth", "quadrature", "bound",
-                "gap_sigmas", "passed"], rows)
-    return rows
+    mc = expected_log_progress_mc(HAR_D_VALUES, config.mc_samples,
+                                  derive_stream(config.master_seed, 3, 0))
+    exact = np.array(list(map(expected_log_progress_exact, HAR_D_VALUES)))
+    bound = 1.0 / np.array(HAR_D_VALUES)
+    sigma = mc.std_error
+    # a zero standard error gives a zero gap
+    gap_sigmas = np.divide(np.abs(mc.mean - exact), sigma, out=np.zeros_like(sigma),
+                           where=sigma > 0.0)
+    passed = (mc.mean - mc.half_width <= bound) & (exact <= bound) & (gap_sigmas < 4.0)
+    table = _table(("d", "mc_mean", "mc_ci_halfwidth", "quadrature", "bound",
+                    "gap_sigmas", "passed"),
+                   np.array(HAR_D_VALUES), mc.mean, mc.half_width, exact, bound,
+                   gap_sigmas, passed)
+    _write_csv(_out_path(config, "har_check.csv"), table)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
-def cmd_run(config: ExperimentConfig) -> dict:
+def cmd_run(config: ExperimentConfig) -> dict[str, list]:
     """One traced run of the strategy at the first configured dimension."""
     d = config.d_list[0]
     c = derive_constants(d, config.alpha, config.p_u, config.p_l)
@@ -277,21 +276,14 @@ def cmd_run(config: ExperimentConfig) -> dict:
                       record_every=config.record_every)
     potentials = kernels.potential_value(trace.norms, trace.sigmas, d, c.alpha,
                                          c.ell, c.u, c.v)
-    rows = list(zip(trace.ts.tolist(), trace.norms.tolist(), trace.sigmas.tolist(),
-                    trace.sigma_bars.tolist(), trace.successes.tolist(),
-                    potentials.tolist()))
-    summary = {
-        "hitting_time": trace.hitting_time,
-        "iterations": trace.iterations,
-        "n_success": trace.n_success,
-    }
-    _write_csv(_out_path(config, "run_trace.csv"),
-               ["t", "norm_m", "sigma", "sigma_bar", "success", "potential"],
-               rows,
+    table = _table(("t", "norm_m", "sigma", "sigma_bar", "success", "potential"),
+                   trace.ts, trace.norms, trace.sigmas, trace.sigma_bars,
+                   trace.successes, potentials)
+    _write_csv(_out_path(config, "run_trace.csv"), table,
                [f"# hitting_time={trace.hitting_time}",
                 f"# iterations={trace.iterations}",
                 f"# n_success={trace.n_success}"])
-    return summary
+    return table
 
 
 # ---------------------------------------------------------------------------

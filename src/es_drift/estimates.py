@@ -13,7 +13,8 @@ MIN_MC_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class MeanEstimate:
-    """Sample mean with a 99% normal-approximation confidence half-width."""
+    """Sample mean with a 99% normal-approximation confidence half-width:
+    floats, or arrays with one estimate per entry."""
 
     mean: float
     half_width: float

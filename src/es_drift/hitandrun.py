@@ -28,8 +28,9 @@ from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
 from .kernels import LOG_PROGRESS_CAP
 
 
-def expected_log_progress_mc(ds, n: int, rng) -> list[MeanEstimate]:
-    """Monte Carlo means of the acute-angle log progress, one per dimension.
+def expected_log_progress_mc(ds, n: int, rng) -> MeanEstimate:
+    """Monte Carlo means of the acute-angle log progress, as one
+    MeanEstimate whose mean and half_width are arrays over ``ds``.
 
     ``ds`` is a strictly increasing sequence of dimensions. All of them
     score one pool of n draws from ``rng``
@@ -46,14 +47,12 @@ def expected_log_progress_mc(ds, n: int, rng) -> list[MeanEstimate]:
         raise ValueError(f"dimensions must be strictly increasing, got {ds}")
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples for a stable estimate")
-    sums = kernels.har_log_progress_pool_sums(ds, n, rng)
-    estimates = []
-    for d, total, total_sq, capped in zip(ds, *(x.tolist() for x in sums)):
-        if capped:
-            warnings.warn(f"{capped} collinear draws capped at {LOG_PROGRESS_CAP}"
+    total, total_sq, capped = kernels.har_log_progress_pool_sums(ds, n, rng)
+    for d, count in zip(ds, capped.tolist()):
+        if count:
+            warnings.warn(f"{count} collinear draws capped at {LOG_PROGRESS_CAP}"
                           f" in dimension {d}", stacklevel=2)
-        estimates.append(mean_estimate(total, total_sq, n))
-    return estimates
+    return mean_estimate(total, total_sq, n)
 
 
 def expected_log_progress_exact(d: int) -> float:

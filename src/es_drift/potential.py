@@ -45,7 +45,7 @@ import numpy as np
 from . import kernels
 from .core import ESState
 from .errors import ConfigurationError, ConvergenceError
-from .estimates import MIN_MC_SAMPLES, mean_estimate
+from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
 from .success import psucc_exact, psucc0_inverse
 
 
@@ -95,18 +95,6 @@ class DriftConstants:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class DriftMapRow:
-    """One verified grid point of the truncated-drift landscape."""
-
-    sigma_bar: float
-    regime: str
-    drift_mean: float
-    ci_halfwidth: float
-    bound_B: float
-    satisfied: bool
 
 
 def _require(condition: bool, inequality: str, detail: str = "") -> None:
@@ -245,18 +233,18 @@ def _constant_sets(ds: list, alpha: float, p_u: float, p_l: float) -> list:
     return sets
 
 
-def drift_map(c: DriftConstants, sigma_bar_grid, n: int,
-              rng) -> list[DriftMapRow]:
-    """Truncated-drift estimate at ||m|| = 1 states across a step-size grid.
+def drift_map(c: DriftConstants, sigma_bar_grid, n: int, rng) -> MeanEstimate:
+    """Truncated-drift estimate at ||m|| = 1 states across a step-size grid,
+    as one MeanEstimate whose mean and half_width are arrays over the grid.
 
     Each of the n transitions resamples the offspring from the same state
     (a conditional expectation, not a trajectory average). Every grid
     point scores the same n draws from rng, drawn for the smallest step
-    size of the grid (common random numbers), so the rows are correlated
-    and each ``ci_halfwidth`` is that row's own (marginal) 99%
-    normal-approximation interval. A row depends only on its own
-    sigma_bar and the grid minimum: reordering the grid reorders the rows,
-    and adding points at or above the minimum leaves the other rows
+    size of the grid (common random numbers), so the estimates are
+    correlated and each half-width is that point's own (marginal) 99%
+    normal-approximation interval. An estimate depends only on its own
+    sigma_bar and the grid minimum: reordering the grid reorders the
+    estimates, and adding points at or above the minimum leaves the others
     unchanged.
     """
     grid = [float(s) for s in sigma_bar_grid]
@@ -267,18 +255,11 @@ def drift_map(c: DriftConstants, sigma_bar_grid, n: int,
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} transitions for a "
                          "stable estimate")
-    sums = kernels.truncated_drift_sums(1.0, np.array(grid) / c.d, c.d, c.alpha,
-                                        c.ell, c.u, c.v, c.A, n, rng)
-    rows = []
-    for sigma_bar, y_fail, total, total_sq in zip(grid, *(x.tolist() for x in sums)):
-        # the sums are of y - y_fail, so a constant increment has no spread
-        shifted = mean_estimate(total, total_sq, n)
-        mean = y_fail + shifted.mean
-        rows.append(DriftMapRow(
-            sigma_bar=sigma_bar, regime=c.classify(sigma_bar).value,
-            drift_mean=mean, ci_halfwidth=shifted.half_width, bound_B=c.B,
-            satisfied=bool(mean + shifted.half_width <= -c.B)))
-    return rows
+    y_fail, total, total_sq = kernels.truncated_drift_sums(
+        1.0, np.array(grid) / c.d, c.d, c.alpha, c.ell, c.u, c.v, c.A, n, rng)
+    # the sums are of y - y_fail, so a constant increment has no spread
+    shifted = mean_estimate(total, total_sq, n)
+    return MeanEstimate(mean=y_fail + shifted.mean, half_width=shifted.half_width, n=n)
 
 
 def upper_bound_thm1(x0: float, beta: float, A: float, B: float) -> float:

@@ -11,14 +11,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from es_drift import (cli, derive_constants, derive_stream, hitting_time_bounds,
-                      hitting_times, initial_state)
-from es_drift.cli import (_format, _linear_fit, _write_csv, build_parser, cmd_bounds,
-                          cmd_drift_map, cmd_har_check, cmd_hitting_scaling,
-                          cmd_run, cmd_success_curve, main)
+from es_drift import (MeanEstimate, cli, derive_constants, derive_stream,
+                      expected_log_progress_exact, hitting_time_bounds, hitting_times,
+                      initial_state)
+from es_drift.cli import (_linear_fit, _write_csv, build_parser, cmd_bounds, cmd_drift_map,
+                          cmd_har_check, cmd_hitting_scaling, cmd_run, cmd_success_curve,
+                          main)
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
 from es_drift.estimates import MIN_MC_SAMPLES, mean_estimate
+
+
+def _format(value) -> str:
+    """The text the CSV writer gives one value: the per-value oracle."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(int(value)) if isinstance(value, np.integer) else str(value)
 
 
 def _read_csv(path):
@@ -147,16 +157,16 @@ def test_config_round_trips_through_key_value_file(tmp_path_factory, config):
 def test_success_curve_rows(tmp_path):
     out = tmp_path / "curve.csv"
     config = ExperimentConfig(output_path=str(out))
-    rows = cmd_success_curve(config)
+    table = cmd_success_curve(config)
     header, raw, _ = _read_csv(out)
     assert header == ["rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"]
     # 64 step sizes from 1/8 to 8 for each of 2 rates and 8 dimensions
-    assert len(raw) == len(rows) == 1024
-    grid = [row[2] for row in rows[:64]]
+    assert len(raw) == len(table["sigma_bar"]) == 1024
+    grid = table["sigma_bar"][:64]
     assert grid[0] == pytest.approx(0.125, rel=1e-15)
     assert grid[-1] == pytest.approx(8.0, rel=1e-15)
-    assert all(row[2] == grid[k % 64] for k, row in enumerate(rows))
-    for rho, d, sigma_bar, p_exact, p_limit, gap in rows:
+    assert all(s == grid[k % 64] for k, s in enumerate(table["sigma_bar"]))
+    for rho, d, sigma_bar, p_exact, p_limit, gap in zip(*table.values()):
         assert sigma_bar > 0.0
         assert 0.0 <= p_exact <= 1.0
         if rho == 0.0:
@@ -169,33 +179,47 @@ def test_success_curve_rows(tmp_path):
 def test_drift_map_rows(tmp_path):
     out = tmp_path / "dm.csv"
     config = ExperimentConfig(output_path=str(out), d_list=(5,), mc_samples=2000)
-    rows = cmd_drift_map(config)
+    table = cmd_drift_map(config)
     header, raw, _ = _read_csv(out)
     assert header == ["d", "sigma_bar", "regime", "drift_mean", "ci_halfwidth",
                       "bound_B", "satisfied"]
     # 32 step sizes from ell / 100 to 100 u
     c = derive_constants(5)
-    assert len(raw) == len(rows) == 32
-    assert rows[0][1] == pytest.approx(c.ell / 100.0, rel=1e-14)
-    assert rows[-1][1] == pytest.approx(100.0 * c.u, rel=1e-14)
-    assert all(row[-1] for row in rows)
-    bounds = {row[5] for row in rows}
-    assert len(bounds) == 1 and bounds.pop() > 0.0
+    assert len(raw) == len(table["sigma_bar"]) == 32
+    assert table["sigma_bar"][0] == pytest.approx(c.ell / 100.0, rel=1e-14)
+    assert table["sigma_bar"][-1] == pytest.approx(100.0 * c.u, rel=1e-14)
+    assert all(table["satisfied"])
+    assert table["regime"] == [c.classify(s).value for s in table["sigma_bar"]]
+    assert (table["regime"][0], table["regime"][-1]) == ("small_sigma", "large_sigma")
+    assert table["bound_B"] == [c.B] * 32
+
+
+def test_drift_map_satisfied_needs_the_whole_interval_below_minus_b(tmp_path, monkeypatch,
+                                                                   rng_for):
+    # at d = 2 and large step sizes, 1000 transitions give 99% intervals
+    # that straddle -B on this stream; such a row is not satisfied
+    monkeypatch.setattr("es_drift.cli._log_grid", lambda *args: np.linspace(40.0, 70.0, 16))
+    monkeypatch.setattr("es_drift.cli.derive_stream", lambda *key: rng_for(1))
+    table = cmd_drift_map(ExperimentConfig(output_path=str(tmp_path / "dm.csv"),
+                                           d_list=(2,), mc_samples=1000))
+    rows = list(zip(table["drift_mean"], table["ci_halfwidth"], table["bound_B"],
+                    table["satisfied"]))
+    assert len(rows) == 16
+    assert any(m - h <= -b < m + h for m, h, b, _ in rows)
+    for mean, halfwidth, bound_b, satisfied in rows:
+        assert satisfied == (mean + halfwidth <= -bound_b)
 
 
 def test_hitting_scaling_report(tmp_path):
     out = tmp_path / "hs.csv"
     config = ExperimentConfig(output_path=str(out), d_list=(4, 8),
                               eps_list=(1e-2, 1e-3, 1e-4), replicates=10)
-    rows = cmd_hitting_scaling(config)
-    header, raw, comments = _read_csv(out)
-    assert len(rows) == len(raw) == 6
-    for row in rows:
-        report = dict(zip(header, row))
-        assert report["censored_runs"] == 0
-        assert report["mean_T_lower"] == report["mean_T"]
-        assert report["within_bounds"]
-    assert [list(map(_format, row)) for row in rows] == raw
+    table = cmd_hitting_scaling(config)
+    _, raw, comments = _read_csv(out)
+    assert len(table["d"]) == len(raw) == 6
+    assert table["censored_runs"] == [0] * 6
+    assert table["mean_T_lower"] == table["mean_T"]
+    assert all(table["within_bounds"])
     fit_lines = [c for c in comments if c.startswith("# fit")]
     assert len(fit_lines) == 2
     assert all("r_squared=" in line for line in fit_lines)
@@ -311,10 +335,10 @@ def test_hitting_scaling_cells_equal_the_per_cell_formula(tmp_path, monkeypatch)
     out = tmp_path / "hs.csv"
     config = ExperimentConfig(output_path=str(out), d_list=(4, 16), replicates=40,
                               eps_list=(1e-2, 1e-4, 1e-6), max_iter=max_iter)
-    rows = cmd_hitting_scaling(config)
+    table = cmd_hitting_scaling(config)
     assert out.read_text() == _hitting_scaling_text(config, times)
-    assert [row[-1] for row in rows] == [0, 0, 3, 0, 0, 0]
-    assert math.isnan(rows[2][3]) and not math.isnan(rows[3][3])
+    assert table["censored_runs"] == [0, 0, 3, 0, 0, 0]
+    assert math.isnan(table["mean_T"][2]) and not math.isnan(table["mean_T"][3])
 
 
 def test_hitting_scaling_partly_censored_run_matches_its_array(tmp_path):
@@ -389,12 +413,40 @@ def test_bounds_json(tmp_path):
 def test_har_check_rows(tmp_path):
     out = tmp_path / "har.csv"
     config = ExperimentConfig(output_path=str(out), mc_samples=50_000)
-    rows = cmd_har_check(config)
+    table = cmd_har_check(config)
     header, raw, _ = _read_csv(out)
     assert header == ["d", "mc_mean", "mc_ci_halfwidth", "quadrature", "bound",
                       "gap_sigmas", "passed"]
-    assert [row[0] for row in rows] == [2, 4, 8, 16, 32, 64, 128]
-    assert all(row[-1] for row in rows)
+    assert table["d"] == [2, 4, 8, 16, 32, 64, 128]
+    assert all(table["passed"])
+
+
+def test_har_check_passes_a_row_only_when_all_three_checks_hold(tmp_path, monkeypatch):
+    # a closed form raised by 0.1 stays below the d = 2 ceiling of 1/2 but
+    # lies many standard errors from the Monte Carlo mean there
+    monkeypatch.setattr("es_drift.cli.expected_log_progress_exact",
+                        lambda d: expected_log_progress_exact(d) + 0.1)
+    table = cmd_har_check(ExperimentConfig(output_path=str(tmp_path / "har.csv"),
+                                           mc_samples=20_000))
+    checks = [(mean - halfwidth <= bound, exact <= bound, gap < 4.0)
+              for mean, halfwidth, exact, bound, gap in zip(
+                  table["mc_mean"], table["mc_ci_halfwidth"], table["quadrature"],
+                  table["bound"], table["gap_sigmas"])]
+    assert checks[0] == (True, True, False)
+    assert table["passed"] == [all(row) for row in checks]
+
+
+def test_har_check_gap_is_zero_where_the_standard_error_is(tmp_path, monkeypatch):
+    # Monte Carlo means off the closed form but without spread: no division
+    # by the zero standard error, and no warning
+    ds = (2, 4, 8, 16, 32, 64, 128)
+    means = np.array([expected_log_progress_exact(d) for d in ds]) + 0.01
+    monkeypatch.setattr("es_drift.cli.expected_log_progress_mc",
+                        lambda *args: MeanEstimate(means, np.zeros(len(ds)), 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = cmd_har_check(ExperimentConfig(output_path=str(tmp_path / "har.csv")))
+    assert table["gap_sigmas"] == [0.0] * len(ds)
 
 
 class CountingStream:
@@ -440,24 +492,23 @@ def test_har_check_draws_z0_once_for_every_dimension(tmp_path, monkeypatch):
 def test_run_trace(tmp_path):
     out = tmp_path / "trace.csv"
     config = ExperimentConfig(output_path=str(out), d_list=(6,), epsilon=1e-3)
-    summary = cmd_run(config)
-    assert summary["hitting_time"] is not None
+    table = cmd_run(config)
     header, raw, comments = _read_csv(out)
-    assert header == ["t", "norm_m", "sigma", "sigma_bar", "success", "potential"]
-    assert any(c.startswith("# hitting_time=") for c in comments)
+    assert header == list(table) == ["t", "norm_m", "sigma", "sigma_bar", "success",
+                                     "potential"]
+    (hitting_time,) = (c for c in comments if c.startswith("# hitting_time="))
+    assert hitting_time != "# hitting_time=None"
     norms = [float(row[1]) for row in raw]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
-# columns of one kind each, then columns mixing kinds
+# columns of one kind each
 _CSV_COLUMNS = [
     [0.1, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 2.0],
     [np.float64(0.1), 1.5, np.float64(math.nan), 3.0, 1e-17, -2.5, 0.0, 7.0],
     [True, False, np.True_, np.False_, True, True, False, True],
     [0, -3, 10 ** 20, 7, 1, 2, 3, 4],
     ["small_sigma", "a", "", "b", "c", "d", "e", "f"],
-    [np.int64(5), 2, 3.5, True, np.float32(0.1), "x", np.bool_(False), -1],
-    [1, 2.0, 3, 4.0, 5, 6.0, 7, 8.0],
     # repeats, each formatted once by its bit pattern
     [0.5, -0.0, 0.0, math.nan, -math.inf, math.inf, np.float64(-0.0), 0.5],
 ]
@@ -466,15 +517,41 @@ _CSV_COLUMNS = [
 def test_write_csv_formats_every_value_as_format_does(tmp_path):
     # the writer formats a column at a time; every file must read as if
     # _format had been called on each value
-    rows = list(zip(*_CSV_COLUMNS))
-    names = [f"c{i}" for i in range(len(_CSV_COLUMNS))]
+    table = {f"c{i}": column for i, column in enumerate(_CSV_COLUMNS)}
     out = tmp_path / "t.csv"
-    _write_csv(out, names, rows, ["# done"])
-    expected = ["# schema_version=1", ",".join(names),
-                *(",".join(_format(v) for v in row) for row in rows), "# done"]
+    _write_csv(out, table, ["# done"])
+    expected = ["# schema_version=1", ",".join(table),
+                *(",".join(map(_format, row)) for row in zip(*_CSV_COLUMNS)), "# done"]
     assert out.read_text() == "\n".join(expected) + "\n"
-    _write_csv(out, names, [])
-    assert out.read_text() == "# schema_version=1\n" + ",".join(names) + "\n"
+    _write_csv(out, dict.fromkeys(table, []))
+    assert out.read_text() == "# schema_version=1\n" + ",".join(table) + "\n"
+    # a column mixing kinds is refused, whatever _format would give it
+    for mixed in ([np.int64(5), 2, 3.5, True, np.float32(0.1), "x", np.bool_(False), -1],
+                  [1, 2.0, 3, 4.0, 5, 6.0, 7, 8.0]):
+        with pytest.raises(TypeError, match="mixes"):
+            _write_csv(out, {"c": mixed})
+
+
+_SMALL_CONFIGS = [
+    pytest.param(cmd_success_curve, {}, id="success-curve"),
+    pytest.param(cmd_drift_map, dict(d_list=(3, 5), mc_samples=1000), id="drift-map"),
+    pytest.param(cmd_hitting_scaling, dict(d_list=(4, 8), replicates=5,
+                                           eps_list=(1e-2, 1e-3, 1e-4)),
+                 id="hitting-scaling"),
+    pytest.param(cmd_har_check, dict(mc_samples=1000), id="har-check"),
+    pytest.param(cmd_run, dict(d_list=(6,), epsilon=1e-3), id="run"),
+]
+
+
+@pytest.mark.parametrize("command, overrides", _SMALL_CONFIGS)
+def test_each_csv_command_returns_the_table_it_wrote(tmp_path, command, overrides):
+    out = tmp_path / "table.csv"
+    table = command(ExperimentConfig(output_path=str(out), **overrides))
+    header, raw, _ = _read_csv(out)
+    assert header == list(table)
+    assert raw
+    assert all(len(column) == len(raw) for column in table.values())
+    assert raw == [list(map(_format, row)) for row in zip(*table.values())]
 
 
 # ---------------------------------------------------------------------------

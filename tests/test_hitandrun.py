@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 import es_drift
-from es_drift import (LOG_PROGRESS_CAP, Z99, expected_log_progress_exact,
+from es_drift import (LOG_PROGRESS_CAP, Z99, MeanEstimate, expected_log_progress_exact,
                       expected_log_progress_mc)
 from reference import HarSample, har_step, optimal_gamma, sample_angle
 
 HALF_LOG_TWO = math.log(2.0) / 2.0
+
+
+def _one_d(d, n, rng):
+    """expected_log_progress_mc of the one dimension d, as a MeanEstimate of floats."""
+    est = expected_log_progress_mc([d], n, rng)
+    return MeanEstimate(est.mean.item(), est.half_width.item(), est.n)
 
 
 class FixedDraw:
@@ -115,7 +121,7 @@ def test_sample_angle_agrees_with_kernel_statistic(rng_for):
     rng = rng_for(4)
     manual = np.array([sample_angle(3, rng).log_progress for _ in range(n)])
     manual_se = float(manual.std(ddof=1)) / math.sqrt(n)
-    (est,) = expected_log_progress_mc([3], n, rng_for(4, 1))
+    est = _one_d(3, n, rng_for(4, 1))
     gap = abs(float(manual.mean()) - est.mean)
     assert gap <= 4.0 * math.hypot(manual_se, est.std_error)
 
@@ -125,14 +131,14 @@ def test_sample_angle_agrees_with_kernel_statistic(rng_for):
 # ---------------------------------------------------------------------------
 
 def test_mc_matches_planar_closed_form(rng_for):
-    (est,) = expected_log_progress_mc([2], 1_000_000, rng_for(5))
+    est = _one_d(2, 1_000_000, rng_for(5))
     assert abs(est.mean - HALF_LOG_TWO) <= 1.5 * est.half_width
     assert est.mean - est.half_width <= 0.5
 
 
 def test_mc_respects_inverse_dimension_bound(rng_for):
     for i, d in enumerate((2, 4, 8, 16, 32, 64)):
-        (est,) = expected_log_progress_mc([d], 100_000, rng_for(6, i))
+        est = _one_d(d, 100_000, rng_for(6, i))
         assert est.mean - est.half_width <= 1.0 / d
 
 
@@ -146,15 +152,29 @@ def test_mc_rejects_bad_inputs(rng_for):
 @pytest.mark.parametrize("ds", [(2, 8, 64), (8, 9, 128)])
 def test_pooled_first_row_equals_the_single_dimension_call(rng_for, ds):
     pooled = expected_log_progress_mc(ds, 30_000, rng_for(10, ds[0]))
-    assert len(pooled) == len(ds)
-    assert pooled[:1] == expected_log_progress_mc([ds[0]], 30_000, rng_for(10, ds[0]))
+    assert pooled.mean.shape == pooled.half_width.shape == (len(ds),)
+    single = expected_log_progress_mc([ds[0]], 30_000, rng_for(10, ds[0]))
+    assert pooled.mean[0] == single.mean.item()
+    assert pooled.half_width[0] == single.half_width.item()
 
 
 def test_pooled_rows_match_closed_form(rng_for):
     # the rows share z0 and nest chi2, but each keeps its own law
     ds = (2, 4, 8, 16, 32, 64, 128)
-    for d, est in zip(ds, expected_log_progress_mc(ds, 200_000, rng_for(11))):
-        assert abs(est.mean - expected_log_progress_exact(d)) <= 4.0 * est.std_error
+    est = expected_log_progress_mc(ds, 200_000, rng_for(11))
+    for d, mean, std_error in zip(ds, est.mean, est.std_error):
+        assert abs(mean - expected_log_progress_exact(d)) <= 4.0 * std_error
+
+
+def test_pooled_mc_warns_once_for_each_dimension_with_capped_draws(monkeypatch):
+    sums = (np.full(3, 10.0), np.full(3, 200.0), np.array([0, 2, 0]))
+    monkeypatch.setattr(es_drift.kernels, "har_log_progress_pool_sums",
+                        lambda ds, n, rng: sums)
+    with pytest.warns(UserWarning) as caught:
+        est = expected_log_progress_mc((2, 8, 64), 1000, None)
+    assert [str(w.message) for w in caught] == [
+        f"2 collinear draws capped at {LOG_PROGRESS_CAP} in dimension 8"]
+    assert est.mean.tolist() == [0.01] * 3
 
 
 @pytest.mark.parametrize("ds", [(4, 4), (8, 4), (2, 16, 8), (1, 4), (), [0]])
@@ -229,7 +249,7 @@ def test_z99_is_the_two_sided_99_percent_normal_quantile_to_the_bit():
 
 def test_quadrature_agrees_with_mc(rng_for):
     for i, d in enumerate((2, 8, 32)):
-        (est,) = expected_log_progress_mc([d], 200_000, rng_for(8, i))
+        est = _one_d(d, 200_000, rng_for(8, i))
         exact = expected_log_progress_exact(d)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 

@@ -333,32 +333,37 @@ def test_potential_value_matches_math_log_oracle(constants_for, d, log_norm,
 # drift estimation
 # ---------------------------------------------------------------------------
 
+def _drift_at(c, sigma_bar, n, rng):
+    """drift_map at the one grid point sigma_bar: its mean and half-width."""
+    est = drift_map(c, [sigma_bar], n, rng)
+    return est.mean.item(), est.half_width.item()
+
+
 def test_drift_reasonable_state_beats_bound(constants_for, rng_for):
     c = constants_for(10)
-    (row,) = drift_map(c, [2.0], 200_000, rng_for(3))
-    assert row.drift_mean + row.ci_halfwidth <= -c.B
+    mean, halfwidth = _drift_at(c, 2.0, 200_000, rng_for(3))
+    assert mean + halfwidth <= -c.B
 
 
 def test_drift_small_regime_closed_form(constants_for, rng_for):
     c = constants_for(10)
     sigma_bar = c.ell / 10.0
-    (row,) = drift_map(c, [sigma_bar], 200_000, rng_for(4))
+    mean, halfwidth = _drift_at(c, sigma_bar, 200_000, rng_for(4))
     case_bound = -c.v * LOG_ALPHA * (5.0 * c.p_l - 1.0) / 4.0
-    assert row.drift_mean <= case_bound + row.ci_halfwidth
+    assert mean <= case_bound + halfwidth
     # deep in the regime the drift approaches the success-split closed form
     deep = c.ell / 1000.0
-    (row_deep,) = drift_map(c, [deep], 200_000, rng_for(5))
+    mean_deep, halfwidth_deep = _drift_at(c, deep, 200_000, rng_for(5))
     p_here = psucc_exact(10, 0.0, deep)
     closed = -c.v * LOG_ALPHA * (5.0 * p_here - 1.0) / 4.0
-    assert row_deep.drift_mean == pytest.approx(closed, rel=0.15,
-                                                abs=3 * row_deep.ci_halfwidth)
+    assert mean_deep == pytest.approx(closed, rel=0.15, abs=3 * halfwidth_deep)
 
 
 def test_drift_large_regime_closed_form(constants_for, rng_for):
     c = constants_for(10)
-    (row,) = drift_map(c, [10.0 * c.u], 200_000, rng_for(6))
+    mean, halfwidth = _drift_at(c, 10.0 * c.u, 200_000, rng_for(6))
     case_bound = -c.v * LOG_ALPHA * (1.0 - 5.0 * c.p_u) / 4.0
-    assert row.drift_mean <= case_bound + row.ci_halfwidth
+    assert mean <= case_bound + halfwidth
 
 
 def _drift_by_quadrature(c, sigma_bar):
@@ -403,10 +408,10 @@ def test_drift_estimate_matches_quadrature_oracle(constants_for, rng_for, d):
                                    1.35 * c.ell, band_mid,  # reasonable
                                    1.5 * c.u, 3.0 * c.u)):  # large
         exact = _drift_by_quadrature(c, sigma_bar)
-        (row,) = drift_map(c, [sigma_bar], 400_000, rng_for(11, d, i))
-        std_error = row.ci_halfwidth / Z99
+        mean, halfwidth = _drift_at(c, sigma_bar, 400_000, rng_for(11, d, i))
+        std_error = halfwidth / Z99
         assert std_error > 0.0
-        assert abs(row.drift_mean - exact) <= 5.0 * std_error
+        assert abs(mean - exact) <= 5.0 * std_error
 
 
 def test_drift_requires_enough_samples(constants_for, rng_for):
@@ -418,26 +423,13 @@ def test_drift_map_rows_and_regime_boundaries(constants_for, rng_for):
     c = constants_for(10)
     mid = math.sqrt(c.ell * c.u)
     grid = [0.5 * c.ell, c.ell, mid, c.u, 2.0 * c.u]
-    rows = drift_map(c, grid, 2000, rng_for(8))
-    assert [row.regime for row in rows] == [
+    est = drift_map(c, grid, 2000, rng_for(8))
+    assert [c.classify(s).value for s in grid] == [
         Regime.SMALL.value, Regime.REASONABLE.value, Regime.REASONABLE.value,
         Regime.REASONABLE.value, Regime.LARGE.value]
-    for row in rows:
-        assert row.bound_B == c.B
-        assert row.satisfied
-        assert row.ci_halfwidth > 0.0
-
-
-def test_drift_map_satisfied_needs_the_whole_interval_below_minus_b(constants_for,
-                                                                   rng_for):
-    # at d = 2 and large step sizes, 1000 transitions give 99% intervals
-    # that straddle -B on this stream; such a row is not satisfied
-    c = constants_for(2)
-    rows = drift_map(c, np.linspace(40.0, 70.0, 16), 1000, rng_for(1))
-    assert any(r.drift_mean - r.ci_halfwidth <= -c.B < r.drift_mean + r.ci_halfwidth
-               for r in rows)
-    for row in rows:
-        assert row.satisfied == (row.drift_mean + row.ci_halfwidth <= -c.B)
+    assert est.mean.shape == est.half_width.shape == (len(grid),)
+    assert (est.mean + est.half_width <= -c.B).all()
+    assert (est.half_width > 0.0).all()
 
 
 def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
@@ -448,9 +440,9 @@ def test_drift_map_all_failure_point_has_zero_halfwidth(constants_for, rng_for):
     sigma = sigma_bar / 10
     y_fail = max(c.potential_of(1.0, sigma * c.alpha ** -0.25)
                  - c.potential_of(1.0, sigma), -c.A)
-    (row,) = drift_map(c, [sigma_bar], 10_000, rng_for(10))
-    assert row.ci_halfwidth == 0.0
-    assert row.drift_mean == y_fail
+    mean, halfwidth = _drift_at(c, sigma_bar, 10_000, rng_for(10))
+    assert halfwidth == 0.0
+    assert mean == y_fail
 
 
 def test_drift_map_rejects_non_positive_grid_points(constants_for, rng_for):
@@ -472,8 +464,8 @@ def test_drift_map_rows_follow_their_grid_points(constants_for, d, fractions,
     c = constants_for(d)
 
     def rows_for(grid):
-        rows = drift_map(c, grid, 2000, derive_stream(424242, 13, d))
-        return [repr(astuple(row)) for row in rows]
+        est = drift_map(c, grid, 2000, derive_stream(424242, 13, d))
+        return [repr(pair) for pair in zip(est.mean.tolist(), est.half_width.tolist())]
 
     lo, hi = math.log(c.ell / 20.0), math.log(20.0 * c.u)
     grid = [math.exp(lo + f * (hi - lo)) for f in fractions]

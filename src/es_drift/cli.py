@@ -11,7 +11,9 @@ marker; identical configs and seeds give byte-identical files. A CSV
 table is an ordered dict of named columns from the driver to the file,
 and each column holds one kind of value: floats, bools, or ints and
 strings. The writer raises TypeError on a column that mixes kinds.
-``--workers`` has no effect; it goes once the benchmark stops passing it.
+A flag's value is parsed by its config key's entry in ``config._PARSERS``,
+as a file value is. ``--workers`` is parsed and ignored, and is no config
+key; it goes once the benchmark stops passing it.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
@@ -187,10 +189,17 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
     # a line through fewer than 3 epsilons is exact or singular
     if len(eps_values) >= 3:
         x = np.log(1.0 / np.array(eps_values))
-        for d, y in zip(config.d_list, est.mean):
+        # the slope's error bar: the standard error of the mean of the
+        # per-chain least-squares slopes, NaN for a censored d or one chain
+        xc = x - x.mean()
+        slopes = times @ (xc / (xc @ xc))
+        slope_se = (slopes.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1
+                    else np.full(len(slopes), math.nan))
+        slope_se = np.where(censored.any(axis=1), math.nan, slope_se).tolist()
+        for d, y, se in zip(config.d_list, est.mean, slope_se):
             slope, intercept, r_squared = _linear_fit(x, y)
             comments.append(f"# fit d={d}: slope={slope!r} intercept={intercept!r}"
-                            f" r_squared={r_squared!r}")
+                            f" r_squared={r_squared!r} slope_se={se!r}")
     if len(config.d_list) >= 2:
         per_d = est.mean / np.array(config.d_list)[:, None]
         for eps, band in zip(eps_values, (per_d.max(axis=0) / per_d.min(axis=0)).tolist()):
@@ -300,76 +309,70 @@ _COMMANDS = {
 }
 
 
+def _setting(parser: argparse.ArgumentParser, flag: str, help: str, key: str = "") -> None:
+    """A flag parsed by _PARSERS[key], key defaulting to the flag's name."""
+    key = key or flag[2:].replace("-", "_")
+    parser.add_argument(flag, dest=key, type=_PARSERS[key], help=help)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The es-drift argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int, dest="master_seed",
-                        help="master seed for all derived streams")
-    common.add_argument("--out", dest="output_path", help="output file path")
+    _setting(common, "--seed", "master seed for all derived streams", "master_seed")
+    _setting(common, "--out", "output file path", "output_path")
     common.add_argument("--d", type=int, help="single dimension (overrides d_list)")
-    common.add_argument("--alpha", type=float, help="step-size multiplier (> 1)")
-    common.add_argument("--epsilon", type=float, help="target distance to the optimum")
-    common.add_argument("--replicates", type=int, help="runs per configuration")
-    common.add_argument("--mc-samples", type=int, dest="mc_samples",
-                        help="Monte Carlo samples per estimate")
+    _setting(common, "--alpha", "step-size multiplier (> 1)")
+    _setting(common, "--epsilon", "target distance to the optimum")
+    _setting(common, "--replicates", "runs per configuration")
+    _setting(common, "--mc-samples", "Monte Carlo samples per estimate")
     common.add_argument("--workers", type=int,
                         help="no effect; goes once perfbench stops passing it")
 
     parser = argparse.ArgumentParser(
-        prog="es-drift",
+        prog="es-drift", exit_on_error=False,
         description="experiments for the elitist evolution strategy with the "
                     "one-fifth success rule on the sphere")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("success-curve", parents=[common],
-                   help="exact success probabilities vs the large-d limit")
-    sub.add_parser("drift-map", parents=[common],
-                   help="truncated-drift verification across step-size regimes")
-    scaling = sub.add_parser("hitting-scaling", parents=[common],
-                             help="hitting times vs theoretical bounds")
-    scaling.add_argument("--eps-list", dest="eps_list",
-                         help="comma-separated epsilon sweep")
-    sub.add_parser("bounds", parents=[common],
-                   help="derived constants and hitting-time bounds as JSON")
-    sub.add_parser("har-check", parents=[common],
-                   help="line-search progress ceiling checks")
-    runp = sub.add_parser("run", parents=[common], help="single traced run")
-    runp.add_argument("--record-every", type=int, dest="record_every",
-                      help="trace thinning stride")
-    runp.add_argument("--max-iter", type=int, dest="max_iter",
-                      help="iteration budget")
-    runp.add_argument("--m0-norm", type=float, dest="m0_norm",
-                      help="starting distance to the optimum")
-    runp.add_argument("--sigma-bar0", type=float, dest="sigma_bar0",
-                      help="starting normalized step size")
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], exit_on_error=False, help=help)
+
+    command("success-curve", "exact success probabilities vs the large-d limit")
+    command("drift-map", "truncated-drift verification across step-size regimes")
+    scaling = command("hitting-scaling", "hitting times vs theoretical bounds")
+    _setting(scaling, "--eps-list", "comma-separated epsilon sweep")
+    command("bounds", "derived constants and hitting-time bounds as JSON")
+    command("har-check", "line-search progress ceiling checks")
+    runp = command("run", "single traced run")
+    _setting(runp, "--record-every", "trace thinning stride")
+    _setting(runp, "--max-iter", "iteration budget")
+    _setting(runp, "--m0-norm", "starting distance to the optimum")
+    _setting(runp, "--sigma-bar0", "starting normalized step size")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    # --workers is parsed only because the benchmark's command lines still
+    # pass it; it has no effect and no config key, so it is dropped here
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "d") and v is not None}
-    if getattr(args, "d", None) is not None:
+                 if k not in ("command", "config", "d", "workers") and v is not None}
+    if args.d is not None:
         overrides["d_list"] = (args.d,)
-    if isinstance(overrides.get("eps_list"), str):
-        try:
-            overrides["eps_list"] = _PARSERS["eps_list"](overrides["eps_list"])
-        except ValueError as exc:
-            raise ConfigurationError(f"bad value for --eps-list: {exc}") from exc
     return build_config(args.config, overrides)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _config_from_args(args)
         # found before any work; ExperimentConfig.validate reads no file system
         out = Path(config.output_path or ".")
         if config.output_path and (out.is_dir() or not out.parent.is_dir()):
             raise ConfigurationError(f"--out {out} names no file in an existing directory")
         _COMMANDS[args.command](config)
-    except ConfigurationError as exc:
+    except (ConfigurationError, argparse.ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

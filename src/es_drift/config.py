@@ -1,14 +1,15 @@
 """Experiment configuration: defaults, key=value files, flag overrides.
 
 A config file holds one ``key = value`` pair per line ('#' starts a
-comment); lists are comma-separated. Command-line flags win over file
-values, which win over the defaults below. The defaults size the full
+comment) and sets each key once; lists are comma-separated. Flags, read
+by the same one parser per key in ``_PARSERS``, win over file values,
+which win over the defaults below. The defaults size the full
 experiment suite to minutes on a laptop.
 """
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +40,6 @@ _PARSERS = {
     "output_path": str,
     "max_iter": int,
     "record_every": int,
-    "workers": int,
 }
 
 
@@ -59,7 +59,6 @@ class ExperimentConfig:
     output_path: Optional[str] = None
     max_iter: int = 10_000_000
     record_every: int = 1
-    workers: int = 1
 
     def validate(self) -> None:
         if not self.d_list or any(d < 2 for d in self.d_list):
@@ -76,7 +75,7 @@ class ExperimentConfig:
             # a NaN fails both comparisons
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be finite and positive")
-        for name in ("max_iter", "record_every", "workers"):
+        for name in ("max_iter", "record_every"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
         eps_list = self.eps_list or ()
@@ -118,6 +117,8 @@ def parse_config_file(path: str | Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _PARSERS:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise ConfigurationError(f"{path}:{lineno}: config key {key!r} is set again")
         try:
             overrides[key] = _PARSERS[key](value)
         except ValueError as exc:
@@ -128,15 +129,7 @@ def parse_config_file(path: str | Path) -> dict:
 def build_config(file_path: Optional[str] = None,
                  flag_overrides: Optional[dict] = None) -> ExperimentConfig:
     """Defaults, overridden by the config file, overridden by flags."""
-    config = ExperimentConfig()
-    if file_path:
-        config = replace(config, **parse_config_file(file_path))
-    if flag_overrides:
-        known = {f.name for f in fields(ExperimentConfig)}
-        cleaned = {k: v for k, v in flag_overrides.items() if v is not None}
-        unknown = set(cleaned) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config overrides: {sorted(unknown)}")
-        config = replace(config, **cleaned)
+    file_values = parse_config_file(file_path) if file_path else {}
+    config = replace(ExperimentConfig(), **(file_values | (flag_overrides or {})))
     config.validate()
     return config

@@ -68,6 +68,6 @@ def expected_log_progress_exact(d: int) -> float:
 
     so the value is at most 1/(2(d-1)) <= 1/d for every d >= 2.
     """
-    if d < 2:
+    if not d >= 2:
         raise ValueError("dimension must be at least 2")
     return float(digamma(d / 2.0) - digamma((d - 1) / 2.0)) / 4.0

@@ -87,6 +87,8 @@ class DriftConstants:
             norm_m, sigma, self.d, self.alpha, self.ell, self.u, self.v))
 
     def classify(self, sigma_bar: float) -> Regime:
+        if not 0.0 < sigma_bar < math.inf:
+            raise ValueError("normalized step size must be finite and positive")
         if sigma_bar < self.ell:
             return Regime.SMALL
         if sigma_bar > self.u:
@@ -299,8 +301,8 @@ def hitting_time_bounds(state0: ESState, c: DriftConstants,
     """
     if state0.d != c.d:
         raise ValueError(f"state dimension {state0.d} != constants dimension {c.d}")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     norm0 = state0.norm
     if epsilon >= norm0:
         warnings.warn("trivial instance: epsilon >= ||m0||, bounds are vacuous",

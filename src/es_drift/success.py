@@ -207,7 +207,7 @@ def psucc_exact(d, r, sigma_bars):
 
 def psucc_limit(rho: float, sigma_bar: float) -> float:
     """Large-dimension limit Phi(-rho/sbar - sbar/2) for r*d -> rho."""
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     if not sigma_bar > 0.0:
         raise ValueError("normalized step size must be positive")

@@ -2,6 +2,8 @@ import functools
 import json
 import math
 import operator
+import re
+import statistics
 import warnings
 from dataclasses import fields
 
@@ -82,6 +84,29 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+def test_config_file_sets_each_key_once(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("alpha = 1.5\nd_list = 8\nalpha = 2.0\n")
+    with pytest.raises(ConfigurationError, match="twice.cfg:3: config key 'alpha' is set again"):
+        parse_config_file(cfg)
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--d", "8", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config key 'alpha' is set again" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_is_no_config_key(tmp_path, capsys):
+    # --workers is parsed and dropped (test_byte_identical_across_worker_counts)
+    assert "workers" not in {f.name for f in fields(ExperimentConfig)}
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers = 1\n")
+    out = tmp_path / "dm.csv"
+    assert main(["drift-map", "--d", "5", "--mc-samples", "2000", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(replicates=0).validate()
@@ -125,7 +150,7 @@ def _configs(draw):
         replicates=draw(_COUNT), master_seed=draw(st.integers(0, 2 ** 64)),
         mc_samples=draw(_MC_COUNT),
         output_path=draw(st.none() | st.text("abc019._-/", min_size=1, max_size=20)),
-        max_iter=draw(_COUNT), record_every=draw(_COUNT), workers=draw(_COUNT))
+        max_iter=draw(_COUNT), record_every=draw(_COUNT))
     # a valid config also has a normal start step size sigma_bar0 * m0_norm / d
     assume(config.sigma_bar0 * config.m0_norm / max(config.d_list)
            >= np.finfo(float).tiny)
@@ -246,7 +271,7 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
                  "1e-2,1e-4,1e-6", "--d", "4", "--replicates", "3", "--out", str(out)])
     assert code == 0
     _, _, comments = _read_csv(out)
-    assert "# fit d=4: slope=nan intercept=nan r_squared=nan" in comments
+    assert "# fit d=4: slope=nan intercept=nan r_squared=nan slope_se=nan" in comments
 
 
 def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
@@ -275,6 +300,29 @@ def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
     assert math.isnan(float(partly["ci_halfwidth"]))
     assert float(partly["mean_T_lower"]) == sum(min(t, 260) for t in uncensored) / 10
     assert partly["within_bounds"] == "false"
+
+
+def _slope_se(x, chains):
+    """statistics.stdev of the chains' np.polyfit slopes, over sqrt(R): the
+    per-chain oracle of a fit line's slope_se."""
+    if len(chains) < 2 or (chains < 0).any():
+        return math.nan
+    slopes = [float(np.polyfit(x, chain, 1)[0]) for chain in chains]
+    return statistics.stdev(slopes) / math.sqrt(len(chains))
+
+
+def _assert_hitting_scaling_file(path, config, times):
+    """The file is _hitting_scaling_text to the byte once each fit line's
+    slope_se suffix is cut, and each slope_se is the per-chain oracle's;
+    returns the slope_se values."""
+    text = path.read_text()
+    assert re.sub(r" slope_se=\S+$", "", text, flags=re.M) == _hitting_scaling_text(
+        config, times)
+    slope_se = [float(se) for se in re.findall(r" slope_se=(\S+)$", text, flags=re.M)]
+    x = np.log(1.0 / np.array(config.epsilons))
+    expected = [_slope_se(x, chains) for chains in times] if len(x) >= 3 else []
+    assert slope_se == pytest.approx(expected, rel=1e-12, nan_ok=True)
+    return slope_se
 
 
 def _hitting_scaling_text(config, times):
@@ -336,7 +384,7 @@ def test_hitting_scaling_cells_equal_the_per_cell_formula(tmp_path, monkeypatch)
     config = ExperimentConfig(output_path=str(out), d_list=(4, 16), replicates=40,
                               eps_list=(1e-2, 1e-4, 1e-6), max_iter=max_iter)
     table = cmd_hitting_scaling(config)
-    assert out.read_text() == _hitting_scaling_text(config, times)
+    _assert_hitting_scaling_file(out, config, times)
     assert table["censored_runs"] == [0, 0, 3, 0, 0, 0]
     assert math.isnan(table["mean_T"][2]) and not math.isnan(table["mean_T"][3])
 
@@ -352,7 +400,28 @@ def test_hitting_scaling_partly_censored_run_matches_its_array(tmp_path):
     times = hitting_times(states, 12, 1.5, config.eps_list, 300,
                           [derive_stream(config.master_seed, 2, i) for i in range(2)])
     assert 0 < np.count_nonzero(times < 0) < times[..., 2].size
-    assert out.read_text() == _hitting_scaling_text(config, times)
+    _assert_hitting_scaling_file(out, config, times)
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 30])
+def test_hitting_scaling_slope_se_is_the_spread_of_the_per_chain_slopes(
+        tmp_path, monkeypatch, replicates):
+    # d = 4 has a censored run, so its slope_se is NaN; one chain has no
+    # spread, so every slope_se is NaN, and neither case warns
+    rng = np.random.default_rng(28)
+    times = rng.integers(10, 1000, size=(3, replicates, 4)).cumsum(axis=2)
+    times[0, -1, 3] = -1
+    monkeypatch.setattr("es_drift.cli.hitting_times", lambda *args: times.copy())
+    out = tmp_path / "hs.csv"
+    config = ExperimentConfig(output_path=str(out), d_list=(4, 8, 16),
+                              replicates=replicates, max_iter=10 ** 6,
+                              eps_list=(1e-2, 1e-3, 1e-5, 1e-8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cmd_hitting_scaling(config)
+    slope_se = _assert_hitting_scaling_file(out, config, times)
+    assert len(slope_se) == 3 and math.isnan(slope_se[0])
+    assert all(math.isnan(se) for se in slope_se) == (replicates == 1)
 
 
 def test_run_reaches_targets_below_norm_squared_underflow(tmp_path):
@@ -770,6 +839,19 @@ def test_main_runtime_error(tmp_path, capsys):
                  "--out", str(tmp_path / ("x" * 300 + ".json"))])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", [
+    "--seed", "--d", "--alpha", "--epsilon", "--replicates", "--mc-samples", "--workers",
+    "--eps-list", "--record-every", "--max-iter", "--m0-norm", "--sigma-bar0"])
+def test_a_malformed_flag_value_is_a_configuration_error(tmp_path, capsys, flag):
+    # as a malformed config-file value is: exit 2, not argparse's SystemExit
+    command = {"--eps-list": "hitting-scaling"}.get(flag, "run")
+    out = tmp_path / "out.csv"
+    assert main([command, flag, "abc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"argument {flag}:" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_flag_overrides(tmp_path):

@@ -142,6 +142,12 @@ def test_mc_respects_inverse_dimension_bound(rng_for):
         assert est.mean - est.half_width <= 1.0 / d
 
 
+def test_exact_log_progress_rejects_a_dimension_below_two_or_nan():
+    for bad in (1, 0, -4, math.nan):
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            expected_log_progress_exact(bad)
+
+
 def test_mc_rejects_bad_inputs(rng_for):
     with pytest.raises(ValueError):
         expected_log_progress_mc([1], 10_000, rng_for(7))

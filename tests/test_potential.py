@@ -451,6 +451,15 @@ def test_drift_map_rejects_non_positive_grid_points(constants_for, rng_for):
             drift_map(constants_for(10), [1.0, bad], 2000, rng_for(14))
 
 
+def test_classify_rejects_a_step_size_that_is_not_finite_and_positive(constants_for):
+    # a NaN fails every comparison, so it would fall through to REASONABLE
+    c = constants_for(10)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            c.classify(bad)
+    assert c.classify(1e-300) is Regime.SMALL and c.classify(1e300) is Regime.LARGE
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(d=st.sampled_from([3, 10]),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
@@ -499,6 +508,15 @@ def test_hitting_time_bounds_ordering(constants_for):
 def test_hitting_time_bounds_rejects_a_state_of_another_dimension(constants_for):
     with pytest.raises(ValueError, match="state dimension 8 != constants dimension 10"):
         hitting_time_bounds(initial_state(8, 1.0, 2.0), constants_for(10), 1e-8)
+
+
+def test_hitting_time_bounds_rejects_an_epsilon_that_is_not_finite_and_positive(
+        constants_for):
+    # an infinite epsilon would give the bounds (-inf, 0.0)
+    state0 = initial_state(10, 1.0, 2.0)
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            hitting_time_bounds(state0, constants_for(10), bad)
 
 
 def test_hitting_time_bounds_trivial_instance_warns(constants_for):

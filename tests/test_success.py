@@ -278,6 +278,12 @@ def test_psucc_limit_pole():
         psucc_limit(0.0, 0.0)
 
 
+def test_psucc_limit_rejects_a_negative_or_nan_rate():
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="rho must be non-negative"):
+            psucc_limit(bad, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------

@@ -15,16 +15,20 @@ A flag's value is parsed by its config key's entry in ``config._PARSERS``,
 as a file value is. ``--workers`` is parsed and ignored, and is no config
 key; it goes once the benchmark stops passing it.
 
-Exit codes: 0 success, 2 configuration error, 1 runtime error.
+Exit codes: 0 success, 2 configuration error, 1 runtime error. Every
+argparse error (a malformed flag value, an unknown flag or subcommand, a
+missing subcommand, a stray argument) is a configuration error, as are an
+unreadable config file and an empty list; ``--help`` exits 0.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -86,10 +90,6 @@ def _table(names, *columns) -> dict[str, list]:
             for name, column in zip(names, np.broadcast_arrays(*columns), strict=True)}
 
 
-def _out_path(config: ExperimentConfig, default_name: str) -> Path:
-    return Path(config.output_path) if config.output_path else Path(default_name)
-
-
 # ---------------------------------------------------------------------------
 # success-curve
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def cmd_success_curve(config: ExperimentConfig) -> dict[str, list]:
                        for rho in CURVE_RHO_VALUES])[:, None]
     table = _table(("rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"),
                    rhos, dims, CURVE_SIGMA_BARS, exact, limits, np.abs(exact - limits))
-    _write_csv(_out_path(config, "success_curve.csv"), table)
+    _write_csv(Path(config.output_path or "success_curve.csv"), table)
     return table
 
 
@@ -131,7 +131,7 @@ def cmd_drift_map(config: ExperimentConfig) -> dict[str, list]:
                     "bound_B", "satisfied"),
                    np.array(config.d_list)[:, None], np.array(grids), np.array(regimes),
                    means, halfwidths, bounds, means + halfwidths <= -bounds)
-    _write_csv(_out_path(config, "drift_map.csv"), table)
+    _write_csv(Path(config.output_path or "drift_map.csv"), table)
     return table
 
 
@@ -204,7 +204,7 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
         per_d = est.mean / np.array(config.d_list)[:, None]
         for eps, band in zip(eps_values, (per_d.max(axis=0) / per_d.min(axis=0)).tolist()):
             comments.append(f"# rate_band epsilon={eps!r}: max_over_min_T_per_d={band!r}")
-    _write_csv(_out_path(config, "hitting_scaling.csv"), table, comments)
+    _write_csv(Path(config.output_path or "hitting_scaling.csv"), table, comments)
     return table
 
 
@@ -221,22 +221,15 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
         lower, upper = hitting_time_bounds(state0, constants, config.epsilon)
         entries.append({
             "d": d,
-            "constants": constants.as_dict(),
+            "constants": dataclasses.asdict(constants),
             "potential_at_start": constants.potential_of(state0.norm, state0.sigma),
             "lower_bound": lower,
             "upper_bound": upper,
         })
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "alpha": config.alpha,
-        "p_u": config.p_u,
-        "p_l": config.p_l,
-        "epsilon": config.epsilon,
-        "m0_norm": config.m0_norm,
-        "sigma_bar0": config.sigma_bar0,
-        "instances": entries,
-    }
-    path = _out_path(config, "bounds.json")
+    payload = {key: getattr(config, key)
+               for key in ("alpha", "p_u", "p_l", "epsilon", "m0_norm", "sigma_bar0")}
+    payload |= {"schema_version": SCHEMA_VERSION, "instances": entries}
+    path = Path(config.output_path or "bounds.json")
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -267,7 +260,7 @@ def cmd_har_check(config: ExperimentConfig) -> dict[str, list]:
                     "gap_sigmas", "passed"),
                    np.array(HAR_D_VALUES), mc.mean, mc.half_width, exact, bound,
                    gap_sigmas, passed)
-    _write_csv(_out_path(config, "har_check.csv"), table)
+    _write_csv(Path(config.output_path or "har_check.csv"), table)
     return table
 
 
@@ -288,7 +281,7 @@ def cmd_run(config: ExperimentConfig) -> dict[str, list]:
     table = _table(("t", "norm_m", "sigma", "sigma_bar", "success", "potential"),
                    trace.ts, trace.norms, trace.sigmas, trace.sigma_bars,
                    trace.successes, potentials)
-    _write_csv(_out_path(config, "run_trace.csv"), table,
+    _write_csv(Path(config.output_path or "run_trace.csv"), table,
                [f"# hitting_time={trace.hitting_time}",
                 f"# iterations={trace.iterations}",
                 f"# n_success={trace.n_success}"])
@@ -315,10 +308,18 @@ def _setting(parser: argparse.ArgumentParser, flag: str, help: str, key: str = "
     parser.add_argument(flag, dest=key, type=_PARSERS[key], help=help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error is a ConfigurationError, not a
+    usage block and SystemExit(2)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigurationError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The es-drift argument parser, built once per process."""
-    common = argparse.ArgumentParser(add_help=False)
+    """The es-drift argument parser, built once per process; subparsers share its class."""
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     _setting(common, "--seed", "master seed for all derived streams", "master_seed")
     _setting(common, "--out", "output file path", "output_path")
@@ -330,14 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int,
                         help="no effect; goes once perfbench stops passing it")
 
-    parser = argparse.ArgumentParser(
-        prog="es-drift", exit_on_error=False,
-        description="experiments for the elitist evolution strategy with the "
-                    "one-fifth success rule on the sphere")
+    parser = _Parser(prog="es-drift",
+                     description="experiments for the elitist evolution strategy with "
+                                 "the one-fifth success rule on the sphere")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], exit_on_error=False, help=help)
+        return sub.add_parser(name, parents=[common], help=help)
 
     command("success-curve", "exact success probabilities vs the large-d limit")
     command("drift-map", "truncated-drift verification across step-size regimes")
@@ -372,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if config.output_path and (out.is_dir() or not out.parent.is_dir()):
             raise ConfigurationError(f"--out {out} names no file in an existing directory")
         _COMMANDS[args.command](config)
-    except (ConfigurationError, argparse.ArgumentError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

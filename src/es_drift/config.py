@@ -78,6 +78,8 @@ class ExperimentConfig:
         for name in ("max_iter", "record_every"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.eps_list == ():
+            raise ConfigurationError("eps_list must be non-empty")
         eps_list = self.eps_list or ()
         if not all(0.0 < e < math.inf for e in eps_list):
             raise ConfigurationError("eps_list entries must be finite and positive")
@@ -106,8 +108,11 @@ class ExperimentConfig:
 
 def parse_config_file(path: str | Path) -> dict:
     """Read key=value lines into a typed override dict."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     overrides = {}
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

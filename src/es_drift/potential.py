@@ -37,7 +37,7 @@ of the truncated process; the calculators only check the constants.
 import math
 import operator
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -95,9 +95,6 @@ class DriftConstants:
             return Regime.LARGE
         return Regime.REASONABLE
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _require(condition: bool, inequality: str, detail: str = "") -> None:
     if not condition:
@@ -130,8 +127,7 @@ def minimize_psucc_over_band(d, r, ell, u):
     ds, rs, ells, us = np.broadcast_arrays(d, r, ell, u)
     if not np.all((0.0 < ells) & (ells < us)):
         raise ValueError(f"need 0 < ell < u, got ell={ell}, u={u}")
-    ends = np.empty(ells.shape + (2,))
-    ends[..., 0], ends[..., 1] = ells, us
+    ends = np.stack((ells, us), axis=-1)
     minima = np.asarray(psucc_exact(ds[..., None], rs[..., None], ends)).min(axis=-1)
     return minima if minima.ndim else float(minima)
 

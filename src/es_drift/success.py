@@ -99,15 +99,13 @@ def _full(x: np.ndarray, shape: tuple) -> np.ndarray:
     return x.ravel()
 
 
+# the 24-node Gauss-Hermite rule for the weight e^(-t^2); scipy's
+# roots_hermite would import scipy.linalg, which es_drift does not
+# otherwise load
+_HERMITE_RULE = hermgauss(24)
+
+
 @functools.cache
-def _hermite_rule() -> tuple:
-    """The 24-node Gauss-Hermite rule for the weight e^(-t^2), built on
-    first use: it takes about 0.6 ms, and scipy's roots_hermite would
-    import scipy.linalg, which es_drift does not otherwise load."""
-    return hermgauss(24)
-
-
-@functools.lru_cache(maxsize=None)
 def _chi_rule(d: int) -> tuple:
     """Nodes chi^2 and weights of the Gauss-Hermite rule for E_chi over
     the chi law with d - 1 degrees of freedom.
@@ -122,7 +120,7 @@ def _chi_rule(d: int) -> tuple:
     every d has all 24 nodes.
     """
     mu = math.sqrt(d - 2.0)
-    t, w = _hermite_rule()
+    t, w = _HERMITE_RULE
     keep = t > -mu
     # log1p is -inf or NaN at t/mu <= -1, and 0 * NaN is NaN
     log_ratio = np.log1p(np.where(keep, t / mu, 0.0))
@@ -235,15 +233,12 @@ def psucc0_inverse(d, p):
         raise ValueError(f"p must lie in (0, 1/2), the image of the rate-0 curve; got {p}")
     shape = np.broadcast(ds, targets).shape
     ds, targets = _full(ds, shape), _full(targets, shape)
-    n = targets.size
 
     # bracket: f(lo) > 0 > f(hi) for every root
     lo = -2.0 * ndtri(targets)
     hi = 2.0 * lo
-    both_ds, both_targets = np.concatenate([ds, ds]), np.concatenate([targets, targets])
     while True:
-        f = psucc_exact(both_ds, 0.0, np.concatenate([lo, hi])) - both_targets
-        f_lo, f_hi = f[:n], f[n:]
+        f_lo, f_hi = psucc_exact(ds, 0.0, np.stack((lo, hi))) - targets
         grow, shrink = f_hi >= 0.0, f_lo <= 0.0
         if not (grow | shrink).any():
             break
@@ -259,31 +254,25 @@ def psucc0_inverse(d, p):
     a = np.array([math.log(s) for s in lo.tolist()])
     b = np.array([math.log(s) for s in hi.tolist()])
     f_a, f_b = f_lo, f_hi
-    # the state arrays hold the open roots only; ks are their positions
-    ks, dims, wanted = np.arange(n), ds, targets
-    final_b, final_f = np.empty(n), np.empty(n)
     for _ in range(_MAX_ROOT_STEPS):
-        step = f_b * (b - a) / (f_b - f_a)
-        x = b - np.copysign(np.maximum(np.abs(step), 0.5 * ROOT_LOG_TOL), b - a)
+        # a step moves the open roots only, by their positions k
+        k = np.flatnonzero((f_b != 0.0) & (np.abs(b - a) >= ROOT_LOG_TOL))
+        if not k.size:
+            break
+        ak, bk, fa, fb = a[k], b[k], f_a[k], f_b[k]
+        step = fb * (bk - ak) / (fb - fa)
+        x = bk - np.copysign(np.maximum(np.abs(step), 0.5 * ROOT_LOG_TOL), bk - ak)
         # rounding may put the secant on an end
-        x = np.where((np.minimum(a, b) < x) & (x < np.maximum(a, b)), x, 0.5 * (a + b))
-        v = psucc_exact(dims, 0.0, np.array([math.exp(t) for t in x.tolist()])) - wanted
-        kept = (v > 0.0) == (f_b > 0.0)
-        f_a = np.where(kept, 0.5 * f_a, f_b)
-        a = np.where(kept, a, b)
-        b, f_b = x, v
-        still = (v != 0.0) & (np.abs(b - a) >= ROOT_LOG_TOL)
-        if not still.all():
-            done = ~still
-            final_b[ks[done]], final_f[ks[done]] = b[done], f_b[done]
-            ks, dims, wanted, a, b, f_a, f_b = (
-                z[still] for z in (ks, dims, wanted, a, b, f_a, f_b))
-            if not ks.size:
-                break
-    final_b[ks], final_f[ks] = b, f_b
+        x = np.where((np.minimum(ak, bk) < x) & (x < np.maximum(ak, bk)), x,
+                     0.5 * (ak + bk))
+        v = psucc_exact(ds[k], 0.0, np.array([math.exp(t) for t in x.tolist()])) - targets[k]
+        kept = (v > 0.0) == (fb > 0.0)
+        f_a[k] = np.where(kept, 0.5 * fa, fb)
+        a[k] = np.where(kept, ak, bk)
+        b[k], f_b[k] = x, v
 
-    roots = [math.exp(x) for x in final_b.tolist()]
-    misses = np.abs(final_f)
+    roots = [math.exp(x) for x in b.tolist()]
+    misses = np.abs(f_b)
     if not np.all(misses <= MAX_ROOT_MISS):
         k = int((~(misses <= MAX_ROOT_MISS)).argmax())
         raise ConvergenceError(f"root sigma_bar={roots[k]!r} at d={ds[k]} misses "

@@ -854,6 +854,57 @@ def test_a_malformed_flag_value_is_a_configuration_error(tmp_path, capsys, flag)
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    (["bounds", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+    (["bounds", "--d", "8", "extra"], "unrecognized arguments: extra"),
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    (["bounds", "--d"], "argument --d: expected one argument"),
+], ids=["unknown_flag", "no_subcommand", "stray_argument", "unknown_subcommand",
+        "flag_without_value"])
+def test_a_malformed_command_line_is_a_configuration_error(tmp_path, capsys, monkeypatch,
+                                                          args, message):
+    # one configuration error line and exit 2, not a usage block and SystemExit(2)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_still_exits_0(capsys):
+    for args in (["-h"], ["bounds", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 0
+        assert "usage: es-drift" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["bounds", "--d", "8"], None, "cannot read config file {tmp}/exp.cfg: [Errno 2]"),
+    (["bounds", "--d", "8"], "dir", "cannot read config file {tmp}/exp.cfg: [Errno 21]"),
+    (["bounds", "--d", "8"], b"alpha = 1.5\n# \xff\n",
+     "cannot read config file {tmp}/exp.cfg: 'utf-8' codec can't decode"),
+    (["hitting-scaling", "--d", "8", "--replicates", "2", "--eps-list", ""], b"",
+     "eps_list must be non-empty"),
+    (["hitting-scaling", "--d", "8", "--replicates", "2"], b"eps_list = ,\n",
+     "eps_list must be non-empty"),
+], ids=["missing_file", "directory", "not_utf8", "empty_eps_list_flag",
+        "empty_eps_list_in_config_file"])
+def test_an_unreadable_config_file_or_an_empty_list_is_a_configuration_error(
+        tmp_path, capsys, args, config, message):
+    cfg = tmp_path / "exp.cfg"
+    if config == "dir":
+        cfg.mkdir()
+    elif config is not None:
+        cfg.write_bytes(config)
+    out = tmp_path / "out.csv"
+    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: " + message.format(tmp=tmp_path))
+    assert not out.exists()
+
+
 def test_main_flag_overrides(tmp_path):
     out = tmp_path / "b.json"
     code = main(["bounds", "--d", "4", "--epsilon", "1e-4", "--seed", "9",

@@ -18,7 +18,8 @@ key; it goes once the benchmark stops passing it.
 Exit codes: 0 success, 2 configuration error, 1 runtime error. Every
 argparse error (a malformed flag value, an unknown flag or subcommand, a
 missing subcommand, a stray argument) is a configuration error, as are an
-unreadable config file and an empty list; ``--help`` exits 0.
+unreadable config file, an empty list and an empty output path;
+``--help`` exits 0.
 """
 
 import argparse
@@ -202,7 +203,11 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
                             f" r_squared={r_squared!r} slope_se={se!r}")
     if len(config.d_list) >= 2:
         per_d = est.mean / np.array(config.d_list)[:, None]
-        for eps, band in zip(eps_values, (per_d.max(axis=0) / per_d.min(axis=0)).tolist()):
+        lo = per_d.min(axis=0)
+        # an epsilon at or above m0_norm is hit at t = 0 at every d, so 0 / 0: NaN
+        bands = np.divide(per_d.max(axis=0), lo, out=np.full_like(lo, math.nan),
+                          where=lo > 0.0)
+        for eps, band in zip(eps_values, bands.tolist()):
             comments.append(f"# rate_band epsilon={eps!r}: max_over_min_T_per_d={band!r}")
     _write_csv(Path(config.output_path or "hitting_scaling.csv"), table, comments)
     return table

@@ -78,6 +78,9 @@ class ExperimentConfig:
         for name in ("max_iter", "record_every"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
+        # an empty path would fall back to the command's default file name
+        if self.output_path == "":
+            raise ConfigurationError("output_path must be non-empty")
         if self.eps_list == ():
             raise ConfigurationError("eps_list must be non-empty")
         eps_list = self.eps_list or ()

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import re
+import shlex
 import statistics
 import warnings
 from dataclasses import fields
@@ -84,27 +85,16 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-def test_config_file_sets_each_key_once(tmp_path, capsys):
+def test_config_file_sets_each_key_once(tmp_path):
     cfg = tmp_path / "twice.cfg"
     cfg.write_text("alpha = 1.5\nd_list = 8\nalpha = 2.0\n")
     with pytest.raises(ConfigurationError, match="twice.cfg:3: config key 'alpha' is set again"):
         parse_config_file(cfg)
-    out = tmp_path / "b.json"
-    assert main(["bounds", "--d", "8", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "config key 'alpha' is set again" in capsys.readouterr().err
-    assert not out.exists()
 
 
-def test_workers_is_no_config_key(tmp_path, capsys):
+def test_workers_is_no_config_key():
     # --workers is parsed and dropped (test_byte_identical_across_worker_counts)
     assert "workers" not in {f.name for f in fields(ExperimentConfig)}
-    cfg = tmp_path / "workers.cfg"
-    cfg.write_text("workers = 1\n")
-    out = tmp_path / "dm.csv"
-    assert main(["drift-map", "--d", "5", "--mc-samples", "2000", "--config", str(cfg),
-                 "--out", str(out)]) == 2
-    assert "unknown config key 'workers'" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_config_validation():
@@ -116,6 +106,9 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="d_list entries must be distinct"):
         ExperimentConfig(d_list=(4, 8, 4)).validate()
     ExperimentConfig().validate()
+    with pytest.raises(ConfigurationError, match="mc_samples must be at least"):
+        ExperimentConfig(mc_samples=MIN_MC_SAMPLES - 1).validate()
+    ExperimentConfig(mc_samples=MIN_MC_SAMPLES).validate()
     # epsilon and eps_list entries must be normal floats
     tiny = np.finfo(float).tiny
     for bad in (dict(epsilon=tiny / 2), dict(eps_list=(1e-3, tiny / 2))):
@@ -272,6 +265,18 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
     assert code == 0
     _, _, comments = _read_csv(out)
     assert "# fit d=4: slope=nan intercept=nan r_squared=nan slope_se=nan" in comments
+
+
+def test_hitting_scaling_rate_band_is_nan_at_an_epsilon_hit_at_the_start(tmp_path):
+    # an epsilon at or above m0_norm is hit at t = 0 at every d, and 0 / 0
+    # gives NaN without a RuntimeWarning
+    out = tmp_path / "hs.csv"
+    with pytest.warns(UserWarning, match="trivial instance"):
+        code = main(["hitting-scaling", "--eps-list", "2,1e-2,1e-4", "--replicates", "5",
+                     "--out", str(out)])
+    assert code == 0
+    _, _, comments = _read_csv(out)
+    assert "# rate_band epsilon=2.0: max_over_min_T_per_d=nan" in comments
 
 
 def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
@@ -693,26 +698,139 @@ def test_parser_is_built_once_and_each_main_call_parses_its_own_arguments(
         defaults.d_list, defaults.record_every, defaults.max_iter, defaults.sigma_bar0)
 
 
-def test_main_configuration_error_names_inequality(tmp_path, capsys):
-    code = main(["bounds", "--d", "16", "--alpha", "3.0",
-                 "--out", str(tmp_path / "x.json")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "u / ell >= alpha^(5/4)" in captured.err
-    assert main(["hitting-scaling", "--alpha", "1.0",
-                 "--out", str(tmp_path / "hs_alpha.csv")]) == 2
-    assert "alpha > 1" in capsys.readouterr().err
-    # alpha^(5/4) overflows a float here, and the band check still fails
-    assert main(["bounds", "--d", "8", "--alpha", "1e300",
-                 "--out", str(tmp_path / "huge_alpha.json")]) == 2
-    assert "u / ell >= alpha^(5/4)" in capsys.readouterr().err
-    # a bad flag value exits like the same value in a config file
-    cfg = tmp_path / "bad_eps.cfg"
-    cfg.write_text("eps_list = abc\n")
-    out = str(tmp_path / "hs.csv")
-    assert main(["hitting-scaling", "--config", str(cfg), "--out", out]) == 2
-    assert main(["hitting-scaling", "--eps-list", "abc", "--out", out]) == 2
-    assert "--eps-list" in capsys.readouterr().err
+_TOO_FEW = MIN_MC_SAMPLES - 1
+
+# Every command line that fails: its id, its argv as a shell splits it, the
+# bytes of exp.cfg (None for no file), the exit code and a part of the one
+# stderr line. Exit 2 is a configuration error, found before any work; exit 1
+# a runtime error. No row leaves a file behind, and a RuntimeWarning, an error
+# under pyproject.toml's filter, would make a row exit 1 with another message.
+_FAILURES = [
+    # the constants' inequalities, named; alpha^(5/4) overflows at 1e300
+    ("band_too_narrow", "bounds --d 16 --alpha 3.0 --out x.json", None, 2,
+     "u / ell >= alpha^(5/4)"),
+    ("alpha_one", "hitting-scaling --alpha 1.0 --out h.csv", None, 2, "alpha > 1"),
+    ("alpha_overflows", "bounds --d 8 --alpha 1e300 --out b.json", None, 2,
+     "u / ell >= alpha^(5/4)"),
+    ("mc_samples_10_har_check", "har-check --mc-samples 10 --out har.csv", None, 2,
+     f"mc_samples must be at least {MIN_MC_SAMPLES}"),
+    ("mc_samples_10_drift_map", "drift-map --d 4 --mc-samples 10 --out out.csv", None, 2,
+     f"mc_samples must be at least {MIN_MC_SAMPLES}"),
+    ("mc_samples_too_few_har_check", f"har-check --d 4 --mc-samples {_TOO_FEW} --out out.csv",
+     None, 2, f"mc_samples must be at least {MIN_MC_SAMPLES}"),
+    ("mc_samples_too_few_drift_map", f"drift-map --d 4 --mc-samples {_TOO_FEW} --out out.csv",
+     None, 2, f"mc_samples must be at least {MIN_MC_SAMPLES}"),
+    # below the smallest normal float sigma * alpha^(-1/4) rounds back to
+    # sigma and the run stalls; a NaN or infinite value, or a start step size
+    # that overflows, gives a run that never moves or bounds that are not finite
+    ("epsilon_subnormal", "run --d 10 --epsilon 5e-324 --out r.csv", None, 2,
+     "smallest normal float"),
+    ("eps_list_subnormal", "hitting-scaling --d 4 --eps-list 1e-3,5e-324 --out h.csv", None,
+     2, "smallest normal float"),
+    ("epsilon_inf", "run --d 10 --epsilon inf --out r.csv", None, 2,
+     "epsilon must be finite and positive"),
+    ("eps_list_nan", "hitting-scaling --d 4 --eps-list 1e-2,nan --out h.csv", None, 2,
+     "eps_list entries must be finite and positive"),
+    ("sigma_bar0_inf", "run --d 10 --sigma-bar0 inf --out r.csv", None, 2,
+     "sigma_bar0 must be finite and positive"),
+    ("m0_norm_nan", "run --d 10 --m0-norm nan --out r.csv", None, 2,
+     "m0_norm must be finite and positive"),
+    ("m0_norm_inf_in_config_file", "bounds --d 10 --config exp.cfg --out b.json",
+     b"m0_norm = inf\n", 2, "m0_norm must be finite and positive"),
+    ("start_sigma_underflows", "run --d 8 --m0-norm 5e-324 --sigma-bar0 0.1 --out r.csv",
+     None, 2, "smallest normal float"),
+    ("start_sigma_overflows", "run --d 8 --m0-norm 1e300 --sigma-bar0 1e10 --out r.csv",
+     None, 2, "sigma_bar0 * m0_norm / d must be finite"),
+    ("start_sigma_overflows_in_config_file", "bounds --d 8 --config exp.cfg --out b.json",
+     b"m0_norm = 1e300\nsigma_bar0 = 1e10\n", 2, "sigma_bar0 * m0_norm / d must be finite"),
+    # a repeated entry gives duplicate rows, and a singular fit
+    ("eps_list_repeated", "hitting-scaling --d 4 --eps-list 1e-2,1e-3,1e-2 --out h.csv",
+     None, 2, "eps_list entries must be distinct"),
+    ("eps_list_repeated_in_config_file", "hitting-scaling --d 4 --config exp.cfg --out h.csv",
+     b"eps_list = 1e-2, 1e-3, 1e-2\n", 2, "eps_list entries must be distinct"),
+    ("d_list_repeated_drift_map", "drift-map --mc-samples 1000 --config exp.cfg --out d.csv",
+     b"d_list = 4, 8, 4\n", 2, "d_list entries must be distinct"),
+    *((f"d_list_8_8_{command.replace('-', '_')}",
+       f"{command} --config exp.cfg --out repeated_d.out", b"d_list = 8,8\n", 2,
+       "d_list entries must be distinct")
+      for command in ("hitting-scaling", "drift-map", "bounds")),
+    # an --out that cannot name a new file
+    ("out_in_missing_directory", "bounds --d 8 --out missing_dir/b.json", None, 2,
+     "--out missing_dir/b.json names no file in an existing directory"),
+    ("out_is_a_directory",
+     "hitting-scaling --d 8 --replicates 20 --eps-list 1e-2,1e-4,1e-6 --out .", None, 2,
+     "--out . names no file in an existing directory"),
+    ("out_empty", 'bounds --d 8 --out ""', None, 2, "output_path must be non-empty"),
+    ("out_empty_in_config_file", "bounds --d 8 --config exp.cfg", b"output_path =\n", 2,
+     "output_path must be non-empty"),
+    # sigma = 1.7e308 / 2 overflows at the first success, and the run would
+    # stall at sigma = inf
+    ("sigma_overflows_run", "run --d 2 --m0-norm 1e308 --sigma-bar0 1.7 --epsilon 1e300 "
+     "--max-iter 3000 --seed 4 --out r.csv", None, 1, "sigma overflowed"),
+    ("sigma_overflows_hitting_scaling", "hitting-scaling --config exp.cfg --replicates 20 "
+     "--eps-list 1e300,1e299,1e298 --seed 1 --out h.csv",
+     b"d_list = 2\nm0_norm = 1e308\nsigma_bar0 = 1.7\n", 1, "sigma overflowed"),
+    # an output path the file system refuses, a name longer than 255 bytes
+    ("out_name_too_long", f"bounds --d 8 --out {'x' * 300}.json", None, 1,
+     "File name too long"),
+    # a malformed flag value, as a malformed config-file value; one flag each
+    # in test_a_malformed_flag_value_is_a_configuration_error
+    ("eps_list_partly_malformed", "hitting-scaling --d 8 --eps-list 1e-2,abc --out h.csv",
+     None, 2, "argument --eps-list:"),
+    ("malformed_eps_list_in_config_file", "hitting-scaling --config exp.cfg --out h.csv",
+     b"eps_list = abc\n", 2, "exp.cfg:1: bad value for eps_list"),
+    # a malformed command line: one line, not a usage block and SystemExit(2)
+    ("unknown_flag", "bounds --d 8 --bogus 1 --out b.json", None, 2,
+     "unrecognized arguments: --bogus 1"),
+    ("no_subcommand", "", None, 2, "the following arguments are required: command"),
+    ("stray_argument", "bounds --d 8 extra", None, 2, "unrecognized arguments: extra"),
+    ("unknown_subcommand", "nosuch", None, 2, "argument command: invalid choice: 'nosuch'"),
+    ("flag_without_value", "bounds --d", None, 2, "argument --d: expected one argument"),
+    # a config file that cannot be read, or sets a key twice or an unknown one
+    ("config_file_missing", "bounds --d 8 --config missing.cfg --out b.json", None, 2,
+     "cannot read config file missing.cfg: [Errno 2]"),
+    ("config_file_is_a_directory", "bounds --d 8 --config . --out b.json", None, 2,
+     "cannot read config file .: [Errno 21]"),
+    ("config_file_not_utf8", "bounds --d 8 --config exp.cfg --out b.json",
+     b"alpha = 1.5\n# \xff\n", 2, "cannot read config file exp.cfg: 'utf-8' codec can't decode"),
+    ("key_set_again", "bounds --d 8 --config exp.cfg --out b.json",
+     b"alpha = 1.5\nalpha = 2.0\n", 2, "exp.cfg:2: config key 'alpha' is set again"),
+    ("workers_in_config_file", "bounds --d 8 --config exp.cfg --out b.json", b"workers = 1\n",
+     2, "exp.cfg:1: unknown config key 'workers'"),
+    # an empty list
+    ("eps_list_empty", 'hitting-scaling --d 8 --eps-list "" --out h.csv', None, 2,
+     "eps_list must be non-empty"),
+    ("eps_list_empty_in_config_file", "hitting-scaling --d 8 --replicates 2 --config exp.cfg "
+     "--out h.csv", b"eps_list = ,\n", 2, "eps_list must be non-empty"),
+]
+
+
+def _check_failure(tmp_path, capsys, monkeypatch, argv, config, code, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "exp.cfg").write_bytes(config)
+    assert main(shlex.split(argv)) == code
+    err = capsys.readouterr().err
+    prefix = {1: "error: ", 2: "configuration error: "}[code]
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+    assert message in err
+    assert "usage:" not in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config is not None else [])
+
+
+@pytest.mark.parametrize("argv, config, code, message", [row[1:] for row in _FAILURES],
+                         ids=[row[0] for row in _FAILURES])
+def test_command_line_failure(tmp_path, capsys, monkeypatch, argv, config, code, message):
+    _check_failure(tmp_path, capsys, monkeypatch, argv, config, code, message)
+
+
+@pytest.mark.parametrize("flag", [
+    "--seed", "--d", "--alpha", "--epsilon", "--replicates", "--mc-samples", "--workers",
+    "--eps-list", "--record-every", "--max-iter", "--m0-norm", "--sigma-bar0"])
+def test_a_malformed_flag_value_is_a_configuration_error(tmp_path, capsys, monkeypatch, flag):
+    command = "hitting-scaling" if flag == "--eps-list" else "run"
+    _check_failure(tmp_path, capsys, monkeypatch, f"{command} {flag} abc --out out.csv", None,
+                   2, f"argument {flag}:")
 
 
 @pytest.mark.parametrize("config_text, inequality", [
@@ -732,73 +850,6 @@ def test_hitting_scaling_rejects_bad_constants_before_simulating(
     assert inequality in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["har-check", "drift-map"])
-def test_too_few_mc_samples_is_a_configuration_error(tmp_path, capsys, command):
-    out = str(tmp_path / "out.csv")
-    for n in (10, MIN_MC_SAMPLES - 1):
-        assert main([command, "--d", "4", "--mc-samples", str(n), "--out", out]) == 2
-        assert f"mc_samples must be at least {MIN_MC_SAMPLES}" in capsys.readouterr().err
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(mc_samples=MIN_MC_SAMPLES - 1).validate()
-    ExperimentConfig(mc_samples=MIN_MC_SAMPLES).validate()
-
-
-@pytest.mark.parametrize("args, config_text, message", [
-    (["run", "--d", "10", "--epsilon", "5e-324"], None, "smallest normal float"),
-    (["hitting-scaling", "--d", "4", "--eps-list", "1e-3,5e-324"], None,
-     "smallest normal float"),
-    (["run", "--d", "10", "--epsilon", "inf"], None,
-     "epsilon must be finite and positive"),
-    (["hitting-scaling", "--d", "4", "--eps-list", "1e-2,nan"], None,
-     "eps_list entries must be finite and positive"),
-    (["run", "--d", "10", "--sigma-bar0", "inf"], None,
-     "sigma_bar0 must be finite and positive"),
-    (["run", "--d", "10", "--m0-norm", "nan"], None,
-     "m0_norm must be finite and positive"),
-    (["bounds", "--d", "10"], "m0_norm = inf\n", "m0_norm must be finite and positive"),
-    (["hitting-scaling", "--d", "4", "--eps-list", "1e-2,1e-3,1e-2"], None,
-     "eps_list entries must be distinct"),
-    (["hitting-scaling", "--d", "4"], "eps_list = 1e-2, 1e-3, 1e-2\n",
-     "eps_list entries must be distinct"),
-    (["run", "--d", "8", "--m0-norm", "5e-324", "--sigma-bar0", "0.1"], None,
-     "smallest normal float"),
-    (["run", "--d", "8", "--m0-norm", "1e300", "--sigma-bar0", "1e10"], None,
-     "sigma_bar0 * m0_norm / d must be finite"),
-    (["bounds", "--d", "8"], "m0_norm = 1e300\nsigma_bar0 = 1e10\n",
-     "sigma_bar0 * m0_norm / d must be finite"),
-    (["drift-map", "--mc-samples", "1000"], "d_list = 4, 8, 4\n",
-     "d_list entries must be distinct"),
-    (["hitting-scaling", "--replicates", "5", "--eps-list", "1e-2,1e-3,1e-4"],
-     "d_list = 8, 8\n", "d_list entries must be distinct"),
-    (["bounds", "--d", "8", "--out", "{tmp}/missing_dir/b.json"], None,
-     "missing_dir/b.json names no file in an existing directory"),
-    (["hitting-scaling", "--d", "8", "--replicates", "20", "--eps-list",
-      "1e-2,1e-4,1e-6", "--out", "{tmp}"], None, "names no file in an existing directory"),
-], ids=["epsilon", "eps_list", "epsilon_inf", "eps_list_nan", "sigma_bar0_inf",
-        "m0_norm_nan", "m0_norm_inf_in_config_file", "eps_list_repeated",
-        "eps_list_repeated_in_config_file", "start_sigma_underflows",
-        "start_sigma_overflows", "start_sigma_overflows_in_config_file",
-        "d_list_repeated", "d_list_repeated_in_config_file",
-        "out_in_missing_directory", "out_is_a_directory"])
-def test_subnormal_epsilon_is_a_configuration_error(tmp_path, capsys, args,
-                                                    config_text, message):
-    # sigma * alpha^(-1/4) rounds back to sigma below the smallest normal
-    # float, so the run would stall; a NaN or infinite start or target, or a
-    # start step size that overflows, gives a run that never moves, or bounds
-    # that are not finite; an output path that cannot name a new file is
-    # found before any work. No case writes a file.
-    args = [arg.format(tmp=tmp_path) for arg in args]
-    if "--out" not in args:
-        args = [*args, "--out", str(tmp_path / "out.csv")]
-    if config_text is not None:
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(config_text)
-        args = [*args, "--config", str(cfg)]
-    assert main(args) == 2
-    assert message in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config_text else [])
-
-
 @pytest.mark.parametrize("out", ["missing_dir/hs.csv", "."])
 def test_a_bad_output_path_runs_no_command_work(tmp_path, capsys, monkeypatch, out):
     def no_chains(*args, **kwargs):
@@ -811,98 +862,12 @@ def test_a_bad_output_path_runs_no_command_work(tmp_path, capsys, monkeypatch, o
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("args, config_text", [
-    (["run", "--d", "2", "--m0-norm", "1e308", "--sigma-bar0", "1.7", "--epsilon",
-      "1e300", "--max-iter", "3000", "--seed", "4"], None),
-    (["hitting-scaling", "--replicates", "20", "--eps-list", "1e300,1e299,1e298",
-      "--seed", "1"], "d_list = 2\nm0_norm = 1e308\nsigma_bar0 = 1.7\n"),
-], ids=["run", "hitting-scaling"])
-def test_a_step_size_overflow_is_a_runtime_error_that_writes_no_file(
-        tmp_path, capsys, args, config_text):
-    # sigma = 1.7e308 / 2 overflows at the first success; the run would stall
-    # at sigma = inf, so the command stops with exit 1 and no file
-    if config_text is not None:
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(config_text)
-        args = [*args, "--config", str(cfg)]
-    out = tmp_path / "out.csv"
-    assert main([*args, "--out", str(out)]) == 1
-    assert "sigma overflowed" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_main_runtime_error(tmp_path, capsys):
-    # an output path the file system refuses surfaces as a runtime failure,
-    # here a file name longer than 255 bytes; a missing directory is a
-    # configuration error instead (test_subnormal_epsilon_is_a_configuration_error)
-    code = main(["bounds", "--d", "8",
-                 "--out", str(tmp_path / ("x" * 300 + ".json"))])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.parametrize("flag", [
-    "--seed", "--d", "--alpha", "--epsilon", "--replicates", "--mc-samples", "--workers",
-    "--eps-list", "--record-every", "--max-iter", "--m0-norm", "--sigma-bar0"])
-def test_a_malformed_flag_value_is_a_configuration_error(tmp_path, capsys, flag):
-    # as a malformed config-file value is: exit 2, not argparse's SystemExit
-    command = {"--eps-list": "hitting-scaling"}.get(flag, "run")
-    out = tmp_path / "out.csv"
-    assert main([command, flag, "abc", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and f"argument {flag}:" in err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("args, message", [
-    (["bounds", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-    ([], "the following arguments are required: command"),
-    (["bounds", "--d", "8", "extra"], "unrecognized arguments: extra"),
-    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
-    (["bounds", "--d"], "argument --d: expected one argument"),
-], ids=["unknown_flag", "no_subcommand", "stray_argument", "unknown_subcommand",
-        "flag_without_value"])
-def test_a_malformed_command_line_is_a_configuration_error(tmp_path, capsys, monkeypatch,
-                                                          args, message):
-    # one configuration error line and exit 2, not a usage block and SystemExit(2)
-    monkeypatch.chdir(tmp_path)
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {message}") and "usage:" not in err
-    assert not any(tmp_path.iterdir())
-
-
 def test_help_still_exits_0(capsys):
     for args in (["-h"], ["bounds", "--help"]):
         with pytest.raises(SystemExit) as exit_info:
             main(args)
         assert exit_info.value.code == 0
         assert "usage: es-drift" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("args, config, message", [
-    (["bounds", "--d", "8"], None, "cannot read config file {tmp}/exp.cfg: [Errno 2]"),
-    (["bounds", "--d", "8"], "dir", "cannot read config file {tmp}/exp.cfg: [Errno 21]"),
-    (["bounds", "--d", "8"], b"alpha = 1.5\n# \xff\n",
-     "cannot read config file {tmp}/exp.cfg: 'utf-8' codec can't decode"),
-    (["hitting-scaling", "--d", "8", "--replicates", "2", "--eps-list", ""], b"",
-     "eps_list must be non-empty"),
-    (["hitting-scaling", "--d", "8", "--replicates", "2"], b"eps_list = ,\n",
-     "eps_list must be non-empty"),
-], ids=["missing_file", "directory", "not_utf8", "empty_eps_list_flag",
-        "empty_eps_list_in_config_file"])
-def test_an_unreadable_config_file_or_an_empty_list_is_a_configuration_error(
-        tmp_path, capsys, args, config, message):
-    cfg = tmp_path / "exp.cfg"
-    if config == "dir":
-        cfg.mkdir()
-    elif config is not None:
-        cfg.write_bytes(config)
-    out = tmp_path / "out.csv"
-    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "configuration error: " + message.format(tmp=tmp_path))
-    assert not out.exists()
 
 
 def test_main_flag_overrides(tmp_path):

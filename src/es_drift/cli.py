@@ -122,7 +122,9 @@ def cmd_drift_map(config: ExperimentConfig) -> dict[str, list]:
         est = drift_map(c, grid, config.mc_samples,
                         derive_stream(config.master_seed, 1, d_index))
         grids.append(grid)
-        regimes.append([c.classify(sigma_bar).value for sigma_bar in grid.tolist()])
+        # ell and u themselves are in the band
+        regimes.append(np.select([grid < c.ell, grid > c.u], ["small_sigma", "large_sigma"],
+                                 "reasonable_sigma"))
         means.append(est.mean)
         halfwidths.append(est.half_width)
     # one row of the (d, sigma_bar) grid per d
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     _setting(common, "--seed", "master seed for all derived streams", "master_seed")
     _setting(common, "--out", "output file path", "output_path")
-    common.add_argument("--d", type=int, help="single dimension (overrides d_list)")
+    _setting(common, "--d", "comma-separated dimensions (overrides d_list)", "d_list")
     _setting(common, "--alpha", "step-size multiplier (> 1)")
     _setting(common, "--epsilon", "target distance to the optimum")
     _setting(common, "--replicates", "runs per configuration")
@@ -362,9 +364,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     # --workers is parsed only because the benchmark's command lines still
     # pass it; it has no effect and no config key, so it is dropped here
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "d", "workers") and v is not None}
-    if args.d is not None:
-        overrides["d_list"] = (args.d,)
+                 if k not in ("command", "config", "workers") and v is not None}
     return build_config(args.config, overrides)
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo point estimates with frequentist error bars."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,8 @@ class MeanEstimate:
 
 def mean_estimate(total, total_sq, n: int) -> MeanEstimate:
     """Build a MeanEstimate from running sums of values and squares: floats,
-    or arrays with one estimate per entry. A NaN total gives a NaN estimate."""
+    or arrays with one estimate per entry. A NaN total gives a NaN estimate,
+    and one sample (n = 1) a NaN half-width: one value shows no spread."""
     mean = total / n
-    var = np.maximum(total_sq / n - mean * mean, 0.0)
-    if n > 1:
-        var *= n / (n - 1)
+    var = np.maximum(total_sq / n - mean * mean, 0.0) * (n / (n - 1) if n > 1 else math.nan)
     return MeanEstimate(mean=mean, half_width=Z99 * np.sqrt(var / n), n=n)

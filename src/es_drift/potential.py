@@ -36,9 +36,7 @@ of the truncated process; the calculators only check the constants.
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -47,14 +45,6 @@ from .core import ESState
 from .errors import ConfigurationError, ConvergenceError
 from .estimates import MIN_MC_SAMPLES, MeanEstimate, mean_estimate
 from .success import psucc_exact, psucc0_inverse
-
-
-class Regime(str, Enum):
-    """Step-size regime of a state relative to the band [ell, u]."""
-
-    SMALL = "small_sigma"
-    REASONABLE = "reasonable_sigma"
-    LARGE = "large_sigma"
 
 
 @dataclass(frozen=True)
@@ -85,15 +75,6 @@ class DriftConstants:
             raise ValueError("sigma must be positive")
         return float(kernels.potential_value(
             norm_m, sigma, self.d, self.alpha, self.ell, self.u, self.v))
-
-    def classify(self, sigma_bar: float) -> Regime:
-        if not 0.0 < sigma_bar < math.inf:
-            raise ValueError("normalized step size must be finite and positive")
-        if sigma_bar < self.ell:
-            return Regime.SMALL
-        if sigma_bar > self.u:
-            return Regime.LARGE
-        return Regime.REASONABLE
 
 
 def _require(condition: bool, inequality: str, detail: str = "") -> None:
@@ -293,16 +274,14 @@ def hitting_time_bounds(state0: ESState, c: DriftConstants,
 
     lower = ``lower_bound_thm2(log||m0||, log eps, C=1/d)``,
     upper = ``upper_bound_thm1(V(state0), log eps, A, B)``.
-    A start already inside the target yields vacuous values and a warning.
+    A start already inside the target (epsilon >= ||m0||) gets a vacuous lower
+    bound of at most -1/2, and an upper bound of 0 where V(state0) <= log eps.
     """
     if state0.d != c.d:
         raise ValueError(f"state dimension {state0.d} != constants dimension {c.d}")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
     norm0 = state0.norm
-    if epsilon >= norm0:
-        warnings.warn("trivial instance: epsilon >= ||m0||, bounds are vacuous",
-                      stacklevel=2)
     log_eps = math.log(epsilon)
     lower = lower_bound_thm2(math.log(norm0), log_eps, 1.0 / c.d)
     upper = upper_bound_thm1(c.potential_of(norm0, state0.sigma), log_eps, c.A, c.B)

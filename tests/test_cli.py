@@ -66,23 +66,12 @@ eps_list = 1e-2, 1e-4
     assert config.alpha == 1.6 and config.d_list == (5, 10)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+def test_config_file_rejects_unknown_keys(tmp_path):
+    # through main: the unknown_key_* rows of _FAILURES
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 3\n")
     with pytest.raises(ConfigurationError, match="unknown config key"):
         parse_config_file(cfg)
-    # psucc_exact has one stated accuracy, so no config key selects one
-    cfg.write_text("tol = 1e-9\n")
-    assert main(["success-curve", "--config", str(cfg),
-                 "--out", str(tmp_path / "curve.csv")]) == 2
-    assert "unknown config key 'tol'" in capsys.readouterr().err
-    # the drivers' step-size grids are fixed, so no config key sets them
-    for key in ("curve_grid_points", "curve_sigma_lo", "curve_sigma_hi",
-                "drift_grid_points", "drift_span_lo", "drift_span_hi"):
-        cfg.write_text(f"{key} = 16\n")
-        assert main(["success-curve", "--config", str(cfg),
-                     "--out", str(tmp_path / "curve.csv")]) == 2
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_config_file_sets_each_key_once(tmp_path):
@@ -207,7 +196,9 @@ def test_drift_map_rows(tmp_path):
     assert table["sigma_bar"][0] == pytest.approx(c.ell / 100.0, rel=1e-14)
     assert table["sigma_bar"][-1] == pytest.approx(100.0 * c.u, rel=1e-14)
     assert all(table["satisfied"])
-    assert table["regime"] == [c.classify(s).value for s in table["sigma_bar"]]
+    assert table["regime"] == ["small_sigma" if s < c.ell else
+                               "large_sigma" if s > c.u else "reasonable_sigma"
+                               for s in table["sigma_bar"]]
     assert (table["regime"][0], table["regime"][-1]) == ("small_sigma", "large_sigma")
     assert table["bound_B"] == [c.B] * 32
 
@@ -271,12 +262,45 @@ def test_hitting_scaling_rate_band_is_nan_at_an_epsilon_hit_at_the_start(tmp_pat
     # an epsilon at or above m0_norm is hit at t = 0 at every d, and 0 / 0
     # gives NaN without a RuntimeWarning
     out = tmp_path / "hs.csv"
-    with pytest.warns(UserWarning, match="trivial instance"):
-        code = main(["hitting-scaling", "--eps-list", "2,1e-2,1e-4", "--replicates", "5",
-                     "--out", str(out)])
+    code = main(["hitting-scaling", "--eps-list", "2,1e-2,1e-4", "--replicates", "5",
+                 "--out", str(out)])
     assert code == 0
     _, _, comments = _read_csv(out)
     assert "# rate_band epsilon=2.0: max_over_min_T_per_d=nan" in comments
+
+
+def test_hitting_scaling_with_one_replicate_has_no_interval(tmp_path):
+    # one run shows no spread: a NaN half-width, so no cell is within the
+    # bounds, as a censored cell is not
+    out = tmp_path / "hs.csv"
+    assert main(["hitting-scaling", "--d", "4", "--replicates", "1", "--eps-list",
+                 "1e-2,1e-4,1e-6", "--out", str(out)]) == 0
+    header, raw, _ = _read_csv(out)
+    rows = [dict(zip(header, row)) for row in raw]
+    assert len(rows) == 3
+    assert all(row["censored_runs"] == "0" and row["ci_halfwidth"] == "nan"
+               and row["within_bounds"] == "false" for row in rows)
+
+
+def test_a_start_inside_the_target_runs_quietly_with_vacuous_bounds(tmp_path, capsys):
+    # epsilon = 2 > m0_norm = 1: the files hold a lower bound below -1/2 and
+    # an upper bound of 0, and stderr holds nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", "--d", "8", "--epsilon", "2",
+                     "--out", str(tmp_path / "b.json")]) == 0
+        assert main(["hitting-scaling", "--eps-list", "2,1e-2,1e-4", "--replicates", "5",
+                     "--out", str(tmp_path / "hs.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    (instance,) = json.loads((tmp_path / "b.json").read_text())["instances"]
+    header, raw, _ = _read_csv(tmp_path / "hs.csv")
+    rows = [dict(zip(header, row)) for row in raw if row[1] == "2.0"]
+    assert [row["d"] for row in rows] == ["4", "8", "16"]
+    for d, lower, upper in [(8, instance["lower_bound"], instance["upper_bound"]),
+                            *((int(r["d"]), float(r["lower_bound"]), float(r["upper_bound"]))
+                              for r in rows)]:
+        assert lower == pytest.approx(-math.log(2.0) * d / 4.0 - 0.5, rel=1e-15)
+        assert upper == 0.0
 
 
 def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
@@ -797,11 +821,22 @@ _FAILURES = [
      b"alpha = 1.5\nalpha = 2.0\n", 2, "exp.cfg:2: config key 'alpha' is set again"),
     ("workers_in_config_file", "bounds --d 8 --config exp.cfg --out b.json", b"workers = 1\n",
      2, "exp.cfg:1: unknown config key 'workers'"),
+    # psucc_exact has one stated accuracy, and the drivers' step-size grids
+    # are fixed, so no config key selects them
+    *((f"unknown_key_{key}", "success-curve --config exp.cfg --out curve.csv",
+       f"{key} = {value}\n".encode(), 2, f"exp.cfg:1: unknown config key {key!r}")
+      for key, value in (("tol", "1e-9"), ("curve_grid_points", "16"),
+                         ("curve_sigma_lo", "16"), ("curve_sigma_hi", "16"),
+                         ("drift_grid_points", "16"), ("drift_span_lo", "16"),
+                         ("drift_span_hi", "16"))),
     # an empty list
     ("eps_list_empty", 'hitting-scaling --d 8 --eps-list "" --out h.csv', None, 2,
      "eps_list must be non-empty"),
     ("eps_list_empty_in_config_file", "hitting-scaling --d 8 --replicates 2 --config exp.cfg "
      "--out h.csv", b"eps_list = ,\n", 2, "eps_list must be non-empty"),
+    # --d parses as d_list does
+    ("d_empty", 'bounds --d "" --out b.json', None, 2, "d_list must be non-empty"),
+    ("d_repeated", "bounds --d 4,4 --out b.json", None, 2, "d_list entries must be distinct"),
 ]
 
 

@@ -142,16 +142,6 @@ def cmd_drift_map(config: ExperimentConfig) -> dict[str, list]:
 # hitting-scaling
 # ---------------------------------------------------------------------------
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(((y - predicted) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    # a NaN mean_T (a censored cell) makes ss_tot, and so r_squared, NaN
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r_squared
-
-
 def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
     """Replicated hitting times per (d, epsilon) against the sandwich bounds;
     mean_T_lower = mean(min(T, max_iter)) is the one mean a censored cell has."""
@@ -192,15 +182,22 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
     # a line through fewer than 3 epsilons is exact or singular
     if len(eps_values) >= 3:
         x = np.log(1.0 / np.array(eps_values))
-        # the slope's error bar: the standard error of the mean of the
-        # per-chain least-squares slopes, NaN for a censored d or one chain
+        # a least-squares slope is the projection of y on the centred x; the
+        # slope's error bar is the standard error of the mean of the
+        # per-chain slopes, NaN for a censored d or one chain
         xc = x - x.mean()
-        slopes = times @ (xc / (xc @ xc))
+        weights = xc / (xc @ xc)
+        slopes = times @ weights
         slope_se = (slopes.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1
                     else np.full(len(slopes), math.nan))
         slope_se = np.where(censored.any(axis=1), math.nan, slope_se).tolist()
         for d, y, se in zip(config.d_list, est.mean, slope_se):
-            slope, intercept, r_squared = _linear_fit(x, y)
+            slope = float(y @ weights)
+            intercept = float(y.mean() - slope * x.mean())
+            ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+            ss_tot = float(((y - y.mean()) ** 2).sum())
+            # a NaN mean_T (a censored cell) makes every fit value NaN
+            r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
             comments.append(f"# fit d={d}: slope={slope!r} intercept={intercept!r}"
                             f" r_squared={r_squared!r} slope_se={se!r}")
     if len(config.d_list) >= 2:

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from es_drift import derive_constants
 from es_drift.streams import derive_stream
+
+# every property test replays the same examples and has no time limit
+settings.register_profile("es_drift", derandomize=True, deadline=None)
+settings.load_profile("es_drift")
 
 _CONSTANTS_CACHE = {}
 

@@ -10,7 +10,9 @@ Carlo check of ``psucc_exact``. ``truncate_series``,
 truncation that ``es_drift.potential``'s upper bound rests on: the
 truncated companion of a series and its invariants, and the rare-jump
 process whose drift alone bounds no hitting time. Only the tests and
-the acceptance criteria on truncation run them.
+the acceptance criteria on truncation run them. ``PresetStream`` and
+``RecordingStream`` stand in for a ``numpy.random.Generator``: one serves
+preset draws, the other keeps a real stream's draws.
 """
 
 import math
@@ -215,3 +217,56 @@ def simulate_jump_process(p: float, x0: float, beta: float, rng,
         return 0
     t = k + int(rng.negative_binomial(k, p))
     return t if t <= max_horizon else None
+
+
+# ---------------------------------------------------------------------------
+# stand-ins for numpy.random.Generator
+# ---------------------------------------------------------------------------
+
+
+class PresetStream:
+    """Serves preset standard normals, and preset chi2 values as halved
+    standard_gamma draws, each in order; a draw past the preset values is
+    NaN, since kernels draw full blocks whatever the budget. Each
+    standard_gamma call is recorded as (shape, size)."""
+
+    def __init__(self, normals, chi2s=()):
+        self._normals = [float(x) for x in normals]
+        self._halves = [x / 2.0 for x in chi2s]
+        self.gamma_calls = []
+
+    @staticmethod
+    def _serve(values, size):
+        out = values[:size] + [math.nan] * (size - len(values))
+        del values[:size]
+        return np.array(out)
+
+    def standard_normal(self, size):
+        return self._serve(self._normals, size)
+
+    def standard_gamma(self, shape, size):
+        self.gamma_calls.append((shape, size))
+        return self._serve(self._halves, size)
+
+    def used_up(self):
+        return not self._normals and not self._halves
+
+
+class RecordingStream:
+    """A real Generator whose normal and chi2 draws are kept, in order, and
+    whose standard_gamma calls are recorded as (shape, size)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.normals, self.chi2s, self.gamma_calls = [], [], []
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        self.normals.append(out.copy())
+        return out
+
+    def standard_gamma(self, shape, size):
+        self.gamma_calls.append((shape, size))
+        out = self._rng.standard_gamma(shape, size)
+        self.chi2s.append(2.0 * out)
+        return out

@@ -17,12 +17,12 @@ from scipy.special import ndtr
 from es_drift import (MeanEstimate, cli, derive_constants, derive_stream,
                       expected_log_progress_exact, hitting_time_bounds, hitting_times,
                       initial_state)
-from es_drift.cli import (_linear_fit, _write_csv, build_parser, cmd_bounds, cmd_drift_map,
-                          cmd_har_check, cmd_hitting_scaling, cmd_run, cmd_success_curve,
-                          main)
+from es_drift.cli import (_write_csv, build_parser, cmd_bounds, cmd_drift_map, cmd_har_check,
+                          cmd_hitting_scaling, cmd_run, cmd_success_curve, main)
 from es_drift.config import ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
 from es_drift.estimates import MIN_MC_SAMPLES, mean_estimate
+from reference import RecordingStream
 
 
 def _format(value) -> str:
@@ -147,7 +147,7 @@ def _config_line(name, value):
     return f"{name} = {value if isinstance(value, str) else repr(value)}"
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(config=_configs())
 def test_config_round_trips_through_key_value_file(tmp_path_factory, config):
     path = tmp_path_factory.mktemp("config") / "exp.cfg"
@@ -331,33 +331,45 @@ def test_hitting_scaling_partly_censored_cell_has_no_mean(tmp_path):
     assert partly["within_bounds"] == "false"
 
 
-def _slope_se(x, chains):
-    """statistics.stdev of the chains' np.polyfit slopes, over sqrt(R): the
-    per-chain oracle of a fit line's slope_se."""
-    if len(chains) < 2 or (chains < 0).any():
-        return math.nan
+def _fit_oracle(x, chains):
+    """A d's fit line from np.polyfit: the slope, intercept and r_squared of
+    the line through the cell means of its chains, and slope_se, the
+    statistics.stdev of the chains' slopes over sqrt(R). All four are NaN
+    where a run is censored, and slope_se where R = 1."""
+    if (chains < 0).any():
+        return [math.nan] * 4
+    means = chains.mean(axis=0)
+    slope, intercept = np.polyfit(x, means, 1)
+    ss_res = float(((means - (slope * x + intercept)) ** 2).sum())
+    ss_tot = float(((means - means.mean()) ** 2).sum())
     slopes = [float(np.polyfit(x, chain, 1)[0]) for chain in chains]
-    return statistics.stdev(slopes) / math.sqrt(len(chains))
+    slope_se = statistics.stdev(slopes) / math.sqrt(len(chains)) if len(chains) > 1 else math.nan
+    return [slope, intercept, 1.0 - ss_res / ss_tot, slope_se]
+
+
+_FIT_LINE = re.compile(r"^(# fit d=\d+): slope=(\S+) intercept=(\S+) r_squared=(\S+)"
+                       r" slope_se=(\S+)$", flags=re.M)
 
 
 def _assert_hitting_scaling_file(path, config, times):
     """The file is _hitting_scaling_text to the byte once each fit line's
-    slope_se suffix is cut, and each slope_se is the per-chain oracle's;
-    returns the slope_se values."""
+    values are cut, and those values are _fit_oracle's to 1e-12; returns
+    the slope_se values."""
     text = path.read_text()
-    assert re.sub(r" slope_se=\S+$", "", text, flags=re.M) == _hitting_scaling_text(
-        config, times)
-    slope_se = [float(se) for se in re.findall(r" slope_se=(\S+)$", text, flags=re.M)]
+    assert _FIT_LINE.sub(r"\1", text) == _hitting_scaling_text(config, times)
+    fits = [[float(v) for v in match.groups()[1:]] for match in _FIT_LINE.finditer(text)]
     x = np.log(1.0 / np.array(config.epsilons))
-    expected = [_slope_se(x, chains) for chains in times] if len(x) >= 3 else []
-    assert slope_se == pytest.approx(expected, rel=1e-12, nan_ok=True)
-    return slope_se
+    expected = [_fit_oracle(x, chains) for chains in times] if len(x) >= 3 else []
+    assert np.array(fits) == pytest.approx(np.array(expected), rel=1e-12, nan_ok=True)
+    return [fit[3] for fit in fits]
 
 
 def _hitting_scaling_text(config, times):
     """The hitting-scaling file for the array ``times`` of hitting_times,
     formed cell by cell (a 1-d sum per cell, mean_estimate on floats): the
-    reference the driver's whole-array reduction must match to the bit."""
+    reference the driver's whole-array reduction must match to the bit. A
+    fit line keeps only its ``# fit d=...`` prefix; _fit_oracle checks its
+    values."""
     rows, comments, means = [], [], {}
     constants = derive_constants(config.d_list, config.alpha, config.p_u, config.p_l)
     for i, (d, c) in enumerate(zip(config.d_list, constants)):
@@ -377,11 +389,7 @@ def _hitting_scaling_text(config, times):
                          upper, lower <= mean - halfwidth and mean + halfwidth <= upper,
                          censored))
     if len(config.epsilons) >= 3:
-        x = np.log(1.0 / np.array(config.epsilons))
-        for d in config.d_list:
-            fit = _linear_fit(x, np.array([means[d, eps] for eps in config.epsilons]))
-            comments.append("# fit d={}: slope={!r} intercept={!r} r_squared={!r}"
-                            .format(d, *fit))
+        comments += [f"# fit d={d}" for d in config.d_list]
     if len(config.d_list) >= 2:
         for eps in config.epsilons:
             per_d = np.array([means[d, eps] / d for d in config.d_list])
@@ -547,31 +555,13 @@ def test_har_check_gap_is_zero_where_the_standard_error_is(tmp_path, monkeypatch
     assert table["gap_sigmas"] == [0.0] * len(ds)
 
 
-class CountingStream:
-    """A real Generator that counts the normals drawn and records every
-    gamma call as (shape, size)."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.normals = 0
-        self.gamma_calls = []
-
-    def standard_normal(self, size):
-        self.normals += size
-        return self._rng.standard_normal(size)
-
-    def standard_gamma(self, shape, size):
-        self.gamma_calls.append((shape, size))
-        return self._rng.standard_gamma(shape, size)
-
-
 def test_har_check_draws_z0_once_for_every_dimension(tmp_path, monkeypatch):
     # one stream, (seed, 3, 0), and one pool: n normals in all, and per
     # chunk one gamma increment per d, (d - d_prev) / 2 with d_prev = 1 first
     streams = []
 
     def counting_stream(*key):
-        streams.append((key, CountingStream(derive_stream(*key))))
+        streams.append((key, RecordingStream(derive_stream(*key))))
         return streams[-1][1]
 
     monkeypatch.setattr("es_drift.cli.derive_stream", counting_stream)
@@ -580,7 +570,7 @@ def test_har_check_draws_z0_once_for_every_dimension(tmp_path, monkeypatch):
                                    mc_samples=n, master_seed=5))
     [(key, stream)] = streams
     assert key == (5, 3, 0)
-    assert stream.normals == n
+    assert sum(z0.size for z0 in stream.normals) == n
     ds = (2, 4, 8, 16, 32, 64, 128)
     assert [shape for shape, _ in stream.gamma_calls] == [
         (d - d_prev) / 2 for d_prev, d in zip((1, *ds), ds)]

@@ -9,28 +9,14 @@ from scipy.stats import ks_2samp
 
 from es_drift import (ConvergenceError, ESState, derive_stream, hitting_times,
                       initial_state, run_until)
-from es_drift.kernels import es_hitting_times, potential_value
-from reference import es_step
-
-
-class FixedDraw:
-    """Stands in for a Generator, returning preset standard-normal vectors."""
-
-    def __init__(self, *vectors):
-        self._vectors = [np.asarray(v, dtype=float) for v in vectors]
-        self._i = 0
-
-    def standard_normal(self, size):
-        v = self._vectors[self._i]
-        self._i += 1
-        assert v.size == size
-        return v.copy()
+from es_drift.kernels import es_hitting_times
+from reference import PresetStream, es_step
 
 
 def test_es_step_forced_failure_shrinks_sigma():
     m = np.array([1.0, 0.0])
     # offspring far out along +m is worse
-    new_m, new_sigma, outcome = es_step(m, 0.5, 1.5, FixedDraw([10.0, 0.0]))
+    new_m, new_sigma, outcome = es_step(m, 0.5, 1.5, PresetStream([10.0, 0.0]))
     assert not outcome.success
     assert outcome.log_progress == 0.0
     np.testing.assert_array_equal(new_m, m)
@@ -38,7 +24,7 @@ def test_es_step_forced_failure_shrinks_sigma():
 
 
 def test_es_step_forced_success_moves_and_grows_sigma():
-    new_m, new_sigma, outcome = es_step([1.0, 0.0], 0.5, 1.5, FixedDraw([-1.0, 0.0]))
+    new_m, new_sigma, outcome = es_step([1.0, 0.0], 0.5, 1.5, PresetStream([-1.0, 0.0]))
     assert outcome.success
     np.testing.assert_allclose(new_m, [0.5, 0.0])
     assert new_sigma == pytest.approx(0.75, rel=1e-15)
@@ -47,7 +33,7 @@ def test_es_step_forced_success_moves_and_grows_sigma():
 
 def test_es_step_tie_counts_as_success():
     # offspring mirrored through the origin has the exact same norm
-    _, new_sigma, outcome = es_step([1.0, 0.0], 1.0, 1.5, FixedDraw([-2.0, 0.0]))
+    _, new_sigma, outcome = es_step([1.0, 0.0], 1.0, 1.5, PresetStream([-2.0, 0.0]))
     assert outcome.success
     assert outcome.offspring_norm == 1.0
     assert outcome.log_progress == 0.0
@@ -124,36 +110,21 @@ def test_run_until_matches_manual_stepping(rng_for):
     assert ks_2samp(manual, reduced).pvalue > 1e-3
 
 
-class FixedSphereDraw:
-    """Stands in for a Generator, returning preset (z0, chi2) pairs."""
-
-    def __init__(self, d, z0s, chi2s):
-        self._d = d
-        self._z0s = np.asarray(z0s, dtype=float)
-        self._chi2s = np.asarray(chi2s, dtype=float)
-
-    @staticmethod
-    def _block(values, size):
-        # kernels draw full blocks whatever the budget; no test steps past
-        # the preset draws, so the rest of the block is NaN
-        assert size >= values.size
-        return np.concatenate([values, np.full(size - values.size, np.nan)])
-
-    def standard_normal(self, size):
-        return self._block(self._z0s, size)
-
-    def standard_gamma(self, shape, size):
-        assert shape == (self._d - 1) / 2
-        return self._block(self._chi2s / 2.0, size)
+def _chain_draws(d):
+    """Fresh preset (z0, chi2) draws of the d = 3 or d = 4 chain below."""
+    if d == 4:
+        return PresetStream([-1.0, 1.0, -0.0625, -1.0 / 128.0],
+                            [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16])
+    return PresetStream([1.0, -1.0, 0.0, 0.0], [0.0] * 4)
 
 
 def test_run_until_steps_the_norm_sigma_chain_exactly():
     # alpha = 16 makes every factor a power of two: success, failure, a tie
     # (||offspring|| = ||m||, a success) and success again
-    draws = FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
-                            [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16])
+    draws = _chain_draws(4)
     state0 = ESState(d=4, norm=1.0, sigma=0.5)
     trace = run_until(state0, 16.0, 1e-3, 4, draws)
+    assert [shape for shape, _ in draws.gamma_calls] == [1.5]
     assert trace.norms.tolist() == [1.0, 0.5, 0.5, 0.5, 0.25]
     assert trace.sigmas.tolist() == [0.5, 8.0, 4.0, 64.0, 1024.0]
     assert trace.successes.tolist() == [True, False, True, True, False]
@@ -170,16 +141,14 @@ def test_hitting_times_steps_each_run_exactly():
     # duplicates too, in an int64 array of shape (groups, replicates,
     # thresholds) with -1 where the budget ran out
     alpha = 16.0
-    runs = [(ESState(d=3, norm=1.0, sigma=0.5),
-             FixedSphereDraw(3, [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])),
-            (ESState(d=4, norm=1.0, sigma=0.5),
-             FixedSphereDraw(4, [-1.0, 1.0, -0.0625, -1.0 / 128.0],
-                             [0.0, 0.0, 0.75 / 64.0, 2.0 ** -16]))]
-    states, draws = zip(*runs)
+    states = [ESState(d=3, norm=1.0, sigma=0.5), ESState(d=4, norm=1.0, sigma=0.5)]
+    draws = [_chain_draws(3), _chain_draws(4)]
     times = hitting_times(states, 1, alpha, [0.75, 0.3, 0.2], 4, draws)
     assert isinstance(times, np.ndarray) and times.dtype == np.int64
     assert times.tolist() == [[[2, -1, -1]], [[1, 4, -1]]]
-    times = hitting_times(states, 1, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4, draws)
+    assert [[shape for shape, _ in draw.gamma_calls] for draw in draws] == [[1.0], [1.5]]
+    times = hitting_times(states, 1, alpha, [0.3, 0.75, 0.6, 0.26, 0.75, 0.2], 4,
+                          [_chain_draws(3), _chain_draws(4)])
     assert times.tolist() == [[[-1, 2, -1, -1, 2, -1]], [[4, 1, 1, 4, 1, -1]]]
 
 
@@ -188,7 +157,7 @@ def _time(trace):
     return -1 if trace.hitting_time is None else trace.hitting_time
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(runs=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 2 ** 32 - 1)),
                      min_size=1, max_size=6),
        powers=st.lists(st.integers(0, 300), min_size=1, max_size=5),
@@ -328,7 +297,7 @@ class GroupColumnDraw:
         return self._column(self._rng.standard_gamma(shape, size * self._k), size)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(groups=st.lists(st.tuples(st.integers(2, 64), st.integers(0, 2 ** 32 - 1),
                                  st.floats(0.25, 16.0)),
                        min_size=1, max_size=3),
@@ -465,16 +434,6 @@ def test_run_until_hits_targets_below_norm_squared_underflow():
         assert 0.0 < trace.norms[-1] <= epsilon
         hits.append(trace.hitting_time)
     assert hits[0] < hits[1] < hits[2]
-
-
-def test_run_until_records_potential_when_given(rng_for, constants_for):
-    # the run driver's potential column: one array call over the trace
-    c = constants_for(6)
-    trace = run_until(initial_state(6, 1.0, 2.0), 1.5, 1e-2,
-                      10_000, rng_for(8))
-    potentials = potential_value(trace.norms, trace.sigmas, 6, c.alpha, c.ell, c.u, c.v)
-    assert np.all(np.isfinite(potentials))
-    assert np.all(potentials >= np.log(trace.norms) - 1e-12)
 
 
 def test_initial_state_has_requested_normalized_step():

@@ -21,34 +21,9 @@ import numpy as np
 import pytest
 
 from es_drift import kernels
-from reference import success_mc_hits
+from reference import PresetStream, RecordingStream, success_mc_hits
 
 CHUNK = 4
-
-
-class PresetDraws:
-    """Stands in for a Generator: preset z0 values in order, and preset chi2
-    values handed out in order to the standard_gamma calls, each recorded
-    as (shape, size)."""
-
-    def __init__(self, z0s, chi2s):
-        self._z0s = list(z0s)
-        self._chi2s = list(chi2s)
-        self.gamma_calls = []
-
-    def standard_normal(self, size):
-        assert size <= len(self._z0s)
-        out, self._z0s = self._z0s[:size], self._z0s[size:]
-        return np.array(out, dtype=float)
-
-    def standard_gamma(self, shape, size):
-        assert size <= len(self._chi2s)
-        self.gamma_calls.append((shape, size))
-        out, self._chi2s = self._chi2s[:size], self._chi2s[size:]
-        return np.array(out, dtype=float) / 2.0
-
-    def used_up(self):
-        return not self._z0s and not self._chi2s
 
 
 def _chunk_counts(flags):
@@ -89,7 +64,7 @@ def test_truncated_drift_sums_draw_chi2_for_undecided_only(
     z0s = [t * 2.0 * norm / sigma for t in DRIFT_T]
     flags = [-1.0 <= t <= 0.0 for t in DRIFT_T]
     chi2s = [w / (sigma * sigma) for w in DRIFT_W]
-    draws = PresetDraws(z0s, chi2s)
+    draws = PresetStream(z0s, chi2s)
     y_fail, total, total_sq = kernels.truncated_drift_sums(
         norm, sigma, d, c.alpha, c.ell, c.u, c.v, c.A, len(z0s), draws)
     assert draws.used_up()
@@ -135,7 +110,7 @@ def test_truncated_drift_sums_score_every_step_size_from_one_pool(
     z0s = [t * 2.0 * norm / s_min for t in DRIFT_T]
     flags = [-1.0 <= t <= 0.0 for t in DRIFT_T]
     chi2s = [w / (s_min * s_min) for w in DRIFT_W]
-    draws = PresetDraws(z0s, chi2s)
+    draws = PresetStream(z0s, chi2s)
     y_fail, total, total_sq = kernels.truncated_drift_sums(
         norm, np.array(sigmas), d, c.alpha, c.ell, c.u, c.v, c.A, len(z0s), draws)
     assert draws.used_up()
@@ -184,7 +159,7 @@ def test_truncated_drift_sums_score_an_exact_hit_of_the_optimum_as_minus_a(
     norm = 2.0
     sigma = 2.0 ** round(math.log2(math.sqrt(c.ell * c.u) * norm / d))
     assert (norm + sigma * (-norm / sigma)) ** 2 == 0.0
-    draws = PresetDraws([-norm / sigma, 1.0, 2.0, 3.0], [0.0])
+    draws = PresetStream([-norm / sigma, 1.0, 2.0, 3.0], [0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y_fail, total, total_sq = kernels.truncated_drift_sums(
@@ -194,25 +169,6 @@ def test_truncated_drift_sums_score_an_exact_hit_of_the_optimum_as_minus_a(
                          - c.potential_of(norm, sigma), -c.A)
     assert total == -c.A - y_fail
     assert total_sq == (-c.A - y_fail) ** 2
-
-
-class RecordedDraws:
-    """A real Generator whose z0 and chi2 draws are kept, in order."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.z0s = []
-        self.chi2s = []
-
-    def standard_normal(self, size):
-        out = self._rng.standard_normal(size)
-        self.z0s.append(out)
-        return out
-
-    def standard_gamma(self, shape, size):
-        out = self._rng.standard_gamma(shape, size)
-        self.chi2s.append(2.0 * out)
-        return out
 
 
 @pytest.mark.parametrize("d", [2, 10, 64])
@@ -236,11 +192,11 @@ def test_truncated_drift_sums_count_every_success_at_every_step_size(
         return log_potential(x, lo, hi, v)
 
     monkeypatch.setattr(kernels, "_log_potential", counting)
-    draws = RecordedDraws(rng_for(14, d))
+    draws = RecordingStream(rng_for(14, d))
     kernels.truncated_drift_sums(norm, sigmas, d, c.alpha, c.ell, c.u, c.v,
                                  c.A, 4500, draws)
 
-    z0 = np.concatenate(draws.z0s)
+    z0 = np.concatenate(draws.normals)
     # a sample without a chi2 draw is decided as a failure by z0 alone at
     # the smallest step size; chi2 = 0 keeps it one at every step size
     chi2 = np.zeros(z0.size)
@@ -265,7 +221,7 @@ HIT_CHI2 = [0.1, 0.5, 2.0, 0.2, 0.0, 0.05, 0.4, 3.0]
 def test_success_mc_hits_draws_chi2_for_undecided_only(small_chunks, d):
     scale, radius = 0.5, 0.9
     flags = [-3.8 < z0 < -0.2 for z0 in HIT_Z0]
-    draws = PresetDraws(HIT_Z0, HIT_CHI2)
+    draws = PresetStream(HIT_Z0, HIT_CHI2)
     hits = success_mc_hits(scale, radius, d, len(HIT_Z0), draws)
     assert draws.used_up()
     assert draws.gamma_calls == [((d - 1) / 2, k) for k in _chunk_counts(flags)]
@@ -294,7 +250,7 @@ def _acute_log_progress(z0, chi2):
 @pytest.mark.parametrize("d", [2, 10])
 def test_har_log_progress_pool_sums_draw_chi2_for_acute_only(small_chunks, d):
     flags = [z0 >= 0.0 for z0 in HAR_Z0]
-    draws = PresetDraws(HAR_Z0, HAR_CHI2)
+    draws = PresetStream(HAR_Z0, HAR_CHI2)
     total, total_sq, capped = (
         x[0] for x in kernels.har_log_progress_pool_sums((d,), len(HAR_Z0), draws))
     assert draws.used_up()
@@ -319,7 +275,7 @@ POOL_INC = [3.0, 2.0, 1.0, 0.5, 4.0, 6.0,                  # chunk 1
 def test_har_log_progress_pool_sums_nest_chi2_across_dimensions(small_chunks):
     flags = [z0 >= 0.0 for z0 in HAR_Z0]
     counts = _chunk_counts(flags)
-    draws = PresetDraws(HAR_Z0, POOL_INC)
+    draws = PresetStream(HAR_Z0, POOL_INC)
     total, total_sq, capped = kernels.har_log_progress_pool_sums(
         POOL_D, len(HAR_Z0), draws)
     assert draws.used_up()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import chndtr, gammainc, ndtr, ndtri
+from scipy.special import chndtr, gammainc, ndtri
 
 from es_drift import success
 from es_drift import ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit
@@ -131,26 +131,6 @@ def test_psucc_exact_is_smooth_in_sigma_bar_at_large_dimension():
     assert np.all(np.diff(psucc_exact(65536, 1.526e-5, sigma_bars)) < 0.0)
 
 
-def test_psucc_exact_many_matches_pointwise():
-    grid = np.exp(np.linspace(math.log(0.1), math.log(10.0), 17))
-    values = psucc_exact(12, 0.05, grid)
-    assert values.shape == grid.shape
-    for s, value in zip(grid, values):
-        assert value == psucc_exact(12, 0.05, float(s))
-    with pytest.raises(ValueError):
-        psucc_exact(12, 0.05, np.array([1.0, 0.0]))
-
-
-def test_psucc_exact_many_matches_pointwise_in_the_chi_region():
-    # noncentrality from 4e8 down to 4e2: both forms, split at sbar = 10.24
-    grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 23))
-    assert np.any((1024 / grid) ** 2 >= 1e4) and np.any((1024 / grid) ** 2 < 1e4)
-    values = psucc_exact(1024, 1 / 1024, grid)
-    for k, s in enumerate(grid):
-        assert values[k] == psucc_exact(1024, 1 / 1024, float(s))
-        assert values[k] == psucc_exact(1024, 1 / 1024, grid[k:k + 2])[0]
-
-
 MIXED_DIMENSIONS = (2, 3, 31, 32, 33, 40, 45, 64, 1000, 1024, 65536)
 
 
@@ -187,12 +167,7 @@ def test_psucc_exact_array_error_names_the_failing_point():
         psucc0_inverse([64, 2], 0.4999999)
 
 
-def test_psucc_exact_monotone_in_sigma_bar():
-    values = [psucc_exact(16, 0.0, s) for s in (1.0, 2.0, 4.0)]
-    assert values[0] > values[1] > values[2]
-
-
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(d=st.integers(1, 512),
        sigma_bars=st.lists(st.floats(0.05, 50.0), min_size=2, max_size=20),
        rates=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=8))
@@ -204,11 +179,6 @@ def test_psucc_exact_many_monotone_in_sigma_bar_and_rate(d, sigma_bars, rates):
     assert np.all(np.diff(psucc_exact(d, 0.0, grid)) <= slack)
     by_rate = np.array([psucc_exact(d, r, grid) for r in sorted(rates)])
     assert np.all(np.diff(by_rate, axis=0) <= slack)
-
-
-def test_psucc_exact_matches_limit_at_high_dimension():
-    value = psucc_exact(256, 0.0, 2.0)
-    assert abs(value - ndtr(-1.0)) < 1e-2
 
 
 def test_psucc_exact_vanishes_as_rate_approaches_one():
@@ -225,13 +195,6 @@ def test_psucc_exact_against_float64_quadrature(rng_for):
         mine = psucc_exact(d, r, sigma_bar)
         ref = _quad_psucc(d, r, sigma_bar)
         assert abs(mine - ref) < 5e-9, (d, r, sigma_bar)
-
-
-def test_psucc_exact_image_bounds():
-    for d in (2, 16, 256):
-        for sigma_bar in (0.25, 1.0, 4.0):
-            value = psucc_exact(d, 0.0, sigma_bar)
-            assert 0.0 < value < 0.5
 
 
 def test_figure_curve_gap_shrinks_with_dimension():
@@ -253,18 +216,12 @@ def test_figure_curve_gap_shrinks_with_dimension():
 def test_psucc_limit_matches_erf_oracle():
     # independent oracle: Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) at
     # x = -rho/sbar - sbar/2
-    for rho, sigma_bar in ((0.0, 6.0), (0.0, 2.0), (0.0, 0.2), (1.0, 0.5), (2.0, 4.0)):
+    for rho, sigma_bar in ((0.0, 6.0), (0.0, 2.0), (0.0, 0.2), (0.0, 1e-9), (1.0, 0.5),
+                           (1.0, math.sqrt(2.0)), (2.0, 4.0)):
         x = -rho / sigma_bar - sigma_bar / 2.0
         oracle = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
         assert abs(psucc_limit(rho, sigma_bar) - oracle) < 1e-14
     assert psucc_limit(0.0, 2.0) == pytest.approx(0.15865525393145707, abs=1e-12)
-
-
-def test_psucc_limit_values():
-    assert psucc_limit(0.0, 2.0) == pytest.approx(ND.cdf(-1.0), abs=1e-12)
-    assert psucc_limit(0.0, 1e-9) == pytest.approx(0.5, abs=1e-6)
-    assert psucc_limit(1.0, math.sqrt(2.0)) == pytest.approx(ND.cdf(-math.sqrt(2.0)),
-                                                             abs=1e-12)
 
 
 def test_psucc_limit_peak_at_sqrt_two_for_unit_rho():
@@ -274,7 +231,7 @@ def test_psucc_limit_peak_at_sqrt_two_for_unit_rho():
 
 
 def test_psucc_limit_pole():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="step size must be positive"):
         psucc_limit(0.0, 0.0)
 
 
@@ -298,15 +255,9 @@ def test_psucc_mc_zero_for_deep_target(rng_for):
     assert est.mean == 0.0
 
 
-def test_psucc_mc_agrees_with_exact(rng_for):
-    est = psucc_mc(64, 0.0, 2.0, 1_000_000, rng_for(4))
-    exact = psucc_exact(64, 0.0, 2.0)
-    assert abs(est.mean - exact) <= 4.0 * est.std_error
-
-
 @pytest.mark.parametrize("key, d, r, sigma_bar", [(0, 10, 0.02, 1.5), (1, 64, 0.005, 2.0),
                                                    (2, 2, 0.0, 8.0), (3, 10, 0.0, 8.0),
-                                                   (4, 10, 0.02, 8.0)])
+                                                   (4, 10, 0.02, 8.0), (5, 64, 0.0, 2.0)])
 def test_psucc_mc_agrees_with_exact_at_positive_rate_and_large_step(rng_for, key, d,
                                                                     r, sigma_bar):
     est = psucc_mc(d, r, sigma_bar, 1_000_000, rng_for(5, key))
@@ -319,11 +270,6 @@ def test_psucc_mc_agrees_with_exact_at_positive_rate_and_large_step(rng_for, key
 # ---------------------------------------------------------------------------
 # inverse of the rate-zero curve
 # ---------------------------------------------------------------------------
-
-def test_psucc0_inverse_round_trip():
-    sigma_bar = psucc0_inverse(16, 0.3)
-    assert abs(psucc_exact(16, 0.0, sigma_bar) - 0.3) <= 1e-9
-
 
 def test_psucc0_inverse_limit_values():
     # normal-quantile oracle: sigma_bar -> -2 * Phi^{-1}(p) as d grows

@@ -51,7 +51,7 @@ def test_truncated_series_invariants_on_random_walks(rng_for):
         assert np.all(np.diff(ts.ys) >= -a_cut - 1e-12)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
        depths=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2))
 def test_truncate_series_invariants(xs, depths):

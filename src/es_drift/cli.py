@@ -196,8 +196,9 @@ def cmd_hitting_scaling(config: ExperimentConfig) -> dict[str, list]:
             intercept = float(y.mean() - slope * x.mean())
             ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
             ss_tot = float(((y - y.mean()) ** 2).sum())
-            # a NaN mean_T (a censored cell) makes every fit value NaN
-            r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+            # a NaN mean_T (a censored cell) makes every fit value NaN, and
+            # equal means (every run hit at t = 0) make r_squared 0 / 0: NaN
+            r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else math.nan
             comments.append(f"# fit d={d}: slope={slope!r} intercept={intercept!r}"
                             f" r_squared={r_squared!r} slope_se={se!r}")
     if len(config.d_list) >= 2:

@@ -24,9 +24,10 @@ the interval |1 + s N_1| < sqrt(rho^2 - s^2 chi^2), so
     a(chi) = (rho^2 - 1 - s^2 chi^2) / ((sqrt(rho^2 - s^2 chi^2) + 1) s),
 
 where a is the upper end sqrt(rho^2 - s^2 chi^2) - 1 over s, rewritten
-without the cancellation of two numbers near 1. A fixed Gauss-Hermite
-rule over chi makes each value a sum of ndtr terms, at a cost that does
-not depend on lambda, and a smooth function of sbar.
+without the cancellation of two numbers near 1. The Gauss rule of the
+chi^2_{d-1} law itself, a function of d alone, makes each value a sum of
+ndtr terms, at a cost that does not depend on lambda, and a smooth
+function of sbar.
 
 For r = 0 the curve is strictly decreasing in sbar with image (0, 1/2),
 which makes it invertible by bracketed root finding. As d -> infinity
@@ -37,7 +38,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.special import chndtr, ndtr, ndtri
 
 from .errors import ConvergenceError
@@ -50,18 +50,17 @@ from .errors import ConvergenceError
 # the chi form has no ceiling.
 MAX_NONCENTRALITY = 1e10
 MAX_ABS_ERROR = 1e-11
-# psucc_exact takes the chi form where d >= _CHI_MIN_D, the noncentrality
-# is at least _CHI_MIN_NONCENTRALITY and r*d <= _CHI_MAX_RATE_D, and chndtr
-# elsewhere. Below d = 32 the Gauss-Hermite rule fits the skewed chi
-# density worse (3e-12 at d = 16, 1e-8 at d = 8); at smaller noncentrality
-# the integrand's square-root edge, where s*chi reaches rho, enters the
-# bulk, and _psucc_chi's dropped lower term needs s <= 0.01. At larger
-# rates p in the chi region is tiny and set by the lower tail of chi,
-# which the rule resolves in absolute terms only (7.6e-9 relative at
-# p = 1e-85 already at r*d = 2, d = 1024; at r = 0.3, d = 64 it gives up
-# to 2e-208 where chndtr gives 0), and the seam between the forms broke
-# the log-concavity of p in log sbar that the band minima rely on.
-_CHI_MIN_D = 32
+# psucc_exact takes the chi form where the noncentrality is at least
+# _CHI_MIN_NONCENTRALITY and r*max(d, 32) <= _CHI_MAX_RATE_D, and chndtr
+# elsewhere. At smaller noncentrality the integrand's square-root edge,
+# where s*chi reaches rho, enters the bulk, and _psucc_chi's dropped lower
+# term needs s <= 0.01. At larger rates p in the chi region is tiny and
+# set by the lower tail of chi, which the rule resolves in absolute terms
+# only (at r = 0.3, d = 64 it gives up to 6e-203 where chndtr gives 0),
+# and the seam between the forms breaks the log-concavity of p in log
+# sbar that the band minima rely on. Below d = 32 the cap is r <= 1/16:
+# with r*d <= 2 alone, the seam, at p near 1e-203, breaks it at d = 2
+# and 3 for r = 0.3 and at d = 3 for r = 1/3.
 _CHI_MIN_NONCENTRALITY = 1e4
 _CHI_MAX_RATE_D = 2.0
 # largest |p(d, 0, root) - p| that psucc0_inverse accepts
@@ -99,34 +98,25 @@ def _full(x: np.ndarray, shape: tuple) -> np.ndarray:
     return x.ravel()
 
 
-# the 24-node Gauss-Hermite rule for the weight e^(-t^2); scipy's
-# roots_hermite would import scipy.linalg, which es_drift does not
-# otherwise load
-_HERMITE_RULE = hermgauss(24)
-
-
 @functools.cache
 def _chi_rule(d: int) -> tuple:
-    """Nodes chi^2 and weights of the Gauss-Hermite rule for E_chi over
-    the chi law with d - 1 degrees of freedom.
+    """Nodes chi^2 and weights of the 16-node Gauss rule for E_chi over
+    the chi law with d - 1 degrees of freedom (Golub & Welsch, Math.
+    Comp. 23, 1969).
 
-    The rule for the weight e^(-t^2), a normal law of scale 1/sqrt(2),
-    is centred at the mode mu = sqrt(d - 2), so chi = mu + t. Each weight
-    carries the density ratio g(chi) e^(t^2) / g(mu), with
-    log(g(chi) / g(mu)) = mu^2 log(chi / mu) - t (2 mu + t) / 2, and the
-    weights are normalized to sum to 1, which leaves out the normalizing
-    constant of g and its cancellation at large d. Nodes at chi <= 0,
-    where the density is about 0, keep their place with weight 0, so
-    every d has all 24 nodes.
+    chi^2 / 2 follows the gamma law of shape a = (d - 1)/2, whose monic
+    orthogonal polynomials (the Laguerre ones of parameter a - 1) have
+    the Jacobi matrix with diagonal 2k + a and sub-diagonal
+    sqrt(k (k + a - 1)). Its eigenvalues, doubled, are the nodes, and the
+    squared first components of its unit eigenvectors are the weights,
+    which sum to 1. The rule is exact for polynomials in chi^2 of degree
+    up to 31 at every d; at d = 1 it is the one node 0 of weight 1.
     """
-    mu = math.sqrt(d - 2.0)
-    t, w = _HERMITE_RULE
-    keep = t > -mu
-    # log1p is -inf or NaN at t/mu <= -1, and 0 * NaN is NaN
-    log_ratio = np.log1p(np.where(keep, t / mu, 0.0))
-    w = np.where(keep, w * np.exp(t * t + mu * mu * log_ratio - t * (2.0 * mu + t) / 2.0),
-                 0.0)
-    return (mu + t) ** 2, w / w.sum()
+    a = (d - 1) / 2.0
+    k = np.arange(16.0)
+    off = np.sqrt(k[1:] * (k[1:] + a - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * k + a) + np.diag(off, 1) + np.diag(off, -1))
+    return 2.0 * nodes, vectors[0] ** 2
 
 
 def _psucc_chi(d: np.ndarray, r: np.ndarray, sbar: np.ndarray) -> np.ndarray:
@@ -137,9 +127,10 @@ def _psucc_chi(d: np.ndarray, r: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     There s <= 0.01, so the lower term Phi(-(sqrt(rho^2 - s^2 chi^2) + 1) / s)
     is at most Phi(-100), which is 0 in double precision, and is left out.
     So is the edge where s^2 chi^2 > rho^2: a < -1/s there, so Phi(a) is
-    0 too. Each point's row of the node table is its own d's rule, summed
-    within that row, so a value does not depend on the other points of
-    the call.
+    0 too. Every d's rule has 16 nodes, so the rules of the call's
+    dimensions stack into one node table; each point's row is its own
+    d's rule, summed within that row, so a value does not depend on the
+    other points of the call.
     """
     kinds, which = np.unique(d, return_inverse=True)
     rules = [_chi_rule(k) for k in kinds.tolist()]
@@ -164,16 +155,17 @@ def psucc_exact(d, r, sigma_bars):
     d, r and ``sigma_bars`` broadcast against each other, so one call
     evaluates any mix of dimensions, rates and step sizes; it returns an
     array of the broadcast shape (a float when all three are scalars).
-    Where d >= 32, r*d <= 2 and the noncentrality (d/sbar)^2 is at least
-    1e4, p is the chi form: a 24-node Gauss-Hermite sum of ndtr terms,
-    which costs the same at any noncentrality and is smooth in sbar.
+    Where r*max(d, 32) <= 2 (r*d <= 2 from d = 32 on, r <= 1/16 below)
+    and the noncentrality (d/sbar)^2 is at least 1e4, p is the chi form:
+    a sum of ndtr terms over the 16-node Gauss rule of the chi^2_{d-1}
+    law, which costs the same at any noncentrality and is smooth in sbar.
     Every other point goes to one ``chndtr`` call for the whole array,
     whose cost grows like d/sbar; ``chndtr`` is not smooth at the 1e-11
     level at large d. A value does not depend on the other points of the
     call: it is bit-identical to a one-point call. Raises ConvergenceError,
     naming the first failing point in flat order, if a ``chndtr`` point's
     noncentrality exceeds MAX_NONCENTRALITY (normalized step sizes near
-    zero at d < 32 or at larger rates) or if a value comes back
+    zero at rates above the chi form's cap) or if a value comes back
     non-finite or outside [0, 1].
     """
     ds, rs, sbar = (np.asarray(d), np.asarray(r, dtype=float),
@@ -182,8 +174,7 @@ def psucc_exact(d, r, sigma_bars):
     ds, rs, sbar = _full(ds, shape), _full(rs, shape), _full(sbar, shape)
     _check(ds, rs, sbar)
     lam = (ds / sbar) ** 2
-    chi = ((lam >= _CHI_MIN_NONCENTRALITY) & (ds >= _CHI_MIN_D)
-           & (rs * ds <= _CHI_MAX_RATE_D))
+    chi = (lam >= _CHI_MIN_NONCENTRALITY) & (rs * np.maximum(ds, 32) <= _CHI_MAX_RATE_D)
     values = np.empty_like(sbar)
     if chi.any():
         values[chi] = _psucc_chi(ds[chi], rs[chi], sbar[chi])

@@ -258,6 +258,20 @@ def test_hitting_scaling_fit_is_nan_when_every_run_is_censored(tmp_path):
     assert "# fit d=4: slope=nan intercept=nan r_squared=nan slope_se=nan" in comments
 
 
+def test_hitting_scaling_fit_of_runs_all_hit_at_the_start_has_no_r_squared(tmp_path):
+    # every epsilon at or above m0_norm is hit at t = 0: a flat line with
+    # no spread, whose r_squared is 0 / 0, NaN without a RuntimeWarning
+    out = tmp_path / "hs.csv"
+    config = ExperimentConfig(output_path=str(out), d_list=(4,), replicates=5,
+                              eps_list=(3.0, 2.0, 1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cmd_hitting_scaling(config)
+        _assert_hitting_scaling_file(out, config, np.zeros((1, 5, 3), dtype=int))
+    _, _, comments = _read_csv(out)
+    assert "# fit d=4: slope=0.0 intercept=0.0 r_squared=nan slope_se=0.0" in comments
+
+
 def test_hitting_scaling_rate_band_is_nan_at_an_epsilon_hit_at_the_start(tmp_path):
     # an epsilon at or above m0_norm is hit at t = 0 at every d, and 0 / 0
     # gives NaN without a RuntimeWarning
@@ -335,7 +349,8 @@ def _fit_oracle(x, chains):
     """A d's fit line from np.polyfit: the slope, intercept and r_squared of
     the line through the cell means of its chains, and slope_se, the
     statistics.stdev of the chains' slopes over sqrt(R). All four are NaN
-    where a run is censored, and slope_se where R = 1."""
+    where a run is censored, slope_se where R = 1, and r_squared where
+    the means are equal."""
     if (chains < 0).any():
         return [math.nan] * 4
     means = chains.mean(axis=0)
@@ -344,7 +359,7 @@ def _fit_oracle(x, chains):
     ss_tot = float(((means - means.mean()) ** 2).sum())
     slopes = [float(np.polyfit(x, chain, 1)[0]) for chain in chains]
     slope_se = statistics.stdev(slopes) / math.sqrt(len(chains)) if len(chains) > 1 else math.nan
-    return [slope, intercept, 1.0 - ss_res / ss_tot, slope_se]
+    return [slope, intercept, 1.0 - ss_res / ss_tot if ss_tot else math.nan, slope_se]
 
 
 _FIT_LINE = re.compile(r"^(# fit d=\d+): slope=(\S+) intercept=(\S+) r_squared=(\S+)"

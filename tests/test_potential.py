@@ -92,7 +92,7 @@ def test_derive_constants_rejects_bad_probabilities():
 @pytest.mark.parametrize("d", [2, 3, 10, 64, 1024])
 def test_psucc_is_log_concave_in_log_sigma_bar(d):
     # the reason band minima are band-end values; checked on both forms of
-    # psucc_exact (the chi form at d >= 32 and r*d <= 2) for noncentrality
+    # psucc_exact (the chi form at r*max(d, 32) <= 2) for noncentrality
     # (d/sbar)^2 up to 2.5e9, wherever p is a normal float
     grid = np.exp(np.linspace(math.log(2e-5 * d), math.log(100.0 * d), 1001))
     tiny = np.finfo(float).tiny

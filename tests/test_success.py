@@ -12,7 +12,7 @@ from scipy.special import chndtr, gammainc, ndtri
 
 from es_drift import success
 from es_drift import ConvergenceError, psucc0_inverse, psucc_exact, psucc_limit
-from es_drift.success import MAX_ABS_ERROR, MAX_NONCENTRALITY
+from es_drift.success import MAX_ABS_ERROR, MAX_NONCENTRALITY, MAX_ROOT_MISS
 from reference import psucc_mc
 
 ND = NormalDist()
@@ -75,10 +75,16 @@ ORACLE_POINTS = (
     (256, 0.0, 0.1335),                 # success-curve corner at r = 0
     (1024, 1 / 1024, 0.5),
     # noncentrality (d / sigma_bar)^2 just below MAX_NONCENTRALITY: chndtr
-    # at d = 2 and 16, the chi form at d = 1000
+    # above the chi form's rate cap at d = 8, the chi form at d = 2, 16 and
+    # 1000
+    (8, 0.1, 8.0001e-5),
     (2, 0.0, 2.00001e-5), (16, 0.0, 1.60001e-4), (1000, 0.0, 1.00001e-2),
     # the chi form has no ceiling: noncentrality 1e12
     (1024, 0.0, 1e-3),
+    # the chi form below d = 32, at noncentrality 1e4 and 1e12 and both
+    # ends of its rates there, r <= 1/16
+    *((d, r, d / math.sqrt(lam)) for d in (2, 3, 8, 16) for r in (0.0, 1 / 16)
+      for lam in (1e4, 1e12)),
 )
 
 
@@ -87,10 +93,11 @@ def test_psucc_exact_matches_mpmath_oracle():
         value = psucc_exact(d, r, sigma_bar)
         assert abs(value - _mpmath_psucc(d, r, sigma_bar)) <= MAX_ABS_ERROR, \
             (d, r, sigma_bar)
-    assert max((d / s) ** 2 for d, _, s in ORACLE_POINTS) > 0.9999 * MAX_NONCENTRALITY
-    # chndtr, below the chi form's dimensions, keeps its verified ceiling
+    assert max((d / s) ** 2 for d, r, s in ORACLE_POINTS
+               if r * max(d, 32) > 2.0) > 0.9999 * MAX_NONCENTRALITY
+    # chndtr, above the chi form's rate cap, keeps its verified ceiling
     with pytest.raises(ConvergenceError):
-        psucc_exact(16, 0.0, 1.5999e-4)
+        psucc_exact(8, 0.1, 7.9999e-5)
 
 
 def _chi_psucc(d, r, sigma_bars):
@@ -103,22 +110,35 @@ def _chndtr_psucc(d, r, sigma_bars):
     return chndtr(((1.0 - r) * d / sigma_bars) ** 2, d, (d / sigma_bars) ** 2)
 
 
-@pytest.mark.parametrize("d", [32, 64, 1024])
+@pytest.mark.parametrize("d", [1, 2, 3, 32, 2 ** 20])
+def test_chi_rule_matches_the_chi2_moments(d):
+    # a 16-node Gauss rule integrates (chi^2)^m exactly for m <= 31, and
+    # E[(chi2_{d-1})^m] = prod_{j<m} (d - 1 + 2j)
+    chi2, weights = success._chi_rule(d)
+    for m in range(32):
+        moment = math.prod(d - 1 + 2 * j for j in range(m))
+        assert float(weights @ chi2 ** m) == pytest.approx(moment, rel=1e-12, abs=1e-300), \
+            (d, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 32, 64, 1024])
 def test_psucc_exact_chi_form_agrees_with_chndtr_across_the_switch(d):
     # noncentrality 1e3 to 1e5 on both sides of the switch at 1e4, for
-    # every r*d up to the chi form's limit of 2
+    # every r*max(d, 32) up to the chi form's limit of 2
     sigma_bars = d / np.sqrt(np.geomspace(1e3, 1e5, 41))
     for rate_d in (0.0, 1.0, 2.0):
-        chi = _chi_psucc(d, rate_d / d, sigma_bars)
-        assert np.all(np.abs(chi - _chndtr_psucc(d, rate_d / d, sigma_bars))
-                      <= MAX_ABS_ERROR), (d, rate_d)
+        r = rate_d / max(d, 32)
+        chi = _chi_psucc(d, r, sigma_bars)
+        assert np.all(np.abs(chi - _chndtr_psucc(d, r, sigma_bars)) <= MAX_ABS_ERROR), \
+            (d, rate_d)
 
 
 def test_psucc_exact_takes_the_chi_form_only_inside_its_region():
-    sigma_bars = np.array([0.05, 0.3])  # noncentrality above 1e4 at d >= 32
-    assert np.array_equal(psucc_exact(32, 2 / 32, sigma_bars),
-                          _chi_psucc(32, 2 / 32, sigma_bars))
-    for d, r in ((16, 0.0), (32, 2.01 / 32), (64, 0.3)):
+    sigma_bars = np.array([0.05, 0.15])  # noncentrality above 1e4 at d >= 16
+    for d, r in ((32, 2 / 32), (16, 0.0), (16, 1 / 16)):
+        assert np.array_equal(psucc_exact(d, r, sigma_bars),
+                              _chi_psucc(d, r, sigma_bars)), (d, r)
+    for d, r in ((16, 0.07), (32, 2.01 / 32), (64, 0.3)):
         assert np.array_equal(psucc_exact(d, r, sigma_bars),
                               _chndtr_psucc(d, r, sigma_bars)), (d, r)
     assert psucc_exact(32, 0.0, 0.33) == _chndtr_psucc(32, 0.0, 0.33)
@@ -135,15 +155,15 @@ MIXED_DIMENSIONS = (2, 3, 31, 32, 33, 40, 45, 64, 1000, 1024, 65536)
 
 
 def test_psucc_exact_array_d_matches_pointwise_calls_bit_for_bit(rng_for):
-    # a random mix of dimensions on both sides of the chi form's d >= 32,
-    # rates r*d of 0 and 1, and noncentralities 1e3 to 1e5 around its
-    # switch at 1e4, in one call
+    # a random mix of dimensions on both sides of the chi form's rate cap
+    # r*max(d, 32) <= 2, rates r*d of 0 and 1, and noncentralities 1e3 to
+    # 1e5 around its switch at 1e4, in one call
     rng = rng_for(7)
     d = rng.choice(MIXED_DIMENSIONS, 400)
     r = rng.integers(0, 2, 400) / d
     sigma_bars = d / np.sqrt(np.exp(rng.uniform(math.log(1e3), math.log(1e5), 400)))
     values = psucc_exact(d, r, sigma_bars)
-    chi = (d >= 32) & ((d / sigma_bars) ** 2 >= 1e4)
+    chi = (r * np.maximum(d, 32) <= 2.0) & ((d / sigma_bars) ** 2 >= 1e4)
     assert chi.any() and (~chi).any()
     for k in range(400):
         assert values[k] == psucc_exact(int(d[k]), float(r[k]), float(sigma_bars[k])), k
@@ -158,13 +178,19 @@ def test_psucc_exact_array_d_matches_pointwise_calls_bit_for_bit(rng_for):
 
 
 def test_psucc_exact_array_error_names_the_failing_point():
-    # noncentrality just above the ceiling at d = 16 only; d = 64 takes the
-    # chi form and d = 8 stays below the ceiling
-    with pytest.raises(ConvergenceError, match=r"\(d=16, r=0, sigma_bar=0.00015999\)"):
-        psucc_exact([64, 16, 8], 0.0, 1.5999e-4)
-    # the root at d = 2 needs a step size far below chndtr's verified range
-    with pytest.raises(ConvergenceError, match=r"\(d=2, r=0, sigma_bar="):
-        psucc0_inverse([64, 2], 0.4999999)
+    # noncentrality just above the ceiling at d = 16 only, at a rate above
+    # the chi form's cap; d = 64 at r = 0 takes the chi form and d = 8
+    # stays below the ceiling
+    with pytest.raises(ConvergenceError, match=r"\(d=16, r=0.1, sigma_bar=0.00015999\)"):
+        psucc_exact([64, 16, 8], [0.0, 0.1, 0.1], 1.5999e-4)
+
+
+def test_psucc0_inverse_finds_roots_at_noncentralities_beyond_chndtrs_ceiling():
+    # the root at d = 2 is at noncentrality 4e12, which only the chi form
+    # reaches
+    roots = psucc0_inverse([64, 2], 0.4999999)
+    assert roots == pytest.approx([5.0928e-7, 1.0027e-6], rel=1e-4)
+    assert abs(_mpmath_psucc(2, 0.0, roots[1]) - 0.4999999) <= MAX_ROOT_MISS
 
 
 @settings(max_examples=50)

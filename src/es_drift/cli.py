@@ -1,6 +1,6 @@
 """Command-line experiment drivers.
 
-Subcommands reproduce the study end to end: ``success-curve`` tabulates
+Six commands reproduce the study end to end: ``success-curve`` tabulates
 exact success probabilities against their large-dimension limit,
 ``drift-map`` verifies the truncated-drift bound across step-size
 regimes, ``hitting-scaling`` compares empirical hitting times with the
@@ -11,13 +11,14 @@ marker; identical configs and seeds give byte-identical files. A CSV
 table is an ordered dict of named columns from the driver to the file,
 and each column holds one kind of value: floats, bools, or ints and
 strings. The writer raises TypeError on a column that mixes kinds.
-A flag's value is parsed by its config key's entry in ``config._PARSERS``,
-as a file value is. ``--workers`` is parsed and ignored, and is no config
-key; it goes once the benchmark stops passing it.
+Every config key is a flag of every command, parsed as its file value
+is; a command ignores the keys it does not read. ``--workers`` is parsed
+and ignored, and is no config key; it goes once the benchmark stops
+passing it.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime error. Every
-argparse error (a malformed flag value, an unknown flag or subcommand, a
-missing subcommand, a stray argument) is a configuration error, as are an
+argparse error (a malformed flag value, an unknown flag or command, a
+missing command, a stray argument) is a configuration error, as are an
 unreadable config file, an empty list and an empty output path;
 ``--help`` exits 0.
 """
@@ -34,7 +35,7 @@ from typing import NoReturn, Optional
 import numpy as np
 
 from . import kernels
-from .config import _PARSERS, ExperimentConfig, build_config
+from .config import SETTINGS, ExperimentConfig, build_config
 from .core import hitting_times, initial_state, run_until
 from .errors import ConfigurationError
 from .estimates import mean_estimate
@@ -307,12 +308,6 @@ _COMMANDS = {
 }
 
 
-def _setting(parser: argparse.ArgumentParser, flag: str, help: str, key: str = "") -> None:
-    """A flag parsed by _PARSERS[key], key defaulting to the flag's name."""
-    key = key or flag[2:].replace("-", "_")
-    parser.add_argument(flag, dest=key, type=_PARSERS[key], help=help)
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose every error is a ConfigurationError, not a
     usage block and SystemExit(2)."""
@@ -323,47 +318,25 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The es-drift argument parser, built once per process; subparsers share its class."""
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    _setting(common, "--seed", "master seed for all derived streams", "master_seed")
-    _setting(common, "--out", "output file path", "output_path")
-    _setting(common, "--d", "comma-separated dimensions (overrides d_list)", "d_list")
-    _setting(common, "--alpha", "step-size multiplier (> 1)")
-    _setting(common, "--epsilon", "target distance to the optimum")
-    _setting(common, "--replicates", "runs per configuration")
-    _setting(common, "--mc-samples", "Monte Carlo samples per estimate")
-    common.add_argument("--workers", type=int,
-                        help="no effect; goes once perfbench stops passing it")
-
-    parser = _Parser(prog="es-drift",
+    """The es-drift argument parser, built once per process: the command,
+    then one flag per config key; a flag left out is no attribute."""
+    parser = _Parser(prog="es-drift", argument_default=argparse.SUPPRESS,
                      description="experiments for the elitist evolution strategy with "
                                  "the one-fifth success rule on the sphere")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=help)
-
-    command("success-curve", "exact success probabilities vs the large-d limit")
-    command("drift-map", "truncated-drift verification across step-size regimes")
-    scaling = command("hitting-scaling", "hitting times vs theoretical bounds")
-    _setting(scaling, "--eps-list", "comma-separated epsilon sweep")
-    command("bounds", "derived constants and hitting-time bounds as JSON")
-    command("har-check", "line-search progress ceiling checks")
-    runp = command("run", "single traced run")
-    _setting(runp, "--record-every", "trace thinning stride")
-    _setting(runp, "--max-iter", "iteration budget")
-    _setting(runp, "--m0-norm", "starting distance to the optimum")
-    _setting(runp, "--sigma-bar0", "starting normalized step size")
+    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", help="key=value config file")
+    for key, (parse, flag, text) in SETTINGS.items():
+        parser.add_argument(flag, dest=key, type=parse, help=text)
+    parser.add_argument("--workers", type=int,
+                        help="no effect; goes once perfbench stops passing it")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     # --workers is parsed only because the benchmark's command lines still
     # pass it; it has no effect and no config key, so it is dropped here
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "workers") and v is not None}
-    return build_config(args.config, overrides)
+    overrides = {k: v for k, v in vars(args).items() if k in SETTINGS}
+    return build_config(getattr(args, "config", None), overrides)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -1,10 +1,11 @@
 """Experiment configuration: defaults, key=value files, flag overrides.
 
 A config file holds one ``key = value`` pair per line ('#' starts a
-comment) and sets each key once; lists are comma-separated. Flags, read
-by the same one parser per key in ``_PARSERS``, win over file values,
-which win over the defaults below. The defaults size the full
-experiment suite to minutes on a laptop.
+comment) and sets each key once; lists are comma-separated. Every key
+is also a flag of every command, whose value is parsed as the key's file
+value is. Flags win over file values, which win over the defaults
+below. The defaults size the full experiment suite to minutes on a
+laptop.
 """
 
 import math
@@ -25,21 +26,24 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-_PARSERS = {
-    "d_list": _int_list,
-    "eps_list": _float_list,
-    "alpha": float,
-    "p_u": float,
-    "p_l": float,
-    "epsilon": float,
-    "m0_norm": float,
-    "sigma_bar0": float,
-    "replicates": int,
-    "master_seed": int,
-    "mc_samples": int,
-    "output_path": str,
-    "max_iter": int,
-    "record_every": int,
+# every config key: the parser of its value, in a file or a flag, its
+# flag and the flag's help
+SETTINGS = {
+    "d_list": (_int_list, "--d", "comma-separated dimensions"),
+    "eps_list": (_float_list, "--eps-list",
+                 "comma-separated epsilon sweep of hitting-scaling (default: epsilon)"),
+    "alpha": (float, "--alpha", "step-size multiplier (> 1)"),
+    "p_u": (float, "--p-u", "success probability at the band's upper end u (< 1/5)"),
+    "p_l": (float, "--p-l", "success probability at the band's lower end ell (> 1/5)"),
+    "epsilon": (float, "--epsilon", "target distance to the optimum"),
+    "m0_norm": (float, "--m0-norm", "starting distance to the optimum"),
+    "sigma_bar0": (float, "--sigma-bar0", "starting normalized step size"),
+    "replicates": (int, "--replicates", "runs per configuration"),
+    "master_seed": (int, "--seed", "master seed for all derived streams"),
+    "mc_samples": (int, "--mc-samples", "Monte Carlo samples per estimate"),
+    "output_path": (str, "--out", "output file path"),
+    "max_iter": (int, "--max-iter", "iteration budget of a run"),
+    "record_every": (int, "--record-every", "trace thinning stride of run"),
 }
 
 
@@ -123,12 +127,12 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
+        if key not in SETTINGS:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in overrides:
             raise ConfigurationError(f"{path}:{lineno}: config key {key!r} is set again")
         try:
-            overrides[key] = _PARSERS[key](value)
+            overrides[key] = SETTINGS[key][0](value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return overrides

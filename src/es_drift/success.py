@@ -74,11 +74,12 @@ _MAX_ROOT_STEPS = 100
 
 def _check(d: np.ndarray, r: np.ndarray, sigma_bar: np.ndarray) -> None:
     """Raise ValueError for the first invalid d, r or sbar, given as
-    non-empty arrays of any one shape."""
+    arrays of any one shape."""
     if d.dtype.kind not in "iu":
         raise ValueError(f"dimension must be an integer, got {d.dtype} values")
-    # a NaN fails every comparison
-    if d.min() >= 1 and r.min() >= 0.0 and r.max() < 1.0 and sigma_bar.min() > 0.0:
+    # a NaN fails every comparison; an empty array passes
+    if (d.min(initial=1) >= 1 and r.min(initial=0.0) >= 0.0 and r.max(initial=0.0) < 1.0
+            and sigma_bar.min(initial=1.0) > 0.0):
         return
     for ok, message, values in ((d >= 1, "dimension must be positive", d),
                                 ((r >= 0.0) & (r < 1.0),
@@ -181,7 +182,7 @@ def psucc_exact(d, r, sigma_bars):
     plain = ~chi
     chndtr(((1.0 - rs) * ds / sbar) ** 2, ds, lam, out=values, where=plain)
     # the ceiling binds the chndtr points only; a NaN fails every comparison
-    if not (values.min() >= 0.0 and values.max() <= 1.0
+    if not (values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0
             and lam.max(where=plain, initial=0.0) <= MAX_NONCENTRALITY):
         over = plain & (lam > MAX_NONCENTRALITY)
         k = int((over | ~((values >= 0.0) & (values <= 1.0))).argmax())

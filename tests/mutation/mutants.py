@@ -89,6 +89,12 @@ MUTANTS = [
      "old": "chndtr(((1.0 - rs) * ds / sbar) ** 2, ds, lam",
      "new": "chndtr(((1.0 - rs) * ds / sbar) ** 2, ds - 1, lam",
      "tests": ["tests/test_success.py::test_psucc_exact_against_float64_quadrature"]},
+    # a range check that has no value for an empty input
+    {"file": "src/es_drift/success.py",
+     "old": "values.min(initial=0.0) >= 0.0",
+     "new": "values.min() >= 0.0",
+     "tests": ["tests/test_success.py::test_psucc_exact_array_d_matches_pointwise_calls_bit_for_bit",
+               "tests/test_success.py::test_psucc0_inverse_vector_equals_scalar_calls"]},
     # psucc0_inverse: the bracket ends evaluated in swapped rows, and the
     # roots below their target (every root after the bracket phase) closed
     {"file": "src/es_drift/success.py",
@@ -316,10 +322,22 @@ MUTANTS = [
      "new": "super().error(message)",
      "tests": [f"{_FAILURE}[unknown_flag]",
                "tests/test_cli.py::test_a_malformed_flag_value_is_a_configuration_error[--alpha]"]},
+    # --config and --workers taken as config keys
     {"file": "src/es_drift/cli.py",
-     "old": '("command", "config", "workers")',
-     "new": '("command", "config")',
+     "old": "if k in SETTINGS}",
+     "new": 'if k != "command"}',
      "tests": ["tests/test_cli.py::test_byte_identical_across_worker_counts"]},
+    # every flag left out sets its key to None
+    {"file": "src/es_drift/cli.py",
+     "old": 'prog="es-drift", argument_default=argparse.SUPPRESS,',
+     "new": 'prog="es-drift",',
+     "tests": ["tests/test_cli.py::test_main_success"]},
+    # a table row with the wrong parser, for a flag and a file line alike
+    {"file": "src/es_drift/config.py",
+     "old": '"p_u": (float, "--p-u"',
+     "new": '"p_u": (int, "--p-u"',
+     "tests": ["tests/test_cli.py::test_a_flag_sets_its_key_as_a_config_file_line_does"
+               "[bounds-p_u]"]},
     {"file": "src/es_drift/config.py",
      "old": "if key in overrides:",
      "new": "if False:",

@@ -19,7 +19,7 @@ from es_drift import (MeanEstimate, cli, derive_constants, derive_stream,
                       initial_state)
 from es_drift.cli import (_write_csv, build_parser, cmd_bounds, cmd_drift_map, cmd_har_check,
                           cmd_hitting_scaling, cmd_run, cmd_success_curve, main)
-from es_drift.config import ExperimentConfig, build_config, parse_config_file
+from es_drift.config import SETTINGS, ExperimentConfig, build_config, parse_config_file
 from es_drift.errors import ConfigurationError
 from es_drift.estimates import MIN_MC_SAMPLES, mean_estimate
 from reference import RecordingStream
@@ -727,6 +727,34 @@ def test_parser_is_built_once_and_each_main_call_parses_its_own_arguments(
         defaults.d_list, defaults.record_every, defaults.max_iter, defaults.sigma_bar0)
 
 
+# a valid value, not the default, for every config key
+_KEY_VALUES = {
+    "d_list": "5,7", "eps_list": "1e-3,1e-5", "alpha": "1.25", "p_u": "0.15",
+    "p_l": "0.25", "epsilon": "1e-6", "m0_norm": "3.0", "sigma_bar0": "0.5",
+    "replicates": "7", "master_seed": "9", "mc_samples": "5000", "output_path": "x.out",
+    "max_iter": "50", "record_every": "3",
+}
+
+
+@pytest.mark.parametrize("key", SETTINGS)
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_a_flag_sets_its_key_as_a_config_file_line_does(tmp_path, monkeypatch, command, key):
+    # --seed, --out and --d are named for master_seed, output_path and d_list;
+    # every other key is a flag of its own name with dashes, in every command
+    flag = {"master_seed": "--seed", "output_path": "--out",
+            "d_list": "--d"}.get(key, "--" + key.replace("_", "-"))
+    value = _KEY_VALUES[key]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(f"{key} = {value}\n")
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, seen.append)
+    assert main([command, flag, value]) == 0
+    assert main([command, "--config", "exp.cfg"]) == 0
+    by_flag, by_file = seen
+    assert by_flag == by_file == build_config(None, {key: getattr(by_file, key)})
+    assert getattr(by_flag, key) != getattr(ExperimentConfig(), key)
+
+
 _TOO_FEW = MIN_MC_SAMPLES - 1
 
 # Every command line that fails: its id, its argv as a shell splits it, the
@@ -796,9 +824,9 @@ _FAILURES = [
     # stall at sigma = inf
     ("sigma_overflows_run", "run --d 2 --m0-norm 1e308 --sigma-bar0 1.7 --epsilon 1e300 "
      "--max-iter 3000 --seed 4 --out r.csv", None, 1, "sigma overflowed"),
-    ("sigma_overflows_hitting_scaling", "hitting-scaling --config exp.cfg --replicates 20 "
-     "--eps-list 1e300,1e299,1e298 --seed 1 --out h.csv",
-     b"d_list = 2\nm0_norm = 1e308\nsigma_bar0 = 1.7\n", 1, "sigma overflowed"),
+    ("sigma_overflows_hitting_scaling", "hitting-scaling --d 2 --m0-norm 1e308 "
+     "--sigma-bar0 1.7 --replicates 20 --eps-list 1e300,1e299,1e298 --seed 1 --out h.csv",
+     None, 1, "sigma overflowed"),
     # an output path the file system refuses, a name longer than 255 bytes
     ("out_name_too_long", f"bounds --d 8 --out {'x' * 300}.json", None, 1,
      "File name too long"),
@@ -820,6 +848,8 @@ _FAILURES = [
      "cannot read config file missing.cfg: [Errno 2]"),
     ("config_file_is_a_directory", "bounds --d 8 --config . --out b.json", None, 2,
      "cannot read config file .: [Errno 21]"),
+    ("config_line_without_equals", "bounds --d 8 --config exp.cfg --out b.json",
+     b"alpha 1.5\n", 2, "exp.cfg:1: expected key = value, got 'alpha 1.5'"),
     ("config_file_not_utf8", "bounds --d 8 --config exp.cfg --out b.json",
      b"alpha = 1.5\n# \xff\n", 2, "cannot read config file exp.cfg: 'utf-8' codec can't decode"),
     ("key_set_again", "bounds --d 8 --config exp.cfg --out b.json",
@@ -839,6 +869,13 @@ _FAILURES = [
      "eps_list must be non-empty"),
     ("eps_list_empty_in_config_file", "hitting-scaling --d 8 --replicates 2 --config exp.cfg "
      "--out h.csv", b"eps_list = ,\n", 2, "eps_list must be non-empty"),
+    # a seed, an iteration budget and a trace stride are counts
+    ("seed_negative", "bounds --d 8 --seed -1 --out b.json", None, 2,
+     "master_seed must be a non-negative integer"),
+    ("max_iter_zero", "run --d 8 --max-iter 0 --out r.csv", None, 2,
+     "max_iter must be positive"),
+    ("record_every_zero", "run --d 8 --record-every 0 --out r.csv", None, 2,
+     "record_every must be positive"),
     # --d parses as d_list does
     ("d_empty", 'bounds --d "" --out b.json', None, 2, "d_list must be non-empty"),
     ("d_repeated", "bounds --d 4,4 --out b.json", None, 2, "d_list entries must be distinct"),
@@ -866,10 +903,10 @@ def test_command_line_failure(tmp_path, capsys, monkeypatch, argv, config, code,
 
 @pytest.mark.parametrize("flag", [
     "--seed", "--d", "--alpha", "--epsilon", "--replicates", "--mc-samples", "--workers",
-    "--eps-list", "--record-every", "--max-iter", "--m0-norm", "--sigma-bar0"])
+    "--eps-list", "--record-every", "--max-iter", "--m0-norm", "--sigma-bar0", "--p-u",
+    "--p-l"])
 def test_a_malformed_flag_value_is_a_configuration_error(tmp_path, capsys, monkeypatch, flag):
-    command = "hitting-scaling" if flag == "--eps-list" else "run"
-    _check_failure(tmp_path, capsys, monkeypatch, f"{command} {flag} abc --out out.csv", None,
+    _check_failure(tmp_path, capsys, monkeypatch, f"run {flag} abc --out out.csv", None,
                    2, f"argument {flag}:")
 
 
@@ -907,7 +944,11 @@ def test_help_still_exits_0(capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(args)
         assert exit_info.value.code == 0
-        assert "usage: es-drift" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "usage: es-drift" in out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
+        for flag in ("--config", "--workers", *(flag for _, flag, _ in SETTINGS.values())):
+            assert f"  {flag} " in out, flag
 
 
 def test_main_flag_overrides(tmp_path):

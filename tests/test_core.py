@@ -452,9 +452,11 @@ def test_state_validation():
     for sigma in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="sigma"):
             ESState(d=2, norm=1.0, sigma=sigma)
-    # a step size that overflows to inf is no state
+    # a step size that overflows to inf is no state, nor is a start at the optimum
     with pytest.raises(ValueError, match="sigma must be finite"):
         initial_state(4, 1e300, 1e10)
+    with pytest.raises(ValueError, match="m0_norm and sigma_bar0 must be positive"):
+        initial_state(4, 0.0, 2.0)
     for d in (1, 2.0, 4.5):
         with pytest.raises(ValueError, match="dimension"):
             ESState(d=d, norm=1.0, sigma=0.5)
@@ -468,5 +470,13 @@ def test_state_validation():
     state = initial_state(4, 1.0, 2.0)
     with pytest.raises(ValueError, match="alpha"):
         run_until(state, 1.0, 1e-2, 10, derive_stream(0))
+    for epsilon, max_iter, record_every, name in ((0.0, 10, 1, "epsilon"),
+                                                  (1e-2, 0, 1, "max_iter"),
+                                                  (1e-2, 10, 0, "record_every")):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            run_until(state, 1.5, epsilon, max_iter, derive_stream(0),
+                      record_every=record_every)
+    with pytest.raises(ValueError, match="master_seed must be non-negative"):
+        derive_stream(-1)
     with pytest.raises(ValueError, match="alpha"):
         hitting_times([state], 1, 1.0, [1e-2], 10, [derive_stream(0)])

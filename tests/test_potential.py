@@ -131,8 +131,10 @@ def test_band_minima_match_dense_grid_oracle(alpha):
 
 def test_potential_pole_at_optimum(constants_for):
     c = constants_for(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="optimum"):
         c.potential_of(0.0, 1.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        c.potential_of(1.0, 0.0)
 
 
 def _potential_args(c):
@@ -348,6 +350,8 @@ def test_drift_map_rejects_non_positive_grid_points(constants_for, rng_for):
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             drift_map(constants_for(10), [1.0, bad], 2000, rng_for(14))
+    with pytest.raises(ValueError, match="sigma_bar_grid must be non-empty"):
+        drift_map(constants_for(10), [], 2000, rng_for(14))
 
 
 @settings(max_examples=30)

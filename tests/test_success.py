@@ -173,6 +173,10 @@ def test_psucc_exact_array_d_matches_pointwise_calls_bit_for_bit(rng_for):
     assert table.shape == (len(MIXED_DIMENSIONS), 3)
     for row, dim in zip(table, MIXED_DIMENSIONS):
         assert np.array_equal(row, psucc_exact(dim, 0.0, grid)), dim
+    # so does an empty input, to an empty array
+    assert psucc_exact(4, 0.0, np.array([])).shape == (0,)
+    assert psucc_exact(np.array(MIXED_DIMENSIONS)[:, None], 0.0, np.empty(0)).shape == (
+        len(MIXED_DIMENSIONS), 0)
     with pytest.raises(ValueError, match="dimension must be positive, got 0"):
         psucc_exact([4, 0], 0.0, 1.0)
 
@@ -330,6 +334,9 @@ def test_psucc0_inverse_vector_equals_scalar_calls():
         for p, root in zip(ps.ravel(), roots.ravel()):
             assert root == psucc0_inverse(d, float(p))
     assert isinstance(psucc0_inverse(10, 0.3), float)
+    # no p gives no root
+    assert psucc0_inverse(4, []).shape == (0,)
+    assert psucc0_inverse(np.array([2, 10])[:, None], np.empty(0)).shape == (2, 0)
     with pytest.raises(ValueError):
         psucc0_inverse(10, [0.3, 0.5])
 
@@ -371,3 +378,5 @@ def test_query_validation(rng_for):
             psucc_mc(d, r, sigma_bar, 100, rng_for(6))
     with pytest.raises(ValueError):
         psucc_exact(4, 0.0, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        psucc_exact(4.0, 0.0, 1.0)

@@ -100,10 +100,9 @@ def cmd_success_curve(config: ExperimentConfig) -> dict[str, list]:
     """Exact vs limit success probabilities on a step-size grid."""
     rhos = np.array(CURVE_RHO_VALUES)[:, None, None]
     dims = np.array(CURVE_D_VALUES)[:, None]
-    # one call for the whole (rho, d, sigma_bar) grid
+    # one call each for the whole (rho, d, sigma_bar) grid
     exact = psucc_exact(dims, rhos / dims, CURVE_SIGMA_BARS)
-    limits = np.array([[psucc_limit(rho, s) for s in CURVE_SIGMA_BARS.tolist()]
-                       for rho in CURVE_RHO_VALUES])[:, None]
+    limits = psucc_limit(rhos, CURVE_SIGMA_BARS)
     table = _table(("rho", "d", "sigma_bar", "p_exact", "p_limit", "abs_gap"),
                    rhos, dims, CURVE_SIGMA_BARS, exact, limits, np.abs(exact - limits))
     _write_csv(Path(config.output_path or "success_curve.csv"), table)

@@ -41,7 +41,9 @@ def expected_log_progress_mc(ds, n: int, rng) -> MeanEstimate:
     is at most one chunk of draws (kernels._CHUNK, 2^20).
     """
     ds = list(ds)
-    if not ds or ds[0] < 2:
+    if not ds:
+        raise ValueError("need at least one dimension")
+    if ds[0] < 2:
         raise ValueError("dimension must be at least 2 (angle density needs it)")
     if any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValueError(f"dimensions must be strictly increasing, got {ds}")

@@ -195,13 +195,21 @@ def psucc_exact(d, r, sigma_bars):
     return values.reshape(shape) if shape else float(values[0])
 
 
-def psucc_limit(rho: float, sigma_bar: float) -> float:
-    """Large-dimension limit Phi(-rho/sbar - sbar/2) for r*d -> rho."""
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be non-negative, got {rho}")
-    if not sigma_bar > 0.0:
+def psucc_limit(rho, sigma_bar):
+    """Large-dimension limit Phi(-rho/sbar - sbar/2) for r*d -> rho.
+
+    rho and ``sigma_bar`` broadcast against each other; returns an array of
+    the broadcast shape (a float when both are scalars).
+    """
+    rhos, sbar = np.asarray(rho, dtype=float), np.asarray(sigma_bar, dtype=float)
+    # a NaN fails every comparison
+    bad = ~(rhos >= 0.0)
+    if bad.any():
+        raise ValueError(f"rho must be non-negative, got {rhos[bad][0]}")
+    if not (sbar > 0.0).all():
         raise ValueError("normalized step size must be positive")
-    return float(ndtr(-rho / sigma_bar - sigma_bar / 2.0))
+    values = ndtr(-rhos / sbar - sbar / 2.0)
+    return values if np.ndim(values) else float(values)
 
 
 def psucc0_inverse(d, p):

@@ -161,22 +161,23 @@ MUTANTS = [
      "old": "return x * x + q * q * chi2",
      "new": "return x * x + q * chi2",
      "tests": ["tests/test_core.py::test_run_until_steps_the_norm_sigma_chain_exactly"]},
-    {"file": "src/es_drift/kernels.py",
+    # -- the ES chain and the run state (core.py) ------------------------
+    {"file": "src/es_drift/core.py",
      "old": "factor = np.array([alpha ** -0.25, alpha])",
      "new": "factor = np.array([alpha ** -0.2, alpha])",
      "tests": ["tests/test_core.py::test_hitting_times_steps_each_run_exactly"]},
     # sigma let overflow to inf, where the run stalls
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "if sigma == math.inf:",
      "new": "if False:",
      "tests": [_OVERFLOW]},
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "if np.isinf(sigma[0]).any():",
      "new": "if False:",
      "tests": [_OVERFLOW]},
     # overflow warnings back on in the lockstep: an infinite q * q is a
     # plain failure there
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": '@np.errstate(over="ignore")',
      "new": '@np.errstate(over="warn")',
      "tests": ["tests/test_core.py"
@@ -186,28 +187,27 @@ MUTANTS = [
     # a run that ends its block at a threshold has passed it, row j + 1 is
     # t + j + 1 steps in, passages at t = 0, and a done run frozen before
     # a later success in its block can overflow sigma
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "norm[0, :, None] > eps",
      "new": "norm[0, :, None] >= eps",
      "tests": [_BLOCK_EDGES]},
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "norm[steps, :, None] <= eps",
      "new": "norm[steps, :, None] < eps",
      "tests": [_BLOCK_EDGES]},
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "t + 1 + np.argmax",
      "new": "t + np.argmax",
      "tests": ["tests/test_core.py::test_hitting_times_steps_each_run_exactly"]},
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "np.where(norm[0, :, None] <= eps, 0, -1)",
      "new": "np.where(norm[0, :, None] <= eps, -1, -1)",
      "tests": [_BLOCK_EDGES]},
-    {"file": "src/es_drift/kernels.py",
+    {"file": "src/es_drift/core.py",
      "old": "sigma[0, done] = 0.0",
      "new": "pass",
      "tests": ["tests/test_core.py"
                "::test_a_run_done_mid_block_is_frozen_before_its_step_size_overflows"]},
-    # -- the run state and the run driver (core.py) ---------------------
     {"file": "src/es_drift/core.py",
      "old": "or self.d < 2:",
      "new": "or self.d < 1:",
@@ -408,8 +408,8 @@ MUTANTS = [
      "tests": ["tests/test_potential.py"
                "::test_hitting_time_bounds_rejects_an_epsilon_that_is_not_finite_and_positive"]},
     {"file": "src/es_drift/success.py",
-     "old": "if not rho >= 0.0:",
-     "new": "if rho < 0.0:",
+     "old": "bad = ~(rhos >= 0.0)",
+     "new": "bad = rhos < 0.0",
      "tests": ["tests/test_success.py::test_psucc_limit_rejects_a_negative_or_nan_rate"]},
     {"file": "src/es_drift/hitandrun.py",
      "old": "if not d >= 2:",

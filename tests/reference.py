@@ -227,7 +227,7 @@ def simulate_jump_process(p: float, x0: float, beta: float, rng,
 class PresetStream:
     """Serves preset standard normals, and preset chi2 values as halved
     standard_gamma draws, each in order; a draw past the preset values is
-    NaN, since kernels draw full blocks whatever the budget. Each
+    NaN, since the ES loops draw full blocks whatever the budget. Each
     standard_gamma call is recorded as (shape, size)."""
 
     def __init__(self, normals, chi2s=()):

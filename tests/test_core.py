@@ -9,7 +9,6 @@ from scipy.stats import ks_2samp
 
 from es_drift import (ConvergenceError, ESState, derive_stream, hitting_times,
                       initial_state, run_until)
-from es_drift.kernels import es_hitting_times
 from reference import PresetStream, es_step
 
 
@@ -183,24 +182,19 @@ def test_hitting_times_equal_run_until_run_for_run(runs, powers, max_iter):
 
 
 def test_thresholds_in_any_order_equal_the_sorted_call_column_for_column():
-    # unsorted and repeated thresholds, in the kernel and through
-    # hitting_times; a budget of 400 censors some runs at 1e-6
+    # unsorted and repeated thresholds, in two groups of 5; a budget of 400
+    # censors some runs at 1e-6
     epsilons = [1e-3, 1e-1, 1e-6, 1e-3, 1e-2, 1e-1]
     ordered = sorted(set(epsilons), reverse=True)
     columns = [ordered.index(epsilon) for epsilon in epsilons]
 
-    def kernel(thresholds):
-        return es_hitting_times([1.0, 1.0], [0.5, 0.2], [4, 9], 7, 1.5, thresholds, 400,
-                                [derive_stream(5, 0), derive_stream(5, 1)])
-
-    def through_core(thresholds):
+    def call(thresholds):
         return hitting_times([initial_state(6, 1.0, 2.0), initial_state(3, 1.0, 0.5)], 5,
                              1.5, thresholds, 400, [derive_stream(6, 0), derive_stream(6, 1)])
 
-    for call in (kernel, through_core):
-        unsorted, by_size = call(epsilons), call(ordered)
-        assert np.any(unsorted < 0) and np.any(unsorted > 0)
-        assert unsorted.tolist() == by_size[..., columns].tolist()
+    unsorted, by_size = call(epsilons), call(ordered)
+    assert np.any(unsorted < 0) and np.any(unsorted > 0)
+    assert unsorted.tolist() == by_size[..., columns].tolist()
 
 
 @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 100, 128])
@@ -243,14 +237,14 @@ def test_hitting_time_does_not_depend_on_the_budget(max_iter):
 
 
 def test_hitting_times_memory_does_not_grow_with_max_iter():
-    # one draw block of kernels._ES_CHUNK steps per live run, whatever the
+    # one draw block of core._ES_CHUNK steps per live run, whatever the
     # budget, and one first-passage slot per threshold; 1,000 groups of one
     n, d = 1000, 8
+    states = [initial_state(d, 1.0, 2.0)] * n
     rngs = [derive_stream(11, i) for i in range(n)]
     tracemalloc.start()
     try:
-        times = es_hitting_times([1.0] * n, [2.0 / d] * n, [d] * n, 1, 1.5,
-                                 [1e-2, 1e-3, 1e-4], 10 ** 9, rngs)
+        times = hitting_times(states, 1, 1.5, [1e-2, 1e-3, 1e-4], 10 ** 9, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,13 +255,13 @@ def test_hitting_times_memory_does_not_grow_with_max_iter():
 
 
 def test_hitting_times_memory_with_one_shared_generator():
-    # a group of 1,000 runs draws one (_ES_CHUNK, 1000) block of each kind
-    # at a time, 1 MB of blocks plus the draws being copied in
+    # a group of 1,000 runs draws one (core._ES_CHUNK, 1000) block of each
+    # kind at a time, 1 MB of blocks plus the draws being copied in
     n, d = 1000, 8
     tracemalloc.start()
     try:
-        times = es_hitting_times([1.0], [2.0 / d], [d], n, 1.5, [1e-2, 1e-3, 1e-4],
-                                 10 ** 9, [derive_stream(11)])
+        times = hitting_times([initial_state(d, 1.0, 2.0)], n, 1.5, [1e-2, 1e-3, 1e-4],
+                              10 ** 9, [derive_stream(11)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,7 +273,7 @@ def test_hitting_times_memory_with_one_shared_generator():
 
 class GroupColumnDraw:
     """Stands in for a Generator, serving one run the column of a group's
-    blocks that es_hitting_times gives it: each call draws the block of all
+    blocks that hitting_times gives it: each call draws the block of all
     ``size_of_group`` runs from ``rng`` and returns column ``column``."""
 
     def __init__(self, rng, size_of_group, column):
@@ -373,7 +367,7 @@ def test_a_run_done_mid_block_is_frozen_before_its_step_size_overflows():
 
 def test_a_huge_start_step_size_fails_without_warnings_as_in_run_until():
     # q = sigma / ||m|| = 2.5e199 makes q * q overflow to inf, a failure in
-    # both kernels, until sigma has shrunk; Tier-1 makes a RuntimeWarning an
+    # both loops, until sigma has shrunk; Tier-1 makes a RuntimeWarning an
     # error
     state = initial_state(4, 1e-100, 1e200)
     (runs,) = hitting_times([state], 1, 1.5, [1e-101, 1e-103], 10 ** 5, [derive_stream(5)])

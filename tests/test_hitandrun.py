@@ -162,9 +162,10 @@ def test_pooled_mc_warns_once_for_each_dimension_with_capped_draws(monkeypatch):
     assert est.mean.tolist() == [0.01] * 3
 
 
-@pytest.mark.parametrize("ds", [(4, 4), (8, 4), (2, 16, 8), (1, 4), (), [0]])
+@pytest.mark.parametrize("ds", [(4, 4), (8, 4), (2, 16, 8), (1, 4), (), [0], []])
 def test_pooled_mc_rejects_bad_dimension_lists(rng_for, ds):
-    with pytest.raises(ValueError):
+    # an empty list has no dimension below two: it gets its own message
+    with pytest.raises(ValueError, match="need at least one dimension" if not ds else None):
         expected_log_progress_mc(ds, 10_000, rng_for(7))
 
 

@@ -246,12 +246,19 @@ def test_figure_curve_gap_shrinks_with_dimension():
 def test_psucc_limit_matches_erf_oracle():
     # independent oracle: Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) at
     # x = -rho/sbar - sbar/2
-    for rho, sigma_bar in ((0.0, 6.0), (0.0, 2.0), (0.0, 0.2), (0.0, 1e-9), (1.0, 0.5),
-                           (1.0, math.sqrt(2.0)), (2.0, 4.0)):
+    points = ((0.0, 6.0), (0.0, 2.0), (0.0, 0.2), (0.0, 1e-9), (1.0, 0.5),
+              (1.0, math.sqrt(2.0)), (2.0, 4.0))
+    for rho, sigma_bar in points:
         x = -rho / sigma_bar - sigma_bar / 2.0
         oracle = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
         assert abs(psucc_limit(rho, sigma_bar) - oracle) < 1e-14
     assert psucc_limit(0.0, 2.0) == pytest.approx(0.15865525393145707, abs=1e-12)
+    # rho and sigma_bar broadcast, and the grid equals the point calls bit
+    # for bit
+    rhos, sigma_bars = [0.0, 1.0, 2.0], [sigma_bar for _, sigma_bar in points]
+    grid = psucc_limit(np.array(rhos)[:, None], sigma_bars)
+    assert grid.shape == (3, len(points))
+    assert grid.tolist() == [[psucc_limit(rho, s) for s in sigma_bars] for rho in rhos]
 
 
 def test_psucc_limit_peak_at_sqrt_two_for_unit_rho():
@@ -263,12 +270,16 @@ def test_psucc_limit_peak_at_sqrt_two_for_unit_rho():
 def test_psucc_limit_pole():
     with pytest.raises(ValueError, match="step size must be positive"):
         psucc_limit(0.0, 0.0)
+    with pytest.raises(ValueError, match="step size must be positive"):
+        psucc_limit(0.0, np.array([1.0, 0.0]))
 
 
 def test_psucc_limit_rejects_a_negative_or_nan_rate():
     for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError, match="rho must be non-negative"):
+        with pytest.raises(ValueError, match=f"rho must be non-negative, got {bad}$"):
             psucc_limit(bad, 1.0)
+        with pytest.raises(ValueError, match=f"rho must be non-negative, got {bad}$"):
+            psucc_limit(np.array([0.0, bad]), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
